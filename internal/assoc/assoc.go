@@ -9,7 +9,7 @@ package assoc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"pka/internal/contingency"
@@ -98,9 +98,19 @@ func scorePair(pair *contingency.Table, i, j int, n float64) (PairStats, error) 
 }
 
 // sortByMI orders pair results by descending mutual information, stably
-// over the lexicographic pair enumeration they were scored in.
+// over the lexicographic pair enumeration they were scored in. The
+// comparator is the strict "a.MI > b.MI" ordering, so ties (NaN included)
+// keep their enumeration order.
 func sortByMI(out []PairStats) {
-	sort.SliceStable(out, func(a, b int) bool { return out[a].MI > out[b].MI })
+	slices.SortStableFunc(out, func(a, b PairStats) int {
+		switch {
+		case a.MI > b.MI:
+			return -1
+		case a.MI < b.MI:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Pairwise computes PairStats for every attribute pair, ordered by

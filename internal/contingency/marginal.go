@@ -28,25 +28,27 @@ func (t *Table) Marginalize(keep VarSet) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Precompute, for each kept axis, its stride in the marginal table.
-	mStrides := m.strides
-	for off, c := range t.counts {
-		if c == 0 {
-			continue
-		}
-		rem := off
-		mOff := 0
-		// Decode only the kept coordinates.
-		ki := 0
-		for axis := 0; axis < len(t.cards); axis++ {
-			v := rem / t.strides[axis]
-			rem %= t.strides[axis]
-			if ki < len(members) && members[ki] == axis {
-				mOff += v * mStrides[ki]
-				ki++
-			}
-		}
+	// Walk the joint row-major with an odometer over every axis. mStride is
+	// each axis's stride in the marginal table (0 when summed out), so the
+	// marginal offset follows the odometer with one add per step and no
+	// cell is decoded by division.
+	mStride := make([]int, len(t.cards))
+	for ki, p := range members {
+		mStride[p] = m.strides[ki]
+	}
+	idx := make([]int, len(t.cards))
+	mOff := 0
+	for _, c := range t.counts {
 		m.counts[mOff] += c
+		for axis := len(t.cards) - 1; axis >= 0; axis-- {
+			idx[axis]++
+			if idx[axis] < t.cards[axis] {
+				mOff += mStride[axis]
+				break
+			}
+			mOff -= (idx[axis] - 1) * mStride[axis]
+			idx[axis] = 0
+		}
 	}
 	m.total = t.total
 	return m, nil

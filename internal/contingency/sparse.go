@@ -41,8 +41,9 @@ type Sparse struct {
 
 	// projCache is the per-family dense-projection cache behind
 	// MarginalCount: the first marginal query over an attribute family
-	// projects the occupied cells onto that family once (O(occupied)),
-	// and every later query over the same family is a dense O(1) lookup.
+	// projects the occupied cells onto that family once
+	// (O(occupied × |family|)), and every later query over the same family
+	// is a dense O(1) lookup.
 	// Mutation (Observe/Add/ApplyBatch/ObserveBatch) maintains every cached
 	// projection in place — O(families) per changed cell instead of an
 	// O(occupied) re-projection per family on the next read — so the cache
@@ -310,7 +311,10 @@ func (s *Sparse) EachCell(fn func(cell []int, count int64)) {
 
 // Project sums the sparse table onto the kept attribute subset, returning a
 // dense table over those axes (ascending position order) — the bridge from
-// wide sparse data to the dense machinery of discovery.
+// wide sparse data to the dense machinery of discovery. It costs
+// O(occupied × |keep|): each occupied key decodes only the kept attributes'
+// bit fields, never the full R-field cell, so a pair projection over a
+// 500-attribute schema reads two fields per cell, not 500.
 func (s *Sparse) Project(keep VarSet) (*Table, error) {
 	if keep.Empty() {
 		return nil, fmt.Errorf("contingency: cannot project to the empty attribute set")
@@ -329,20 +333,16 @@ func (s *Sparse) Project(keep VarSet) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := make([]int, len(members))
-	var outer error
-	s.store.each(make([]int, len(s.cards)), func(cell []int, c int64) {
-		if outer != nil {
-			return
+	// Stored keys always decode to validated coordinates, so the dense
+	// offset needs no per-cell range check.
+	s.store.eachMembers(members, make([]int, len(members)), func(sub []int, c int64) {
+		off := 0
+		for i, v := range sub {
+			off += v * dense.strides[i]
 		}
-		for i, p := range members {
-			sub[i] = cell[p]
-		}
-		outer = dense.Add(c, sub...)
+		dense.counts[off] += c
+		dense.total += c
 	})
-	if outer != nil {
-		return nil, outer
-	}
 	return dense, nil
 }
 
@@ -427,10 +427,10 @@ func FromDense(t *Table) (*Sparse, error) {
 
 // MarginalCount returns the marginal count of a partial assignment. Small
 // families are served from the per-family dense-projection cache — one
-// O(occupied) projection on first use, O(1) per query afterwards, which is
-// what makes the discovery scan's repeated marginal lookups affordable on
-// wide tables. Families whose dense projection would exceed
-// maxCachedProjCells fall back to scanning the occupied cells.
+// O(occupied × |family|) projection on first use, O(1) per query
+// afterwards, which is what makes the discovery scan's repeated marginal
+// lookups affordable on wide tables. Families whose dense projection would
+// exceed maxCachedProjCells fall back to scanning the occupied cells.
 func (s *Sparse) MarginalCount(vars VarSet, values []int) (int64, error) {
 	members := vars.Members()
 	if len(members) != len(values) {
@@ -454,13 +454,14 @@ func (s *Sparse) MarginalCount(vars VarSet, values []int) (int64, error) {
 }
 
 // marginalCountScan is the uncached marginal: one pass over the occupied
-// cells. Retained as the fallback for families too wide to cache and as the
+// cells, decoding only the family's fields (O(occupied × |family|)).
+// Retained as the fallback for families too wide to cache and as the
 // reference path in tests and benchmarks.
 func (s *Sparse) marginalCountScan(members, values []int) int64 {
 	var sum int64
-	s.store.each(make([]int, len(s.cards)), func(cell []int, c int64) {
-		for i, p := range members {
-			if cell[p] != values[i] {
+	s.store.eachMembers(members, make([]int, len(members)), func(sub []int, c int64) {
+		for i, v := range sub {
+			if v != values[i] {
 				return
 			}
 		}
@@ -614,6 +615,10 @@ func (s *Sparse) CachedProjections() int {
 type keyCodec[K comparable] interface {
 	pack(cell []int) K
 	unpack(k K, cell []int)
+	// unpackMembers decodes only the listed attributes: sub[i] receives
+	// the coordinate of attribute members[i]. Projections use it so their
+	// per-cell cost scales with the family, not the schema width.
+	unpackMembers(k K, members, sub []int)
 	less(a, b K) bool
 }
 
@@ -634,6 +639,13 @@ func (c key64) unpack(k uint64, cell []int) {
 	}
 }
 
+func (c key64) unpackMembers(k uint64, members, sub []int) {
+	for i, p := range members {
+		f := c.fields[p]
+		sub[i] = int((k >> f.shift) & f.mask)
+	}
+}
+
 func (key64) less(a, b uint64) bool { return a < b }
 
 // key128 covers schemas needing two words ([2]uint64 keys hash inline —
@@ -650,6 +662,13 @@ func (c key128) pack(cell []int) (k [2]uint64) {
 func (c key128) unpack(k [2]uint64, cell []int) {
 	for i, f := range c.fields {
 		cell[i] = int((k[f.word] >> f.shift) & f.mask)
+	}
+}
+
+func (c key128) unpackMembers(k [2]uint64, members, sub []int) {
+	for i, p := range members {
+		f := c.fields[p]
+		sub[i] = int((k[f.word] >> f.shift) & f.mask)
 	}
 }
 
@@ -687,6 +706,15 @@ func (c keyWide) unpack(k string, cell []int) {
 	}
 }
 
+func (c keyWide) unpackMembers(k string, members, sub []int) {
+	for i, p := range members {
+		f := c.fields[p]
+		off := (c.nwords - 1 - f.word) * 8
+		w := binary.BigEndian.Uint64([]byte(k[off : off+8]))
+		sub[i] = int((w >> f.shift) & f.mask)
+	}
+}
+
 func (keyWide) less(a, b string) bool { return a < b }
 
 // cellStore is the width-erased view Sparse drives; every method takes
@@ -698,6 +726,9 @@ type cellStore interface {
 	// checked the result stays non-negative.
 	add(cell []int, delta int64)
 	each(scratch []int, fn func(cell []int, count int64))
+	// eachMembers visits every occupied cell decoded onto members only
+	// (see keyCodec.unpackMembers); sub is the reused scratch passed to fn.
+	eachMembers(members, sub []int, fn func(sub []int, count int64))
 	eachSorted(scratch []int, fn func(cell []int, count int64))
 	clone() cellStore
 	applyBatch(s *Sparse, deltas []CellDelta) error
@@ -726,6 +757,13 @@ func (c *cellMap[K, C]) each(scratch []int, fn func(cell []int, count int64)) {
 	for k, v := range c.m {
 		c.codec.unpack(k, scratch)
 		fn(scratch, v)
+	}
+}
+
+func (c *cellMap[K, C]) eachMembers(members, sub []int, fn func(sub []int, count int64)) {
+	for k, v := range c.m {
+		c.codec.unpackMembers(k, members, sub)
+		fn(sub, v)
 	}
 }
 

@@ -127,46 +127,50 @@ func (m *Model) blocks() [][]int {
 	return out
 }
 
-// subModel builds a dense model over one block whose coefficient arrays
-// ALIAS the parent's: fitting the sub-model writes the parent's
-// coefficients in place. The family cell layout is preserved because family
-// coefficients are row-major over members ascending, and the block keeps
-// relative attribute order.
-func (m *Model) subModel(blk []int) (*Model, error) {
-	local := make(map[int]int, len(blk))
-	names := make([]string, len(blk))
-	cards := make([]int, len(blk))
-	for i, p := range blk {
-		local[p] = i
-		names[i] = m.names[p]
-		cards[i] = m.cards[p]
-	}
-	sub, err := NewModel(names, cards)
-	if err != nil {
-		return nil, err
-	}
-	for vs, ft := range m.families {
-		members := vs.Members()
-		if _, in := local[members[0]]; !in {
-			continue
+// subModels builds one dense model per block whose coefficient arrays
+// ALIAS the parent's: fitting a sub-model writes the parent's coefficients
+// in place. The family cell layout is preserved because family coefficients
+// are row-major over members ascending, and each block keeps relative
+// attribute order. Families and constraints are bucketed by block in one
+// pass each — O(families + constraints), not O(blocks × (families +
+// constraints)) — and every block keeps the parent's constraint order.
+func (m *Model) subModels(blocks [][]int) ([]*Model, error) {
+	// blockOf and local map each attribute to its block and its index
+	// within that block.
+	blockOf := make([]int, len(m.cards))
+	local := make([]int, len(m.cards))
+	subs := make([]*Model, len(blocks))
+	for bi, blk := range blocks {
+		names := make([]string, len(blk))
+		cards := make([]int, len(blk))
+		for i, p := range blk {
+			blockOf[p], local[p] = bi, i
+			names[i] = m.names[p]
+			cards[i] = m.cards[p]
 		}
-		lv := make([]int, len(members))
-		for i, p := range members {
-			li, ok := local[p]
-			if !ok {
+		sub, err := NewModel(names, cards)
+		if err != nil {
+			return nil, err
+		}
+		subs[bi] = sub
+	}
+	for _, vs := range sortedFamilies(m.families) {
+		ft := m.families[vs]
+		bi := blockOf[ft.vars[0]]
+		lv := make([]int, len(ft.vars))
+		for i, p := range ft.vars {
+			if blockOf[p] != bi {
 				return nil, fmt.Errorf("maxent: family %v straddles blocks", vs)
 			}
-			lv[i] = li
+			lv[i] = local[p]
 		}
-		sub.families[contingency.NewVarSet(lv...)] = &familyTerm{vars: lv, coeffs: ft.coeffs}
+		subs[bi].families[contingency.NewVarSet(lv...)] = &familyTerm{vars: lv, coeffs: ft.coeffs}
 	}
 	for _, c := range m.cons {
-		members := c.Family.Members()
-		if _, in := local[members[0]]; !in {
-			continue
-		}
-		lv := make([]int, len(members))
-		for i, p := range members {
+		ft := m.families[c.Family]
+		sub := subs[blockOf[ft.vars[0]]]
+		lv := make([]int, len(ft.vars))
+		for i, p := range ft.vars {
 			lv[i] = local[p]
 		}
 		lc := Constraint{
@@ -177,7 +181,7 @@ func (m *Model) subModel(blk []int) (*Model, error) {
 		sub.conIdx[lc.key()] = len(sub.cons)
 		sub.cons = append(sub.cons, lc)
 	}
-	return sub, nil
+	return subs, nil
 }
 
 // fitFactored fits each constraint block independently with the dense
@@ -186,7 +190,10 @@ func (m *Model) subModel(blk []int) (*Model, error) {
 // aliased sub-models; a0 becomes the product of the block a0s. The report
 // aggregates worst-case sweeps and residual across blocks. Block sizes are
 // validated up front, so an errBlockTooDense return leaves the model's
-// coefficients untouched and the caller free to fall back.
+// coefficients untouched and the caller free to fall back. Building the
+// sub-models costs one pass over the families and one over the
+// constraints (subModels), not a scan of both per block — on a wide
+// discovery the model splits into hundreds of mostly singleton blocks.
 //
 // Under SolveOptions.Incremental, blocks none of whose families were
 // touched since the last converged fit (the model's dirty bookkeeping)
@@ -226,16 +233,12 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 			}
 		}
 	}
-	// Build every sub-model up front: subModel reads the parent's shared
+	// Build every sub-model up front: subModels reads the parent's shared
 	// maps, so construction stays on this goroutine, and only the disjoint
 	// per-block work runs on the pool.
-	subs := make([]*Model, len(blocks))
-	for bi, blk := range blocks {
-		sub, err := m.subModel(blk)
-		if err != nil {
-			return nil, err
-		}
-		subs[bi] = sub
+	subs, err := m.subModels(blocks)
+	if err != nil {
+		return nil, err
 	}
 	// blockOut is one block's contribution, collected per index slot and
 	// reduced in block order below.
@@ -245,7 +248,7 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 		skipped bool    // counted under Incremental only (historical contract)
 	}
 	outs := make([]blockOut, len(blocks))
-	err := par.Do(len(blocks), opts.Workers, func(bi int) error {
+	err = par.Do(len(blocks), opts.Workers, func(bi int) error {
 		blk, sub := blocks[bi], subs[bi]
 		vs := contingency.NewVarSet(blk...)
 		switch {

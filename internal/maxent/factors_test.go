@@ -7,7 +7,7 @@ import (
 )
 
 func TestUpdateFactorsInterior(t *testing.T) {
-	f, g, err := updateFactors(0.2, 0.4, "c")
+	f, g, err := updateFactors(0.2, Constraint{Target: 0.4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,36 +24,36 @@ func TestUpdateFactorsInterior(t *testing.T) {
 }
 
 func TestUpdateFactorsFixedPoints(t *testing.T) {
-	f, g, err := updateFactors(0.3, 0.3, "c")
+	f, g, err := updateFactors(0.3, Constraint{Target: 0.3}, nil)
 	if err != nil || f != 1 || g != 1 {
 		t.Errorf("matched target should be identity: %g, %g, %v", f, g, err)
 	}
 	// q = 0 with target 0 is satisfied.
-	f, g, err = updateFactors(0, 0, "c")
+	f, g, err = updateFactors(0, Constraint{Target: 0}, nil)
 	if err != nil || f != 1 || g != 1 {
 		t.Errorf("zero-zero should be identity: %g, %g, %v", f, g, err)
 	}
 	// q = 1 with target 1 is satisfied.
-	f, g, err = updateFactors(1, 1, "c")
+	f, g, err = updateFactors(1, Constraint{Target: 1}, nil)
 	if err != nil || f != 1 || g != 1 {
 		t.Errorf("one-one should be identity: %g, %g, %v", f, g, err)
 	}
 }
 
 func TestUpdateFactorsErrors(t *testing.T) {
-	if _, _, err := updateFactors(0, 0.5, "c"); err == nil {
+	if _, _, err := updateFactors(0, Constraint{Target: 0.5}, nil); err == nil {
 		t.Error("zero support with positive target accepted")
 	}
-	if _, _, err := updateFactors(1, 0.5, "c"); err == nil {
+	if _, _, err := updateFactors(1, Constraint{Target: 0.5}, nil); err == nil {
 		t.Error("full mass with smaller target accepted")
 	}
-	if _, _, err := updateFactors(0.5, 1, "c"); err == nil {
+	if _, _, err := updateFactors(0.5, Constraint{Target: 1}, nil); err == nil {
 		t.Error("target 1 from interior accepted")
 	}
 }
 
 func TestUpdateFactorsZeroTarget(t *testing.T) {
-	f, g, err := updateFactors(0.25, 0, "c")
+	f, g, err := updateFactors(0.25, Constraint{Target: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestUpdateFactorsConservationProperty(t *testing.T) {
 	fn := func(qSeed, tSeed uint16) bool {
 		q := (float64(qSeed%998) + 1) / 1000  // (0,1)
 		tg := (float64(tSeed%998) + 1) / 1000 // (0,1)
-		f, g, err := updateFactors(q, tg, "c")
+		f, g, err := updateFactors(q, Constraint{Target: tg}, nil)
 		if err != nil {
 			return false
 		}

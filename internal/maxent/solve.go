@@ -344,11 +344,15 @@ func (s *solverState) matchingOffsets(c Constraint) []int {
 	return out
 }
 
-// updateFactors returns the exact binary-partition IPF factors: matched
-// cells scale by f = target/q, complement by g = (1-target)/(1-q). In
-// product form this is a single odds-ratio update of the constraint's
-// coefficient (× f/g) since the complement factor cancels in normalization.
-func updateFactors(q, target float64, label string) (f, g float64, err error) {
+// updateFactors returns the exact binary-partition IPF factors for
+// constraint c at model mass q: matched cells scale by f = target/q,
+// complement by g = (1-target)/(1-q). In product form this is a single
+// odds-ratio update of the constraint's coefficient (× f/g) since the
+// complement factor cancels in normalization. The constraint's label is
+// formatted from names only on the error path: sweeps call this once per
+// constraint per sweep.
+func updateFactors(q float64, c Constraint, names []string) (f, g float64, err error) {
+	target := c.Target
 	switch {
 	case q == target:
 		return 1, 1, nil
@@ -356,16 +360,16 @@ func updateFactors(q, target float64, label string) (f, g float64, err error) {
 		if target == 0 {
 			return 1, 1, nil
 		}
-		return 0, 0, fmt.Errorf("maxent: constraint %s target %g has zero model support", label, target)
+		return 0, 0, fmt.Errorf("maxent: constraint %s target %g has zero model support", c.Label(names), target)
 	case q >= 1:
 		if target == 1 {
 			return 1, 1, nil
 		}
-		return 0, 0, fmt.Errorf("maxent: constraint %s target %g but model mass is all on the cell", label, target)
+		return 0, 0, fmt.Errorf("maxent: constraint %s target %g but model mass is all on the cell", c.Label(names), target)
 	case target == 0:
 		return 0, 1 / (1 - q), nil
 	case target == 1:
-		return 0, 0, fmt.Errorf("maxent: constraint %s target 1 requires emptying its complement; declare the attribute with cardinality 1 instead", label)
+		return 0, 0, fmt.Errorf("maxent: constraint %s target 1 requires emptying its complement; declare the attribute with cardinality 1 instead", c.Label(names))
 	default:
 		return target / q, (1 - target) / (1 - q), nil
 	}
@@ -385,7 +389,7 @@ func (s *solverState) sweepGaussSeidel() (float64, error) {
 		if d := math.Abs(q - c.Target); d > maxResid {
 			maxResid = d
 		}
-		f, g, err := updateFactors(q, c.Target, c.Label(s.m.names))
+		f, g, err := updateFactors(q, c, s.m.names)
 		if err != nil {
 			return 0, err
 		}
@@ -428,7 +432,7 @@ func (s *solverState) sweepJacobi(damping float64) (float64, error) {
 		if d := math.Abs(q - c.Target); d > maxResid {
 			maxResid = d
 		}
-		f, g, err := updateFactors(q, c.Target, c.Label(s.m.names))
+		f, g, err := updateFactors(q, c, s.m.names)
 		if err != nil {
 			return 0, err
 		}

@@ -52,7 +52,7 @@ func (t *Tester) Test(family contingency.VarSet, values []int, predicted float64
 	if t.IsSignificant(family, values) {
 		return CellTest{}, fmt.Errorf("mml: cell %v%v already significant", family, values)
 	}
-	observed, err := t.table.MarginalCount(family, values)
+	observed, err := t.marginalCount(family, values)
 	if err != nil {
 		return CellTest{}, err
 	}

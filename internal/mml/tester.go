@@ -48,6 +48,16 @@ type SignificantCell struct {
 // tracking which cells have been marked significant so far (the memo's
 // "significant(N...s)" bookkeeping in Eq. 41). The counts backend may be
 // dense or sparse — scoring consumes only the Counts marginals.
+//
+// The table must stay read-only for the tester's lifetime, which lets every
+// marginal count the scans need — a candidate cell's observed count and its
+// known sub-marginals — come from one dense projection per family, built
+// on first use and kept for every later pass: one O(joint) Marginalize per
+// family on a dense table, and on a sparse table the table's own cached
+// projection (Sparse.ProjectCached, O(occupied × |family|) on a miss), held
+// by reference rather than copied. Each lookup afterwards is O(|family|).
+// The projections span only the candidate families and their sub-families,
+// so their size is bounded by the cell universe CellsAtOrder counts.
 type Tester struct {
 	table contingency.Counts
 	cfg   Config
@@ -67,6 +77,11 @@ type Tester struct {
 	// Test consults CellsAtOrder.
 	cellsMu   sync.RWMutex
 	cellsMemo map[int]int
+	// margs holds the per-family marginal tables (see the type comment);
+	// margMu guards it because ScanOrderParallel workers score
+	// concurrently. Entries are never mutated after publication.
+	margMu sync.RWMutex
+	margs  map[contingency.VarSet]*contingency.Table
 }
 
 // NewTester validates inputs and builds a tester over the counts backend
@@ -90,6 +105,7 @@ func NewTester(table contingency.Counts, cfg Config) (*Tester, error) {
 		sigKeys:     make(map[string]bool),
 		sigPerOrder: make(map[int]int),
 		cellsMemo:   make(map[int]int),
+		margs:       make(map[contingency.VarSet]*contingency.Table),
 	}, nil
 }
 
@@ -134,7 +150,7 @@ func cellKey(family contingency.VarSet, values []int) string {
 // loop calls this after each selection; callers may also seed it with
 // "originally given" constraints, per the memo).
 func (t *Tester) MarkSignificant(family contingency.VarSet, values []int) error {
-	count, err := t.table.MarginalCount(family, values)
+	count, err := t.marginalCount(family, values)
 	if err != nil {
 		return fmt.Errorf("mml: marking significant cell: %w", err)
 	}
@@ -214,7 +230,7 @@ func (t *Tester) chanceRange(family contingency.VarSet, values []int) (forced bo
 			continue
 		}
 		sawKnown = true
-		marginVal, merr := t.table.MarginalCount(sub, restriction)
+		marginVal, merr := t.marginalCount(sub, restriction)
 		if merr != nil {
 			return false, 0, merr
 		}
@@ -251,6 +267,51 @@ func (t *Tester) chanceRange(family contingency.VarSet, values []int) (forced bo
 		return false, 0, fmt.Errorf("mml: negative chance range for %v%v", family, values)
 	}
 	return false, rangeMax, nil
+}
+
+// marginalCount is Counts.MarginalCount served from the family's marginal
+// table. Invalid values, and families or backends the tester cannot
+// project, go to the backend's own MarginalCount, so results and error
+// messages never depend on the cache.
+func (t *Tester) marginalCount(family contingency.VarSet, values []int) (int64, error) {
+	if m := t.marginal(family); m != nil {
+		if n, err := m.At(values...); err == nil {
+			return n, nil
+		}
+	}
+	return t.table.MarginalCount(family, values)
+}
+
+// marginal returns the family's marginal table, projecting and publishing
+// it on first use, or nil when the backend is neither dense nor sparse or
+// cannot project the family (the empty family, or one beyond its axes).
+// Racing builders compute equal tables and the first publication wins.
+func (t *Tester) marginal(family contingency.VarSet) *contingency.Table {
+	t.margMu.RLock()
+	m, ok := t.margs[family]
+	t.margMu.RUnlock()
+	if ok {
+		return m
+	}
+	var err error
+	switch tab := t.table.(type) {
+	case *contingency.Table:
+		m, err = tab.Marginalize(family)
+	case *contingency.Sparse:
+		m, err = tab.ProjectCached(family)
+	default:
+		return nil
+	}
+	if err != nil {
+		return nil
+	}
+	t.margMu.Lock()
+	defer t.margMu.Unlock()
+	if prev, ok := t.margs[family]; ok {
+		return prev
+	}
+	t.margs[family] = m
+	return m
 }
 
 // agreesOn reports whether a sibling cell's values match the candidate's on
