@@ -236,13 +236,20 @@ func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
 // solverState caches the dense unnormalized joint w = Π coefficients so
 // constraint updates cost O(matching cells) instead of a full recursion.
 // The normalized model probability of a cell is w[cell]/sumW throughout.
+//
+// A constraint's matched cells come in contiguous runs: every attribute
+// above the family's highest member is free, and those are the fastest
+// digits of the row-major joint, so the cells agreeing with the family
+// cell are n = Π cards above that member consecutive offsets per
+// combination of the free attributes below it. Sweeps walk w[st:st+n] for
+// each start in ascending order — the same cells in the same order as a
+// per-offset list, at a fraction of its memory.
 type solverState struct {
-	m       *Model
-	strides []int
-	w       []float64
-	sumW    float64
-	// match[i] lists the flat joint offsets covered by constraint i.
-	match [][]int
+	m    *Model
+	w    []float64
+	sumW float64
+	// runs[i] holds constraint i's matched runs and coefficient.
+	runs []matchRuns
 	// order visits zero-target constraints first, so degenerate values are
 	// zeroed before their complement constraints (which then read target 1
 	// trivially satisfied) are touched.
@@ -252,30 +259,19 @@ type solverState struct {
 func newSolverState(m *Model) *solverState {
 	size := m.NumCells()
 	s := &solverState{
-		m:       m,
-		strides: make([]int, len(m.cards)),
-		w:       make([]float64, size),
-		match:   make([][]int, len(m.cons)),
-	}
-	stride := 1
-	for i := len(m.cards) - 1; i >= 0; i-- {
-		s.strides[i] = stride
-		stride *= m.cards[i]
+		m:    m,
+		w:    make([]float64, size),
+		runs: make([]matchRuns, len(m.cons)),
 	}
 	// Initialize weights from current coefficients (all 1 on a fresh model;
 	// refits after discovery start from the previous solution, the memo's
-	// "starting with the last previously calculated a values").
-	famOrder := sortedFamilies(m.families)
+	// "starting with the last previously calculated a values"). The cell
+	// odometer runs row-major, last attribute fastest.
+	fams := m.sortedFamilyTerms()
 	cell := make([]int, len(m.cards))
 	for off := 0; off < size; off++ {
-		rem := off
-		for i := len(m.cards) - 1; i >= 0; i-- {
-			cell[i] = rem % m.cards[i]
-			rem /= m.cards[i]
-		}
 		p := 1.0
-		for _, vs := range famOrder {
-			ft := m.families[vs]
+		for _, ft := range fams {
 			fo := 0
 			for _, pos := range ft.vars {
 				fo = fo*m.cards[pos] + cell[pos]
@@ -284,9 +280,22 @@ func newSolverState(m *Model) *solverState {
 		}
 		s.w[off] = p
 		s.sumW += p
+		for i := len(cell) - 1; i >= 0; i-- {
+			cell[i]++
+			if cell[i] < m.cards[i] {
+				break
+			}
+			cell[i] = 0
+		}
+	}
+	strides := make([]int, len(m.cards))
+	stride := 1
+	for i := len(m.cards) - 1; i >= 0; i-- {
+		strides[i] = stride
+		stride *= m.cards[i]
 	}
 	for i, c := range m.cons {
-		s.match[i] = s.matchingOffsets(c)
+		s.runs[i] = s.matchingRuns(c, strides)
 	}
 	s.order = make([]int, 0, len(m.cons))
 	for i, c := range m.cons {
@@ -302,30 +311,39 @@ func newSolverState(m *Model) *solverState {
 	return s
 }
 
-// matchingOffsets enumerates the flat joint offsets whose coordinates agree
-// with the constraint's family cell.
-func (s *solverState) matchingOffsets(c Constraint) []int {
+// matchRuns is one constraint's bookkeeping, resolved once per solver
+// state so sweeps never hash the family.
+type matchRuns struct {
+	starts []int    // first offset of each run, ascending
+	n      int      // common run length
+	coeff  *float64 // the coefficient the constraint adjusts
+}
+
+// matchingRuns enumerates the contiguous runs of flat joint offsets whose
+// coordinates agree with the constraint's family cell: one start per
+// combination of the free attributes below the family's highest member
+// (odometer order, last fastest), each run strides[highest] cells long.
+func (s *solverState) matchingRuns(c Constraint, strides []int) matchRuns {
 	members := c.Family.Members()
+	top := members[len(members)-1]
 	base := 0
 	for i, p := range members {
-		base += c.Values[i] * s.strides[p]
+		base += c.Values[i] * strides[p]
 	}
 	var free []int
-	for axis := range s.m.cards {
+	count := 1
+	for axis := 0; axis < top; axis++ {
 		if !c.Family.Has(axis) {
 			free = append(free, axis)
+			count *= s.m.cards[axis]
 		}
-	}
-	count := 1
-	for _, axis := range free {
-		count *= s.m.cards[axis]
 	}
 	out := make([]int, 0, count)
 	idx := make([]int, len(free))
 	for {
 		off := base
 		for i, axis := range free {
-			off += idx[i] * s.strides[axis]
+			off += idx[i] * strides[axis]
 		}
 		out = append(out, off)
 		i := len(free) - 1
@@ -341,7 +359,20 @@ func (s *solverState) matchingOffsets(c Constraint) []int {
 			break
 		}
 	}
-	return out
+	ft := s.m.families[c.Family]
+	return matchRuns{starts: out, n: strides[top], coeff: &ft.coeffs[ft.offset(s.m.cards, c.Values)]}
+}
+
+// matchSum returns Σ w over constraint ci's matched cells, ascending.
+func (s *solverState) matchSum(ci int) float64 {
+	var sum float64
+	mr := &s.runs[ci]
+	for _, st := range mr.starts {
+		for _, v := range s.w[st : st+mr.n] {
+			sum += v
+		}
+	}
+	return sum
 }
 
 // updateFactors returns the exact binary-partition IPF factors for
@@ -381,10 +412,7 @@ func (s *solverState) sweepGaussSeidel() (float64, error) {
 	maxResid := 0.0
 	for _, ci := range s.order {
 		c := s.m.cons[ci]
-		var matchSum float64
-		for _, off := range s.match[ci] {
-			matchSum += s.w[off]
-		}
+		matchSum := s.matchSum(ci)
 		q := matchSum / s.sumW
 		if d := math.Abs(q - c.Target); d > maxResid {
 			maxResid = d
@@ -399,12 +427,15 @@ func (s *solverState) sweepGaussSeidel() (float64, error) {
 		// Stored weights are coefficient products: matched cells absorb
 		// f/g; the uniform complement factor g cancels against a0.
 		odds := f / g
-		ft := s.m.families[c.Family]
-		ft.coeffs[ft.offset(s.m.cards, c.Values)] *= odds
+		mr := &s.runs[ci]
+		*mr.coeff *= odds
 		newMatch := 0.0
-		for _, off := range s.match[ci] {
-			s.w[off] *= odds
-			newMatch += s.w[off]
+		for _, st := range mr.starts {
+			run := s.w[st : st+mr.n]
+			for k := range run {
+				run[k] *= odds
+				newMatch += run[k]
+			}
 		}
 		s.sumW += newMatch - matchSum
 	}
@@ -424,10 +455,7 @@ func (s *solverState) sweepJacobi(damping float64) (float64, error) {
 	updates := make([]upd, 0, len(s.m.cons))
 	for _, ci := range s.order {
 		c := s.m.cons[ci]
-		var matchSum float64
-		for _, off := range s.match[ci] {
-			matchSum += s.w[off]
-		}
+		matchSum := s.matchSum(ci)
 		q := matchSum / s.sumW
 		if d := math.Abs(q - c.Target); d > maxResid {
 			maxResid = d
@@ -446,11 +474,13 @@ func (s *solverState) sweepJacobi(damping float64) (float64, error) {
 		updates = append(updates, upd{ci: ci, odds: math.Pow(f/g, damping)})
 	}
 	for _, u := range updates {
-		c := s.m.cons[u.ci]
-		ft := s.m.families[c.Family]
-		ft.coeffs[ft.offset(s.m.cards, c.Values)] *= u.odds
-		for _, wOff := range s.match[u.ci] {
-			s.w[wOff] *= u.odds
+		mr := &s.runs[u.ci]
+		*mr.coeff *= u.odds
+		for _, st := range mr.starts {
+			run := s.w[st : st+mr.n]
+			for k := range run {
+				run[k] *= u.odds
+			}
 		}
 	}
 	s.recomputeSum()
@@ -469,9 +499,8 @@ func (s *solverState) recomputeSum() {
 // insertion order.
 func (s *solverState) coefficientSnapshot() []float64 {
 	out := make([]float64, len(s.m.cons))
-	for i, c := range s.m.cons {
-		ft := s.m.families[c.Family]
-		out[i] = ft.coeffs[ft.offset(s.m.cards, c.Values)]
+	for i := range s.runs {
+		out[i] = *s.runs[i].coeff
 	}
 	return out
 }

@@ -22,12 +22,25 @@ import (
 // marginal: Marginal computes every cell of a family's marginal in one
 // elimination sweep by keeping the family's variables un-eliminated, instead
 // of running one full SumFixed recursion per cell.
+//
+// The levels above an unpinned batch marginal's highest kept variable sum
+// out the same variables for every such marginal, so the engine caches
+// them: the first one builds the shared eliminated suffix (one buffer per
+// level; with every cardinality at least 2, under 2·size/cards[r-1]
+// float64s in all) and every later one starts below it. Pinned queries and
+// Sum neither build nor read it, so a cold engine's first conditional query
+// costs what it always did.
 type Compiled struct {
 	cards   []int
 	terms   []Term  // coefficient snapshots, deep-copied at Compile time
 	byLevel [][]int // byLevel[n] = indices of terms whose highest var is n
 	size    int     // full joint size
 	scratch sync.Pool
+	// suffix is the shared eliminated suffix (see buildSuffix), written
+	// once under suffixOnce by the first unpinned batch marginal and
+	// immutable afterwards; every reader calls suffixOnce.Do first.
+	suffixOnce sync.Once
+	suffix     [][]float64
 }
 
 // foldScratch holds the per-call working state of one elimination sweep.
@@ -132,96 +145,174 @@ func grow(buf []float64, n int) []float64 {
 // the highest position down, the level value is the fastest-moving digit,
 // and each output accumulator receives its additions in the same order, so
 // results are bit-identical to the per-cell path.
+//
+// An unpinned batch marginal whose highest kept variable (top) sits below
+// the last attribute sums out the same levels above top as every other such
+// marginal, so it starts at level top from the shared eliminated suffix
+// (see buildSuffix), building that suffix first if no fold has yet. The
+// cached buffer is only ever read: the ping-pong never recycles it as an
+// output. Folds with a pin, and Sum, run every level themselves.
 func (c *Compiled) fold(sc *foldScratch) []float64 {
 	r := len(c.cards)
 	edims, cell := sc.edims, sc.cell
+	top, pinned := -1, false
 	for v := 0; v < r; v++ {
 		if !sc.keep[v] && sc.fixed[v] >= 0 {
 			edims[v] = 1
 			cell[v] = sc.fixed[v]
+			pinned = true
 		} else {
 			edims[v] = c.cards[v]
 			cell[v] = 0
 		}
+		if sc.keep[v] {
+			top = v
+		}
 	}
-	var in []float64
+	start := r - 1
+	var in []float64 // nil stands for the all-ones input of the top level
+	if !pinned && top >= 0 && top < r-1 {
+		c.suffixOnce.Do(c.buildSuffix)
+		start = top
+		in = c.suffix[top]
+	}
 	out, spare := sc.bufA, sc.bufB
-	tail := 1 // joint size of kept variables above the current level
-	for n := r - 1; n >= 0; n-- {
-		prefSize := 1
-		for v := 0; v < n; v++ {
-			prefSize *= edims[v]
+	borrowed := true // in is nil or the shared suffix: never written here
+	tail := 1        // joint size of kept variables above the current level
+	for n := start; n >= 0; n-- {
+		pin := -1
+		if !sc.keep[n] {
+			pin = sc.fixed[n]
 		}
-		dn := edims[n]
-		keepN := sc.keep[n]
-		outSize := prefSize * tail
-		if keepN {
-			outSize *= dn
-		}
-		out = grow(out, outSize)
-		clear(out)
-		pinnedN := !keepN && sc.fixed[n] >= 0
-		if pinnedN {
-			cell[n] = sc.fixed[n]
-		}
-		byL := c.byLevel[n]
-		inRow := 0
-		for p := 0; p < prefSize; p++ {
-			outBase := p * tail
-			for x := 0; x < dn; x++ {
-				if !pinnedN {
-					cell[n] = x
-				}
-				q := 1.0
-				for _, ti := range byL {
-					t := &c.terms[ti]
-					off := 0
-					for _, v := range t.Vars {
-						off = off*c.cards[v] + cell[v]
-					}
-					q *= t.Coeffs[off]
-				}
-				oRow := outBase
-				if keepN {
-					oRow = inRow
-				}
-				if in == nil {
-					for k := 0; k < tail; k++ {
-						out[oRow+k] += q
-					}
-				} else {
-					for k := 0; k < tail; k++ {
-						out[oRow+k] += q * in[inRow+k]
-					}
-				}
-				inRow += tail
-			}
-			// Advance the prefix odometer over variables 0..n-1 (clamped
-			// variables have a single digit and never move).
-			for v := n - 1; v >= 0; v-- {
-				if edims[v] == 1 {
-					continue
-				}
-				cell[v]++
-				if cell[v] < edims[v] {
-					break
-				}
-				cell[v] = 0
-			}
-		}
-		if keepN {
-			tail *= dn
+		out = c.foldLevel(n, in, out, edims, cell, sc.keep[n], pin, tail)
+		if sc.keep[n] {
+			tail *= edims[n]
 		}
 		// Ping-pong: the just-written buffer becomes the next input; the
-		// previous input (or the untouched spare) is overwritten next level.
-		if in == nil {
+		// previous input (or the untouched spare, when the input was
+		// borrowed) is overwritten next level.
+		if borrowed {
 			in, out = out, spare
+			borrowed = false
 		} else {
 			in, out = out, in
 		}
 	}
 	sc.bufA, sc.bufB = in, out // retain grown buffers for reuse
 	return in
+}
+
+// prefixSize returns the product of the first n dims.
+func prefixSize(dims []int, n int) int {
+	size := 1
+	for v := 0; v < n; v++ {
+		size *= dims[v]
+	}
+	return size
+}
+
+// foldLevel eliminates (or, when keepN, carries through) variable n: it
+// reads in — indexed row-major by variables 0..n at edims, then the tail of
+// kept variables above n; nil stands for all ones — and writes out, resized
+// to the level's output, with variable n summed out unless kept. pin >= 0
+// clamps the variable. On entry cell holds the clamped values and zeros for
+// the free variables below n; the prefix odometer wraps those back to zero.
+func (c *Compiled) foldLevel(n int, in, out []float64, edims, cell []int, keepN bool, pin, tail int) []float64 {
+	prefSize := prefixSize(edims, n)
+	dn := edims[n]
+	outSize := prefSize * tail
+	if keepN {
+		outSize *= dn
+	}
+	out = grow(out, outSize)
+	clear(out)
+	if pin >= 0 {
+		cell[n] = pin
+	}
+	byL := c.byLevel[n]
+	inRow := 0
+	for p := 0; p < prefSize; p++ {
+		outBase := p * tail
+		for x := 0; x < dn; x++ {
+			if pin < 0 {
+				cell[n] = x
+			}
+			q := 1.0
+			for _, ti := range byL {
+				t := &c.terms[ti]
+				off := 0
+				for _, v := range t.Vars {
+					off = off*c.cards[v] + cell[v]
+				}
+				q *= t.Coeffs[off]
+			}
+			oRow := outBase
+			if keepN {
+				oRow = inRow
+			}
+			if in == nil {
+				for k := 0; k < tail; k++ {
+					out[oRow+k] += q
+				}
+			} else {
+				for k := 0; k < tail; k++ {
+					out[oRow+k] += q * in[inRow+k]
+				}
+			}
+			inRow += tail
+		}
+		// Advance the prefix odometer over variables 0..n-1 (clamped
+		// variables have a single digit and never move).
+		advance(cell, edims, n-1)
+	}
+	return out
+}
+
+// advance steps the odometer over cell[0..last] within edims, last position
+// fastest; clamped variables have a single digit and never move. After the
+// final cell it wraps every free digit back to zero.
+func advance(cell, edims []int, last int) {
+	for v := last; v >= 0; v-- {
+		if edims[v] == 1 {
+			continue
+		}
+		cell[v]++
+		if cell[v] < edims[v] {
+			return
+		}
+		cell[v] = 0
+	}
+}
+
+// buildSuffix fills the shared eliminated suffix by running one unpinned,
+// unkept fold from level r-1 down to level 1 through the same foldLevel loop
+// a fold runs, so reading it performs exactly the additions the fold would,
+// in the same order. Level n (0 <= n < r-1) is the buffer entering level n
+// of a fold in which no variable above n is kept or pinned: every variable
+// above n summed out, row-major over variables 0..n at full cardinality.
+//
+// Bound: level n holds Π_{v<=n} cards[v] = size/Π_{v>n} cards[v] values, so
+// with every cardinality at least 2 the levels total at most
+// size/cards[r-1]·(1 + ½ + ¼ + …) < 2·size/cards[r-1] float64s — no more
+// than twice the first level of an unpinned fold. The suffix lives as long
+// as the engine and is never serialized.
+func (c *Compiled) buildSuffix() {
+	r := len(c.cards)
+	total := 0
+	for n := 0; n < r-1; n++ {
+		total += prefixSize(c.cards, n+1)
+	}
+	buf := make([]float64, total)
+	levels := make([][]float64, r-1)
+	cell := make([]int, r)
+	var in []float64
+	for n := r - 1; n >= 1; n-- {
+		size := prefixSize(c.cards, n)
+		levels[n-1] = c.foldLevel(n, in, buf[:size:size], c.cards, cell, false, -1, 1)
+		buf = buf[size:]
+		in = levels[n-1]
+	}
+	c.suffix = levels
 }
 
 // Sum returns Σ_cells Π_terms coeff over the full space.
