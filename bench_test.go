@@ -682,6 +682,9 @@ func streamBenchRows(rng *stats.RNG, r, n int) []pka.Record {
 // discovered model via Model.Update (in-place projection-cache updates,
 // retarget + warm per-block refit, restricted re-scan) against the only
 // pre-PR option: a full DiscoverSparse re-run over the grown data bank.
+// UpdateWide80 folds 50-row batches into an 80-attribute bank, the schema
+// width at which the pair screen reads the pair-count ledger instead of
+// per-pair projections.
 func BenchmarkIncrementalRefit(b *testing.B) {
 	const r = 24
 	const baseN = 20_000
@@ -751,6 +754,39 @@ func BenchmarkIncrementalRefit(b *testing.B) {
 			grown := tabulate(all)
 			b.StartTimer()
 			if _, err := pka.DiscoverSparse(grown, schema, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("UpdateWide80", func(b *testing.B) {
+		truth, err := synth.WidePairs(40, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bank, err := truth.SampleSparse(stats.NewRNG(77), 8000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		model, err := pka.DiscoverSparse(bank, truth.Schema(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := stats.NewRNG(78)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			batch, err := truth.SampleDataset(rng, 50)
+			if err != nil {
+				b.Fatal(err)
+			}
+			delta := make([]pka.Record, batch.Len())
+			for k := range delta {
+				delta[k] = batch.Record(k)
+			}
+			b.StartTimer()
+			if _, err := model.Update(delta); err != nil {
 				b.Fatal(err)
 			}
 		}

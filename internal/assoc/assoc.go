@@ -34,37 +34,38 @@ type PairStats struct {
 	CramersV float64
 }
 
-// scorePair computes the association statistics of one pair from its 2-D
-// marginal table (axes 0 and 1 of pair, cardinalities ci × cj); i and j
-// are the attribute positions reported, n the parent table's total.
-func scorePair(pair *contingency.Table, i, j int, n float64) (PairStats, error) {
-	ci, cj := pair.Card(0), pair.Card(1)
-	joint := make([]float64, ci*cj)
-	obs := make([]int64, ci*cj)
-	for a := 0; a < ci; a++ {
-		for b := 0; b < cj; b++ {
-			v, err := pair.At(a, b)
-			if err != nil {
-				return PairStats{}, err
-			}
-			joint[a*cj+b] = float64(v) / n
-			obs[a*cj+b] = v
-		}
+// pairScratch is one scoring task's reusable float buffers, so a screen
+// allocates per row of pairs, not per pair.
+type pairScratch struct{ buf []float64 }
+
+// scorePair computes the association statistics of one pair from its
+// row-major ci × cj count table obs; i and j are the attribute positions
+// reported, n the parent table's total.
+func scorePair(obs []int64, ci, cj, i, j int, n float64, sc *pairScratch) (PairStats, error) {
+	cells := ci * cj
+	if need := 2*cells + ci + cj; cap(sc.buf) < need {
+		sc.buf = make([]float64, need)
+	}
+	joint := sc.buf[:cells]
+	expected := sc.buf[cells : 2*cells]
+	rowSums := sc.buf[2*cells : 2*cells+ci]
+	colSums := sc.buf[2*cells+ci : 2*cells+ci+cj]
+	for k, v := range obs {
+		joint[k] = float64(v) / n
 	}
 	mi, err := stats.MutualInformation(joint, ci, cj)
 	if err != nil {
 		return PairStats{}, err
 	}
 	// Expected counts under independence of the pair marginal.
-	rowSums := make([]float64, ci)
-	colSums := make([]float64, cj)
+	clear(rowSums)
+	clear(colSums)
 	for a := 0; a < ci; a++ {
 		for b := 0; b < cj; b++ {
 			rowSums[a] += float64(obs[a*cj+b])
 			colSums[b] += float64(obs[a*cj+b])
 		}
 	}
-	expected := make([]float64, ci*cj)
 	for a := 0; a < ci; a++ {
 		for b := 0; b < cj; b++ {
 			expected[a*cj+b] = rowSums[a] * colSums[b] / n
@@ -97,6 +98,92 @@ func scorePair(pair *contingency.Table, i, j int, n float64) (PairStats, error) 
 	}, nil
 }
 
+// scoreRows scores every pair i < j in lexicographic order. Each task owns
+// one row of pairs (all j for one i) and writes its own output slots, so
+// the result is bit-identical for any worker count. table returns pair
+// (i, j)'s row-major count table.
+func scoreRows(cards []int, total int64, workers int, table func(i, j int) ([]int64, error)) ([]PairStats, error) {
+	r := len(cards)
+	n := float64(total)
+	out := make([]PairStats, r*(r-1)/2)
+	err := par.Do(r-1, workers, func(i int) error {
+		var sc pairScratch
+		k := i * (2*r - i - 1) / 2 // pairs in the rows before i
+		for j := i + 1; j < r; j++ {
+			obs, err := table(i, j)
+			if err != nil {
+				return err
+			}
+			if out[k], err = scorePair(obs, cards[i], cards[j], i, j, n, &sc); err != nil {
+				return err
+			}
+			k++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScorePairs computes PairStats for every attribute pair of a dense or
+// sparse table, in lexicographic (I, J) order — the association screen's
+// view, which needs no ranking. Pairs are scored over the shared pool
+// (workers <= 0 GOMAXPROCS, 1 the sequential loop); results are
+// bit-identical across worker counts.
+//
+// Dense tables marginalize each pair. Sparse tables under bulkPairwiseMinR
+// attributes read each pair from the projection cache; wider ones read the
+// pair-count ledger (Sparse.PairCounts). Both caches are maintained in
+// place by every table mutation, so re-screening a table under streaming
+// ingest costs O(pairs), not O(pairs × occupied).
+//
+// Concurrency: both caches publish under the table's internal lock, so
+// any number of concurrent screens of one table is safe; table mutation
+// must still not overlap screening (the sparse mutation contract).
+func ScorePairs(c contingency.Counts, workers int) ([]PairStats, error) {
+	if c.Total() == 0 {
+		return nil, fmt.Errorf("assoc: empty table")
+	}
+	if c.R() < 2 {
+		return nil, fmt.Errorf("assoc: need at least 2 attributes")
+	}
+	switch t := c.(type) {
+	case *contingency.Table:
+		return scoreRows(t.Cards(), t.Total(), workers, func(i, j int) ([]int64, error) {
+			pair, err := t.Marginalize(contingency.NewVarSet(i, j))
+			if err != nil {
+				return nil, err
+			}
+			return pair.Counts(), nil
+		})
+	case *contingency.Sparse:
+		return scoreSparse(t, workers, t.R() >= bulkPairwiseMinR)
+	}
+	return nil, fmt.Errorf("assoc: pair scoring needs a dense or sparse contingency backend, got %T", c)
+}
+
+// scoreSparse is ScorePairs over a sparse table, reading pairs from the
+// pair-count ledger or from the per-family projection cache.
+func scoreSparse(s *contingency.Sparse, workers int, ledger bool) ([]PairStats, error) {
+	table := func(i, j int) ([]int64, error) {
+		proj, err := s.ProjectCached(contingency.NewVarSet(i, j))
+		if err != nil {
+			return nil, err
+		}
+		return proj.Counts(), nil
+	}
+	if ledger {
+		pc, err := s.PairCounts(workers)
+		if err != nil {
+			return nil, err
+		}
+		table = func(i, j int) ([]int64, error) { return pc.Counts(i, j), nil }
+	}
+	return scoreRows(s.Cards(), s.Total(), workers, table)
+}
+
 // sortByMI orders pair results by descending mutual information, stably
 // over the lexicographic pair enumeration they were scored in. The
 // comparator is the strict "a.MI > b.MI" ordering, so ties (NaN included)
@@ -120,97 +207,35 @@ func Pairwise(t *contingency.Table) ([]PairStats, error) {
 	return PairwiseWorkers(t, 0)
 }
 
-// PairwiseWorkers is Pairwise with an explicit worker count: each pair's
-// marginalization and statistics are independent read-only work over the
-// shared table, so pairs are scored concurrently into indexed slots and
-// sorted afterwards — the output (ordering included) is bit-identical to
-// the sequential scan for any worker count. workers <= 0 uses GOMAXPROCS,
-// 1 forces the sequential loop.
+// PairwiseWorkers is Pairwise with an explicit worker count: ScorePairs,
+// then a stable sort by descending mutual information — the output
+// (ordering included) is bit-identical to the sequential scan for any
+// worker count. workers <= 0 uses GOMAXPROCS, 1 forces the sequential
+// loop.
 func PairwiseWorkers(t *contingency.Table, workers int) ([]PairStats, error) {
-	if t.Total() == 0 {
-		return nil, fmt.Errorf("assoc: empty table")
-	}
-	if t.R() < 2 {
-		return nil, fmt.Errorf("assoc: need at least 2 attributes")
-	}
-	n := float64(t.Total())
-	fams := contingency.Combinations(t.R(), 2)
-	out := make([]PairStats, len(fams))
-	err := par.Do(len(fams), workers, func(k int) error {
-		fam := fams[k]
-		m := fam.Members()
-		pair, err := t.Marginalize(fam)
-		if err != nil {
-			return err
-		}
-		ps, err := scorePair(pair, m[0], m[1], n)
-		if err != nil {
-			return err
-		}
-		out[k] = ps
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sortByMI(out)
-	return out, nil
+	return sortedPairs(ScorePairs(t, workers))
 }
 
-// PairwiseSparse is Pairwise over a sparse table: each pair's dense 2-D
-// projection is extracted first, so the cost is O(pairs × occupied cells)
-// regardless of the joint-space size. This is the screening step of the
-// wide-schema workflow: survey all pairs sparsely, then project and run
-// discovery on the attribute subsets that light up. Pairs are scored over
-// GOMAXPROCS workers; use PairwiseSparseWorkers to pin the count.
+// PairwiseSparse is Pairwise over a sparse table: pairs come from the
+// table's projection cache or, on wide schemas, its pair-count ledger, so
+// the cost is O(pairs × occupied cells) once and O(pairs) on later
+// screens, regardless of the joint-space size. This is the screening step
+// of the wide-schema workflow: survey all pairs sparsely, then project and
+// run discovery on the attribute subsets that light up. Pairs are scored
+// over GOMAXPROCS workers; use PairwiseSparseWorkers to pin the count.
 func PairwiseSparse(s *contingency.Sparse) ([]PairStats, error) {
 	return PairwiseSparseWorkers(s, 0)
 }
 
 // PairwiseSparseWorkers is PairwiseSparse with an explicit worker count
 // (<= 0 GOMAXPROCS, 1 the sequential loop); results are bit-identical
-// across worker counts.
-//
-// Concurrency: the pair projections come from Sparse.ProjectCached, whose
-// projection cache is guarded by the table's internal lock — concurrent
-// first-touch from several workers double-checks under the write lock and
-// all workers share one cached table per pair, so scoring is safe against
-// any number of concurrent readers. (Table mutation must still not
-// overlap screening: the sparse table's mutation contract is unchanged.)
+// across worker counts. See ScorePairs for the concurrency contract.
 func PairwiseSparseWorkers(s *contingency.Sparse, workers int) ([]PairStats, error) {
-	if s.Total() == 0 {
-		return nil, fmt.Errorf("assoc: empty table")
-	}
-	if s.R() < 2 {
-		return nil, fmt.Errorf("assoc: need at least 2 attributes")
-	}
-	if s.R() >= bulkPairwiseMinR {
-		// Wide schemas flatten the occupied cells once instead of paying a
-		// full-width unpack per pair and caching O(R²) projections; the
-		// statistics are bit-identical to the projection path.
-		return pairwiseSparseBulk(s, workers)
-	}
-	n := float64(s.Total())
-	fams := contingency.Combinations(s.R(), 2)
-	out := make([]PairStats, len(fams))
-	err := par.Do(len(fams), workers, func(k int) error {
-		// Cached projection: on long-lived tables under streaming ingest
-		// the 2-D pair tables are maintained in place by every mutation,
-		// so re-screening after a delta batch is O(pairs), not
-		// O(pairs × occupied).
-		fam := fams[k]
-		proj, err := s.ProjectCached(fam)
-		if err != nil {
-			return err
-		}
-		m := fam.Members()
-		ps, err := scorePair(proj, m[0], m[1], n)
-		if err != nil {
-			return err
-		}
-		out[k] = ps
-		return nil
-	})
+	return sortedPairs(ScorePairs(s, workers))
+}
+
+// sortedPairs ranks a ScorePairs result for the report API.
+func sortedPairs(out []PairStats, err error) ([]PairStats, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 	"pka/internal/stats"
 )
 
-// wideSparseTable builds a 24-binary-attribute sparse table with a few
-// planted couplings, the wide-schema screening workload.
+// wideSparseTable builds a binary sparse table with a few planted
+// couplings, the wide-schema screening workload.
 func wideSparseTable(tb testing.TB, attrs, rows int, seed int64) *contingency.Sparse {
 	tb.Helper()
 	cards := make([]int, attrs)
@@ -123,30 +123,33 @@ func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
 
 // TestPairwiseSparseConcurrentScreens hammers one shared sparse table with
 // many whole-screen goroutines at once — the concurrent first-touch case
-// of the projection cache. Run under -race this is the guard the parallel
-// screen's safety claim rests on.
+// of the projection cache on a narrow schema, and of the lazily built
+// pair-count ledger on a wide one. Run under -race this is the guard the
+// parallel screen's safety claim rests on.
 func TestPairwiseSparseConcurrentScreens(t *testing.T) {
-	s := wideSparseTable(t, 20, 4000, 23)
-	serial, err := PairwiseSparseWorkers(s.Clone(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	results := make([][]PairStats, 8)
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g], errs[g] = PairwiseSparseWorkers(s, 2)
-		}(g)
-	}
-	wg.Wait()
-	for g := range results {
-		if errs[g] != nil {
-			t.Fatal(errs[g])
+	for _, attrs := range []int{20, 80} {
+		s := wideSparseTable(t, attrs, 4000, 23)
+		serial, err := PairwiseSparseWorkers(s.Clone(), 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSamePairs(t, serial, results[g], fmt.Sprintf("goroutine %d", g))
+		var wg sync.WaitGroup
+		results := make([][]PairStats, 8)
+		errs := make([]error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				results[g], errs[g] = PairwiseSparseWorkers(s, 2)
+			}(g)
+		}
+		wg.Wait()
+		for g := range results {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			requireSamePairs(t, serial, results[g], fmt.Sprintf("R=%d goroutine %d", attrs, g))
+		}
 	}
 }
 

@@ -5,22 +5,18 @@ import (
 	"math"
 
 	"pka/internal/contingency"
-	"pka/internal/par"
 	"pka/internal/stats"
 )
 
-// logRatio returns ln(num/den) for positive integer products.
-func logRatio(num, den int64) float64 {
-	return math.Log(float64(num) / float64(den))
-}
-
-// bulkPairwiseMinR is the attribute count at which PairwiseSparseWorkers
-// switches from per-pair cached projections to the flattened bulk path.
-// Below it (every schema the old single-word representation could hold)
-// the projection cache stays warm across streaming re-screens; above it,
-// caching O(R²) pair tables on the parent would cost more than it saves,
-// and each projection's O(occupied × R) unpacking would dominate — the
-// bulk path unpacks every occupied cell exactly once instead.
+// bulkPairwiseMinR is the attribute count at which ScorePairs switches a
+// sparse table from per-pair cached projections to the pair-count ledger
+// (Sparse.PairCounts). Below it (every schema the old single-word
+// representation could hold) the projection cache stays warm across
+// streaming re-screens, and the golden snapshots pin those cached pair
+// projections; above it, O(R²) separate cache entries each projected by
+// an O(occupied) scan would dominate, so one slab holds every pair,
+// counted from a single decode of the occupied cells and maintained in
+// place by every mutation.
 const bulkPairwiseMinR = 65
 
 // FlatCells is a contingency backend's occupied cells materialized once,
@@ -96,59 +92,15 @@ func (f *FlatCells) CondG2(i, j, k int) (g2 float64, df int, pvalue float64) {
 				if n == 0 {
 					continue
 				}
-				g2 += 2 * float64(n) * logRatio(n*nC[c], nAC[a*ck+c]*nBC[b*ck+c])
+				// Products in float64: the int64 forms overflow once the
+				// total passes ~3e9, and below that both round the same
+				// exact product once.
+				num := float64(n) * float64(nC[c])
+				den := float64(nAC[a*ck+c]) * float64(nBC[b*ck+c])
+				g2 += 2 * float64(n) * math.Log(num/den)
 			}
 		}
 	}
 	df = (ci - 1) * (cj - 1) * ck
 	return g2, df, stats.ChiSquareSF(g2, df)
-}
-
-// pairwiseSparseBulk scores every pair from one flattened pass over the
-// occupied cells — the wide-schema arm of PairwiseSparseWorkers. It builds
-// each pair's dense table from exact integer adds, so its statistics are
-// bit-identical to the projection-based path.
-func pairwiseSparseBulk(s *contingency.Sparse, workers int) ([]PairStats, error) {
-	f, err := Flatten(s)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(s.Total())
-	names := s.Names()
-	fams := contingency.Combinations(s.R(), 2)
-	out := make([]PairStats, len(fams))
-	err = par.Do(len(fams), workers, func(idx int) error {
-		m := fams[idx].Members()
-		i, j := m[0], m[1]
-		ci, cj := f.Cards[i], f.Cards[j]
-		obs := make([]int64, ci*cj)
-		for ridx, c := range f.Counts {
-			row := f.Row(ridx)
-			obs[row[i]*cj+row[j]] += c
-		}
-		pair, err := contingency.New([]string{names[i], names[j]}, []int{ci, cj})
-		if err != nil {
-			return err
-		}
-		for a := 0; a < ci; a++ {
-			for b := 0; b < cj; b++ {
-				if v := obs[a*cj+b]; v != 0 {
-					if err := pair.Set(v, a, b); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		ps, err := scorePair(pair, i, j, n)
-		if err != nil {
-			return err
-		}
-		out[idx] = ps
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sortByMI(out)
-	return out, nil
 }

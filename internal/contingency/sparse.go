@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pka/internal/memo"
 )
@@ -52,11 +54,17 @@ type Sparse struct {
 	// next query. projMu serializes publication so a family only ever has
 	// one live table (first publication wins) — a requirement of in-place
 	// maintenance, which updates the cached table, not copies of it.
+	// The same cache holds the pair-count ledger (PairCounts), which the
+	// wide pairwise screen builds once and mutation maintains in place the
+	// same way.
 	// Concurrency contract: mutation must not overlap any other call — it
-	// writes cached tables in place — while read-only use, MarginalCount
-	// included, is safe from any number of goroutines.
+	// writes cached tables and the ledger in place — while read-only use,
+	// MarginalCount and PairCounts included, is safe from any number of
+	// goroutines.
 	projMu    sync.Mutex
 	projCache *memo.Cache
+
+	pairCountBuilds atomic.Int64
 }
 
 // maxCachedProjCells bounds the dense size of a cached projection; marginal
@@ -242,16 +250,20 @@ func (s *Sparse) Add(delta int64, cell ...int) error {
 	return nil
 }
 
-// applyToProjections folds one cell delta into every cached projection. The
-// coordinates must already be validated; projection coordinates are a subset
-// of the cell's, so the dense adds cannot fail — if one somehow does, the
-// stale table is dropped rather than left wrong (Each deletes on false).
-// The in-place table writes are safe because mutation holds exclusive
-// access to the Sparse by contract.
+// applyToProjections folds one cell delta into every cached projection and
+// the cached pair-count ledger. The coordinates must already be validated;
+// projection coordinates are a subset of the cell's, so the dense adds
+// cannot fail — if one somehow does, the stale table is dropped rather than
+// left wrong (Each deletes on false). The in-place writes are safe because
+// mutation holds exclusive access to the Sparse by contract.
 func (s *Sparse) applyToProjections(cell []int, delta int64) {
 	sub := s.subScratch
 	s.projCache.Each(func(_ string, v any) bool {
-		e := v.(*projEntry)
+		e, ok := v.(*projEntry)
+		if !ok {
+			v.(*PairCounts).add(cell, delta)
+			return true
+		}
 		for i, p := range e.members {
 			sub[i] = cell[p]
 		}
@@ -352,8 +364,10 @@ func (s *Sparse) Project(keep VarSet) (*Table, error) {
 // cache entry and MUST be treated as read-only by the caller. It stays
 // current across streaming mutation for free: Observe/Add/ApplyBatch
 // maintain every cached projection in place, so repeated callers — the
-// pairwise association screen above all — pay O(1) per call instead of an
-// O(occupied) re-projection after every ingested batch.
+// pairwise screen of schemas under 65 attributes above all — pay O(1) per
+// call instead of an O(occupied) re-projection after every ingested batch.
+// Wider schemas screen from the pair-count ledger instead (PairCounts),
+// which holds every pair in one slab.
 func (s *Sparse) ProjectCached(keep VarSet) (*Table, error) {
 	if keep.Empty() {
 		return nil, fmt.Errorf("contingency: cannot project to the empty attribute set")
@@ -389,8 +403,8 @@ func (s *Sparse) ToDense() (*Table, error) {
 }
 
 // Clone returns a deep copy of the table's counts. The projection cache
-// does not travel: the copy starts cold and rebuilds its cached
-// projections on first use — so cloning is cheap in proportion to the
+// (pair-count ledger included) does not travel: the copy starts cold and
+// rebuilds its cached projections on first use — so cloning is cheap in proportion to the
 // occupied cells, and a clone taken for speculative mutation never
 // aliases the original's cached tables.
 func (s *Sparse) Clone() *Sparse {
@@ -518,7 +532,9 @@ func (s *Sparse) publishProjection(vars VarSet, t *Table) *Table {
 func (s *Sparse) projectionEntries() []*projEntry {
 	var out []*projEntry
 	s.projCache.Each(func(_ string, v any) bool {
-		out = append(out, v.(*projEntry))
+		if e, ok := v.(*projEntry); ok {
+			out = append(out, e)
+		}
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].vs.Less(out[j].vs) })
@@ -582,11 +598,20 @@ func (s *Sparse) CheckConsistency() error {
 }
 
 // VerifyProjections checks the streaming-ingest invariant: every cached
-// marginal projection — maintained in place by the mutation paths — must be
-// bit-identical to a projection rebuilt from the occupied cells. It costs
-// O(cached families × occupied); tests and debugging call it, hot paths
-// call CheckConsistency.
+// marginal projection and the cached pair-count ledger — maintained in
+// place by the mutation paths — must be bit-identical to a rebuild from
+// the occupied cells. It costs O((cached families + pairs) × occupied);
+// tests and debugging call it, hot paths call CheckConsistency.
 func (s *Sparse) VerifyProjections() error {
+	if p := s.cachedPairCounts(); p != nil {
+		rebuilt, err := s.buildPairCounts(1)
+		if err != nil {
+			return fmt.Errorf("contingency: rebuilding pair-count ledger: %w", err)
+		}
+		if !slices.Equal(p.counts, rebuilt.counts) {
+			return fmt.Errorf("contingency: cached pair-count ledger diverged from rebuilt counts")
+		}
+	}
 	for _, e := range s.projectionEntries() {
 		rebuilt, err := s.Project(e.vs)
 		if err != nil {
@@ -601,9 +626,10 @@ func (s *Sparse) VerifyProjections() error {
 
 // CachedProjections reports how many per-family dense projections are
 // currently cached — observability for the streaming-ingest invariant that
-// mutation maintains caches instead of dropping them.
+// mutation maintains caches instead of dropping them. The pair-count
+// ledger is not a family projection and is not counted.
 func (s *Sparse) CachedProjections() int {
-	return int(s.projCache.Stats().Entries)
+	return len(s.projectionEntries())
 }
 
 // ---------------------------------------------------------------------------

@@ -51,3 +51,40 @@ func TestWideDiscoverAllocCeiling(t *testing.T) {
 		t.Errorf("wide discover made %.0f allocations per op, ceiling %d", allocs, ceiling)
 	}
 }
+
+// TestWarmScreenAllocCeiling pins the allocation cost of re-screening an
+// 80-attribute table whose pair-count ledger is already built — the pair
+// screen every streaming Update runs. Scoring the 3,160 pairs from the
+// ledger allocates per row of pairs (scratch, adjacency), never per pair
+// or per occupied cell (measured 166); rescanning the cells or building a
+// table per pair costs thousands.
+func TestWarmScreenAllocCeiling(t *testing.T) {
+	truth, err := synth.WidePairs(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := truth.SampleSparse(stats.NewRNG(7), 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := buildScreen(table, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := buildScreen(table, 0, 1); err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if b := table.PairCountBuilds(); b != 1 {
+		t.Fatalf("warm re-screens rebuilt the ledger: %d builds", b)
+	}
+	const ceiling = 300
+	t.Logf("warm 80-attribute screen: %.0f allocations per op (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("warm 80-attribute screen made %.0f allocations per op, ceiling %d", allocs, ceiling)
+	}
+}

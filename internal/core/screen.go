@@ -31,22 +31,17 @@ type ScreenReport struct {
 // buildScreen surveys every attribute pair of the counts backend and
 // returns the pass/fail adjacency plus the report. SPIRIT-style network
 // learners bound structure search the same way: cheap pairwise statistics
-// gate the expensive family scan. workers fans the pair grid out over the
-// shared pool (Options.Workers semantics: 0 = GOMAXPROCS, 1 = serial);
-// the screen is bit-identical for any worker count.
+// gate the expensive family scan. Pairs are consumed in enumeration order
+// (no ranking), and sparse tables serve them from caches that mutation
+// keeps current — the pair-count ledger on schemas of 65 or more
+// attributes — so a streaming re-screen never rescans the occupied cells.
+// workers fans the pair grid out over the shared pool (Options.Workers
+// semantics: 0 = GOMAXPROCS, 1 = serial); the screen is bit-identical for
+// any worker count.
 func buildScreen(table contingency.Counts, alpha float64, workers int) ([][]bool, *ScreenReport, error) {
-	var pairs []assoc.PairStats
-	var err error
-	switch tt := table.(type) {
-	case *contingency.Sparse:
-		pairs, err = assoc.PairwiseSparseWorkers(tt, workers)
-	case *contingency.Table:
-		pairs, err = assoc.PairwiseWorkers(tt, workers)
-	default:
-		return nil, nil, fmt.Errorf("core: ScreenPairs needs a dense or sparse contingency backend, got %T", table)
-	}
+	pairs, err := assoc.ScorePairs(table, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: pair screen: %w", err)
 	}
 	if alpha == 0 {
 		alpha = 0.05 / float64(len(pairs))
@@ -80,19 +75,30 @@ func applyCIScreen(table contingency.Counts, adj [][]bool, alpha float64, worker
 	if alpha == 0 {
 		alpha = 0.05
 	}
-	flat, err := assoc.Flatten(table)
-	if err != nil {
-		return err
-	}
+	rep.CIAlpha = alpha
 	r := table.R()
 	type edge struct{ i, j int }
 	var edges []edge
+	triangle := false
 	for i := 0; i < r; i++ {
 		for j := i + 1; j < r; j++ {
-			if adj[i][j] {
-				edges = append(edges, edge{i, j})
+			if !adj[i][j] {
+				continue
+			}
+			edges = append(edges, edge{i, j})
+			for k := 0; k < r && !triangle; k++ {
+				triangle = adj[i][k] && adj[j][k]
 			}
 		}
+	}
+	if !triangle {
+		// No kept edge has a common neighbor: nothing to test, and no
+		// reason to materialize the occupied cells.
+		return nil
+	}
+	flat, err := assoc.Flatten(table)
+	if err != nil {
+		return err
 	}
 	drop := make([]bool, len(edges))
 	tested := make([]int, len(edges))
@@ -113,7 +119,6 @@ func applyCIScreen(table contingency.Counts, adj [][]bool, alpha float64, worker
 	}); err != nil {
 		return err
 	}
-	rep.CIAlpha = alpha
 	for e := range edges {
 		rep.CITriplesTested += tested[e]
 		if drop[e] {

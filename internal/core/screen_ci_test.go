@@ -136,3 +136,27 @@ func TestScreenCIRequiresScreenPairs(t *testing.T) {
 		t.Fatalf("ScreenCI without ScreenPairs: got err %v, want a ScreenPairs requirement", err)
 	}
 }
+
+// opaqueCounts hides a backend's cell enumeration, so assoc.Flatten fails
+// on it: a CI pass that reaches for the occupied cells errors out.
+type opaqueCounts struct{ contingency.Counts }
+
+// TestApplyCIScreenSkipsFlattenWithoutTriangles: when no kept edge has a
+// common neighbor there is nothing to test, so the CI pass must not
+// materialize the occupied cells — and its report is the one the full
+// pass would have written.
+func TestApplyCIScreenSkipsFlattenWithoutTriangles(t *testing.T) {
+	table := opaqueCounts{ciChainTable(t, 500, 2)}
+	adj := [][]bool{{false, true, false}, {true, false, true}, {false, true, false}}
+	rep := &ScreenReport{PairsKept: 2}
+	if err := applyCIScreen(table, adj, 0, 1, rep); err != nil {
+		t.Fatalf("triangle-free CI pass flattened the table: %v", err)
+	}
+	if want := (ScreenReport{PairsKept: 2, CIAlpha: 0.05}); *rep != want {
+		t.Fatalf("report %+v, want %+v", *rep, want)
+	}
+	adj[0][2], adj[2][0] = true, true
+	if err := applyCIScreen(table, adj, 0, 1, &ScreenReport{PairsKept: 3}); err == nil {
+		t.Fatal("a CI pass with a triangle did not need the occupied cells")
+	}
+}

@@ -78,8 +78,15 @@ func MutualInformation(joint []float64, nx, ny int) (float64, error) {
 		return 0, fmt.Errorf("stats: mutual information wants %dx%d=%d cells, got %d",
 			nx, ny, nx*ny, len(joint))
 	}
-	px := make([]float64, nx)
-	py := make([]float64, ny)
+	// Small tables (every pair screen of low-cardinality attributes) keep
+	// their marginals on the stack.
+	var buf [16]float64
+	var px, py []float64
+	if nx+ny <= len(buf) {
+		px, py = buf[:nx], buf[nx:nx+ny]
+	} else {
+		px, py = make([]float64, nx), make([]float64, ny)
+	}
 	for x := 0; x < nx; x++ {
 		for y := 0; y < ny; y++ {
 			v := joint[x*ny+y]

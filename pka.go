@@ -646,8 +646,9 @@ func NewQuantileBinner(sample []float64, bins int) (*Binner, error) {
 // directly. Marginal queries are served from a per-family dense-projection
 // cache, so repeated lookups over the same attribute family cost O(1)
 // after one pass over the occupied cells; mutation (Observe, ObserveBatch,
-// ApplyBatch) maintains the cached projections in place, so the cache
-// survives streaming ingest instead of being rebuilt per batch.
+// ApplyBatch) maintains the cached projections — and the pair-count ledger
+// the wide pair screen reads — in place, so the cache survives streaming
+// ingest instead of being rebuilt per batch.
 type SparseTable = contingency.Sparse
 
 // NewSparseTable creates an empty sparse table over the schema.
