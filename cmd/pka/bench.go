@@ -46,8 +46,7 @@ import (
 // With -serve the command is an HTTP load generator instead: it reads the
 // target's schema, builds a rotating query workload, and fires it over
 // -conns connections for -duration, reporting throughput and latency
-// percentiles — the fleet-measurement harness for replicated and sharded
-// deployments.
+// percentiles — the fleet-measurement harness for replicated deployments.
 func cmdBench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_9.json", "snapshot output path (empty = stdout only); ignored with -serve")

@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"pka"
-	"pka/internal/stats"
-	"pka/internal/synth"
 )
 
-// pkaBinary builds the CLI once per test process — the cluster integration
+// pkaBinary builds the CLI once per test process — the replication integration
 // tests exercise real OS processes, not in-process handlers.
 var (
 	binOnce sync.Once
@@ -285,58 +283,5 @@ func TestReplicationMultiProcess(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("observe on replica returned %d, want 501", resp.StatusCode)
-	}
-}
-
-// TestShardingMultiProcess: a factored snapshot served by two shard
-// processes behind a coordinator answers every query kind byte-identically
-// to a single process serving the same snapshot.
-func TestShardingMultiProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test")
-	}
-	truth, err := synth.WidePairs(12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := truth.SampleSparse(stats.NewRNG(7), 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := pka.DiscoverSparse(tab, truth.Schema(), pka.Options{
-		MaxOrder: 2, ScreenPairs: true, ScreenCI: true, MaxConstraints: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kbPath := filepath.Join(t.TempDir(), "wide.pkas")
-	f, err := os.Create(kbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := model.SaveSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	single := startServeProc(t, "-kb", kbPath)
-	shard0 := startServeProc(t, "-kb", kbPath, "-shard", "0/2")
-	shard1 := startServeProc(t, "-kb", kbPath, "-shard", "1/2")
-	coord := startServeProc(t, "-kb", kbPath, "-shards", shard0+","+shard1)
-
-	queries := []pka.Query{
-		{Kind: pka.QueryProbability, Target: []pka.Assignment{{Attr: "W0000", Value: "1"}}},
-		{Kind: pka.QueryProbability, Target: []pka.Assignment{{Attr: "W0002", Value: "1"}, {Attr: "W0005", Value: "0"}}},
-		{Kind: pka.QueryConditional, Target: []pka.Assignment{{Attr: "W0001", Value: "1"}}, Given: []pka.Assignment{{Attr: "W0000", Value: "0"}}},
-		{Kind: pka.QueryDistribution, Attr: "W0004", Given: []pka.Assignment{{Attr: "W0005", Value: "1"}}},
-		{Kind: pka.QueryMostLikely, Attr: "W0007", Given: []pka.Assignment{{Attr: "W0006", Value: "0"}}},
-		{Kind: pka.QueryLift, Target: []pka.Assignment{{Attr: "W0009", Value: "1"}}, Given: []pka.Assignment{{Attr: "W0008", Value: "1"}}},
-		{Kind: pka.QueryMPE, Given: []pka.Assignment{{Attr: "W0000", Value: "1"}, {Attr: "W0011", Value: "0"}}},
-	}
-	for _, q := range queries {
-		want := queryWire(t, single, q)
-		if got := queryWire(t, coord, q); !bytes.Equal(want, got) {
-			t.Errorf("coordinator %s diverges:\n%svs\n%s", q.Kind, got, want)
-		}
 	}
 }

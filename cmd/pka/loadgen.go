@@ -16,8 +16,8 @@ import (
 )
 
 // runLoadgen is `pka bench -serve <url>`: a self-contained HTTP load
-// generator for any pka serving process — standalone, primary, replica, or
-// shard coordinator. It reads the target's schema, synthesizes a rotating
+// generator for any pka serving process — standalone, primary, or replica.
+// It reads the target's schema, synthesizes a rotating
 // workload of every query kind, and fires it over conns connections for
 // the duration, then reports throughput and latency percentiles.
 func runLoadgen(w io.Writer, url string, conns int, duration time.Duration) error {

@@ -24,8 +24,6 @@ import (
 //	pka serve -data data.csv [-sparse] [-screen] [-max-order N] ...
 //	pka serve -data data.csv -log observe.log            # replicated primary
 //	pka serve -replica-of http://primary:8080            # read replica
-//	pka serve -kb kb.pkas -shard 0/2                     # block shard
-//	pka serve -kb kb.pkas -shards http://s0,http://s1    # shard coordinator
 //
 // With -kb the model is loaded from a saved file and served read-only.
 // With -data the model is discovered from the CSV at startup and served
@@ -33,7 +31,7 @@ import (
 // rows into the model (incremental refit, atomic engine swap) while
 // queries keep flowing. SIGINT/SIGTERM trigger a graceful shutdown.
 //
-// The cluster modes compose the same server:
+// The replication modes compose the same server:
 //
 //   - -log turns the ingest server into a replicated primary: every applied
 //     observe batch is appended to the CRC-framed log and served to
@@ -44,10 +42,6 @@ import (
 //   - -replica-of boots from the primary's snapshot, tails its log, and
 //     serves reads that are bit-identical to the primary at the applied
 //     offset; writes answer 501. GET /readyz reports catch-up lag.
-//   - -shard i/n serves the i-th slice of a factored model's constraint
-//     blocks (block b belongs to shard b mod n); -shards assembles the
-//     fleet back into one query surface whose answers are bit-identical to
-//     serving the snapshot in one process.
 func cmdServe(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	cfg := serveConfig{}
@@ -68,8 +62,6 @@ func cmdServe(w io.Writer, args []string) error {
 	fs.StringVar(&cfg.logPath, "log", "", "with -data: replicated-primary mode — append applied observe batches to this log and serve /v1/log + /v1/snapshot for replicas")
 	fs.StringVar(&cfg.replicaOf, "replica-of", "", "read-replica mode: boot from this primary's snapshot and follow its observe log")
 	fs.DurationVar(&cfg.poll, "poll", 200*time.Millisecond, "with -replica-of: log tail poll interval")
-	fs.StringVar(&cfg.shard, "shard", "", "with -kb: serve one slice i/n of a factored model's constraint blocks (e.g. 0/2)")
-	fs.StringVar(&cfg.shardURLs, "shards", "", "with -kb: coordinate a comma-separated shard fleet into one query surface")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,12 +86,10 @@ type serveConfig struct {
 	screenCI          bool
 	screenCIAlpha     float64
 
-	// Cluster modes.
+	// Replication modes.
 	logPath   string
 	replicaOf string
 	poll      time.Duration
-	shard     string
-	shardURLs string
 }
 
 func (c serveConfig) serverOptions() server.Options {
@@ -123,22 +113,11 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig, ready func(net.
 	if sources != 1 {
 		return fmt.Errorf("serve: exactly one of -kb (read-only), -data (streaming ingest), or -replica-of (follower) is required")
 	}
-	if cfg.shard != "" && cfg.shardURLs != "" {
-		return fmt.Errorf("serve: -shard serves a slice, -shards coordinates a fleet — pick one")
-	}
-	if (cfg.shard != "" || cfg.shardURLs != "") && cfg.kbPath == "" {
-		return fmt.Errorf("serve: -shard/-shards need the snapshot via -kb (every process loads the same file)")
-	}
 	if cfg.logPath != "" && cfg.dataPath == "" {
 		return fmt.Errorf("serve: -log (replicated primary) needs -data for the seed model")
 	}
-	switch {
-	case cfg.replicaOf != "":
+	if cfg.replicaOf != "" {
 		return runServeReplica(ctx, w, cfg, ready)
-	case cfg.shard != "":
-		return runServeShard(ctx, w, cfg, ready)
-	case cfg.shardURLs != "":
-		return runServeCoordinator(ctx, w, cfg, ready)
 	}
 
 	var model pka.Querier
@@ -243,64 +222,6 @@ func runServeReplica(ctx context.Context, w io.Writer, cfg serveConfig, ready fu
 		}
 	}
 	if err := server.ListenAndServe(ctx, cfg.addr, server.NewWithOptions(rep, cfg.serverOptions()), announce); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	fmt.Fprintln(w, "server stopped")
-	return nil
-}
-
-// runServeShard serves one slice of a factored snapshot's blocks.
-func runServeShard(ctx context.Context, w io.Writer, cfg serveConfig, ready func(net.Addr)) error {
-	var index, total int
-	if n, err := fmt.Sscanf(cfg.shard, "%d/%d", &index, &total); n != 2 || err != nil {
-		return fmt.Errorf("serve: -shard wants i/n (e.g. 0/2), got %q", cfg.shard)
-	}
-	qm, err := loadKB(cfg.kbPath)
-	if err != nil {
-		return err
-	}
-	sh, err := cluster.NewShard(qm.KnowledgeBase(), index, total)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	announce := func(a net.Addr) {
-		fmt.Fprintf(w, "serving shard %d/%d of %s (%d of %d blocks) on %s\n",
-			index, total, cfg.kbPath, len(sh.Meta().Owned), sh.Meta().Blocks, a)
-		if ready != nil {
-			ready(a)
-		}
-	}
-	if err := server.ListenAndServe(ctx, cfg.addr, sh.Handler(), announce); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	fmt.Fprintln(w, "server stopped")
-	return nil
-}
-
-// runServeCoordinator assembles a shard fleet into one query surface.
-func runServeCoordinator(ctx context.Context, w io.Writer, cfg serveConfig, ready func(net.Addr)) error {
-	urls := strings.Split(cfg.shardURLs, ",")
-	for i := range urls {
-		urls[i] = strings.TrimRight(strings.TrimSpace(urls[i]), "/")
-	}
-	qm, err := loadKB(cfg.kbPath)
-	if err != nil {
-		return err
-	}
-	coord, err := cluster.NewCoordinator(qm.KnowledgeBase(), urls, http.DefaultClient)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	coord.EnableCache(cfg.cacheBytes)
-	info := qm.Info()
-	announce := func(a net.Addr) {
-		fmt.Fprintf(w, "serving %s (%d attributes, %d constraints) across %d shards on %s\n",
-			cfg.kbPath, info.Attributes, info.Constraints, len(urls), a)
-		if ready != nil {
-			ready(a)
-		}
-	}
-	if err := server.ListenAndServe(ctx, cfg.addr, server.NewWithOptions(coord, cfg.serverOptions()), announce); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	fmt.Fprintln(w, "server stopped")

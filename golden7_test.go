@@ -67,7 +67,7 @@ func golden7SparseModel(t *testing.T) (*pka.Model, *pka.Schema) {
 
 // golden7DenseModel builds the deterministic 6-ternary-attribute dense
 // workload and discovers without screening.
-func golden7DenseModel(t *testing.T) *pka.Model {
+func golden7DenseModel(t testing.TB) *pka.Model {
 	t.Helper()
 	labels := []string{"a", "b", "c"}
 	attrs := make([]pka.Attribute, 6)

@@ -410,3 +410,65 @@ func TestReplicaPoisonedByBadRecord(t *testing.T) {
 		t.Fatalf("healthy replica unready: %+v", rd)
 	}
 }
+
+// TestReplicaPoisonedByResetPrimary: a replica ahead of a primary whose log
+// was reset gets a 4xx for its offset on every poll. That refusal is
+// permanent — Follow must poison the replica and readyz must answer 503
+// with the error — while a 5xx from a primary mid-restart stays a retry.
+func TestReplicaPoisonedByResetPrimary(t *testing.T) {
+	_, srv := startPrimary(t)
+	for k := 0; k < 3; k++ {
+		observeHTTP(t, srv.URL, batch(k))
+	}
+	ctx := context.Background()
+	rep, err := cluster.BootReplica(ctx, srv.URL, loadBank, 2*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Version() != 3 {
+		t.Fatalf("replica booted at version %d, want 3", rep.Version())
+	}
+
+	// A 5xx is transient: Follow keeps polling until canceled, and the
+	// replica stays healthy.
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "restarting", http.StatusServiceUnavailable)
+	}))
+	defer flaky.Close()
+	cluster.RetargetForTest(rep, flaky.URL)
+	flakyCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := rep.Follow(flakyCtx); err != nil {
+		t.Fatalf("follow against a 503 primary returned %v, want nil on cancel", err)
+	}
+	if rd := rep.Readiness(); !rd.Ready || rd.Error != "" {
+		t.Fatalf("replica poisoned by a transient 503: %+v", rd)
+	}
+
+	// A fresh primary's log ends at 0, so offset 3 is out of range. The
+	// deadline only bounds a regression: a retrying Follow returns nil.
+	_, fresh := startPrimary(t)
+	cluster.RetargetForTest(rep, fresh.URL)
+	resetCtx, cancelReset := context.WithTimeout(ctx, 10*time.Second)
+	defer cancelReset()
+	if err := rep.Follow(resetCtx); err == nil {
+		t.Fatal("follow of a reset primary kept retrying")
+	}
+	if rep.Err() == nil {
+		t.Fatal("replica not poisoned")
+	}
+	rsrv := httptest.NewServer(server.New(rep))
+	defer rsrv.Close()
+	resp, err := http.Get(rsrv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd query.Readiness
+	if err := json.NewDecoder(resp.Body).Decode(&rd); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || rd.Ready || rd.Error == "" {
+		t.Fatalf("reset-primary replica readyz %d %+v", resp.StatusCode, rd)
+	}
+}

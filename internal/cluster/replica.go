@@ -141,10 +141,12 @@ func (r *Replica) Err() error {
 }
 
 // Follow tails the primary's log until ctx is canceled, applying each
-// batch in offset order. Transport errors are retried after the poll
-// interval (the primary may be restarting); an apply failure is fatal —
-// state has forked, so Follow poisons the replica and returns. A canceled
-// context returns nil.
+// batch in offset order. Transport errors and 5xx answers are retried
+// after the poll interval (the primary may be restarting). An apply
+// failure, or a 4xx answer from the log (the primary refuses the
+// replica's offset, e.g. a primary reset behind it), is fatal — state has
+// forked, so Follow poisons the replica and returns. A canceled context
+// returns nil.
 func (r *Replica) Follow(ctx context.Context) error {
 	for {
 		n, err := r.catchUp(ctx)
@@ -169,7 +171,8 @@ func (r *Replica) Follow(ctx context.Context) error {
 }
 
 // transientError marks a fetch failure worth retrying (network flaps, a
-// primary mid-restart) as opposed to an apply failure that forked state.
+// primary mid-restart) as opposed to an apply failure or a refused offset
+// that forked state.
 type transientError struct{ err error }
 
 func (t transientError) Error() string { return t.err.Error() }
@@ -196,7 +199,11 @@ func (r *Replica) catchUp(ctx context.Context) (int, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, transientError{fmt.Errorf("cluster: primary log returned %s: %s", resp.Status, body)}
+		err := fmt.Errorf("cluster: primary log returned %s: %s", resp.Status, body)
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			return 0, err
+		}
+		return 0, transientError{err}
 	}
 	var page logResponse
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {

@@ -1,21 +1,12 @@
-// Package cluster is the distributed data bank: the roles and wire types
-// that spread one probabilistic knowledge base across processes.
+// Package cluster replicates one probabilistic knowledge base across
+// processes for read scale, composing with the single-process server.
 //
-// Two axes of scale, composable with the existing single-process server:
-//
-//   - Replication (read scale): a Primary owns the model and an append-only
-//     observe log (internal/replog); Replicas boot from a PKAS snapshot +
-//     log catch-up and follow the tail, applying each batch through the
-//     same incremental-update path the primary ran — so every replica's
-//     engine, and therefore every answer it serves, is bit-identical to
-//     the primary's at the same log offset.
-//
-//   - Sharding (model scale): a factored model's constraint blocks are
-//     partitioned across Shard processes; a Coordinator answers queries by
-//     delegating per-block evaluation over HTTP through the same
-//     maxent.BlockEngine seam the in-process factored engine uses, so the
-//     combination arithmetic — multiplication order included — is the
-//     single-process code and answers are bit-identical.
+// A Primary owns the model and an append-only observe log
+// (internal/replog); Replicas boot from a PKAS snapshot + log catch-up and
+// follow the tail, applying each batch through the same incremental-update
+// path the primary ran — so every replica's engine, and therefore every
+// answer it serves, is bit-identical to the primary's at the same log
+// offset.
 //
 // Consistency model: convergent counts (observe batches are atomic and
 // order-insensitive for net counts; the log fixes one order and every
@@ -23,45 +14,9 @@
 // last applied offset), and version-gated read-your-writes (the observe
 // response carries the new model version; clients poll a replica's readyz
 // or schema endpoint until it catches up).
-//
-// Every float64 that crosses the wire travels as its IEEE-754 bit pattern
-// (F64), never as a decimal rendering — bit-identity survives the network.
 package cluster
 
-import (
-	"encoding/json"
-	"math"
-)
-
-// F64 carries one float64 as its raw IEEE-754 bits. It marshals as a JSON
-// number holding the uint64 bit pattern: Go encodes and decodes uint64
-// digits exactly, so the value round-trips bit for bit where a decimal
-// float rendering could perturb the last ulp.
-type F64 uint64
-
-// FromFloat packs a float64 into its wire form.
-func FromFloat(f float64) F64 { return F64(math.Float64bits(f)) }
-
-// Float unpacks the wire form back into the identical float64.
-func (b F64) Float() float64 { return math.Float64frombits(uint64(b)) }
-
-// FromFloats packs a slice.
-func FromFloats(fs []float64) []F64 {
-	out := make([]F64, len(fs))
-	for i, f := range fs {
-		out[i] = FromFloat(f)
-	}
-	return out
-}
-
-// Floats unpacks a slice.
-func Floats(bs []F64) []float64 {
-	out := make([]float64, len(bs))
-	for i, b := range bs {
-		out[i] = b.Float()
-	}
-	return out
-}
+import "encoding/json"
 
 // logRecord is the payload of one replog record: the observe batch exactly
 // as the client submitted it (value labels in schema order). Replaying it
@@ -80,80 +35,8 @@ type logResponse struct {
 	Records []json.RawMessage `json:"records"`
 }
 
-// Eval op names — one per maxent.BlockEngine primitive (Sum travels in the
-// shard meta instead; it never changes while serving).
-const (
-	opSumPinned     = "sum_pinned"
-	opSumFixed      = "sum_fixed"
-	opMarginalFixed = "marginal_fixed"
-	opCellValue     = "cell_value"
-	opArgmaxFixed   = "argmax_fixed"
-)
-
-// EvalOp is one block-engine call addressed to a shard. All positions and
-// cells are block-local, exactly as the BlockEngine interface takes them.
-type EvalOp struct {
-	Op    string `json:"op"`
-	Block int    `json:"block"`
-	// Vars/Values carry sum_pinned's sparse pins and marginal_fixed's kept
-	// variables.
-	Vars   []int `json:"vars,omitempty"`
-	Values []int `json:"values,omitempty"`
-	// Fixed is the dense clamp vector of sum_fixed / marginal_fixed /
-	// argmax_fixed; empty means nothing pinned.
-	Fixed []int `json:"fixed,omitempty"`
-	// Acc is cell_value's accumulator seed: the coordinator threads the
-	// running product through shards in block order, preserving the exact
-	// multiplication order of single-process CellProb.
-	Acc  F64   `json:"acc,omitempty"`
-	Cell []int `json:"cell,omitempty"`
-}
-
-// EvalResult answers one EvalOp: a scalar (sums, cell_value), an array
-// (marginal_fixed), or a cell (argmax_fixed).
-type EvalResult struct {
-	Scalar F64   `json:"scalar,omitempty"`
-	Array  []F64 `json:"array,omitempty"`
-	Cell   []int `json:"cell,omitempty"`
-}
-
-// EvalRequest and EvalResponse frame POST /v1/shard/eval. Ops evaluate
-// independently; results arrive in op order.
-type EvalRequest struct {
-	Ops []EvalOp `json:"ops"`
-}
-
-type EvalResponse struct {
-	Results []EvalResult `json:"results"`
-}
-
-// BlockMeta describes one constraint block a shard owns: its index in the
-// model's deterministic block order, its global attribute positions, and
-// its cached unnormalized sum (bits, so the coordinator's combination
-// arithmetic starts from the identical float).
-type BlockMeta struct {
-	Index int   `json:"index"`
-	Vars  []int `json:"vars"`
-	Sum   F64   `json:"sum"`
-}
-
-// ShardMeta frames GET /v1/shard/meta: which slice of the model this shard
-// serves. The coordinator validates every field against its own copy of
-// the snapshot before routing a single query.
-type ShardMeta struct {
-	// Shard and Shards are the process's position in the -shard i/n spec.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	// Attributes and Blocks describe the full model so mismatched
-	// snapshots are caught even when the owned set happens to align.
-	Attributes int         `json:"attributes"`
-	Blocks     int         `json:"blocks"`
-	A0         F64         `json:"a0"`
-	Owned      []BlockMeta `json:"owned"`
-}
-
-// errorBody is the error frame shard endpoints return, matching the query
-// server's {"error": ...} shape.
+// errorBody is the error frame the log and snapshot endpoints return,
+// matching the query server's {"error": ...} shape.
 type errorBody struct {
 	Error string `json:"error"`
 }

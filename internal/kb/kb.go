@@ -53,30 +53,6 @@ func New(schema *dataset.Schema, model *maxent.Model) (*KnowledgeBase, error) {
 	return &KnowledgeBase{schema: schema, model: model, eng: eng}, nil
 }
 
-// NewWithEngine binds schema and model to an externally assembled compiled
-// engine instead of compiling the model in-process — the entry point for a
-// shard coordinator serving a maxent.NewDistributed engine whose blocks
-// evaluate on remote processes. The engine must cover the same attribute
-// space as the schema; every query method then runs the identical
-// combination code as an in-process knowledge base.
-func NewWithEngine(schema *dataset.Schema, model *maxent.Model, eng *maxent.Compiled) (*KnowledgeBase, error) {
-	if schema == nil || model == nil || eng == nil {
-		return nil, fmt.Errorf("kb: nil schema, model, or engine")
-	}
-	if schema.R() != eng.R() {
-		return nil, fmt.Errorf("kb: schema has %d attributes, engine has %d",
-			schema.R(), eng.R())
-	}
-	cards := eng.Cards()
-	for i := 0; i < schema.R(); i++ {
-		if schema.Attr(i).Card() != cards[i] {
-			return nil, fmt.Errorf("kb: attribute %q has %d values in schema, %d in engine",
-				schema.Attr(i).Name, schema.Attr(i).Card(), cards[i])
-		}
-	}
-	return &KnowledgeBase{schema: schema, model: model, eng: eng}, nil
-}
-
 // Schema returns the bound schema.
 func (k *KnowledgeBase) Schema() *dataset.Schema { return k.schema }
 

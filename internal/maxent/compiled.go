@@ -33,16 +33,13 @@ type Compiled struct {
 	blockScratch sync.Pool
 }
 
-// compiledBlock is one constraint block's sub-engine. eng is an interface
-// (see engine.go): in-process snapshots wrap a dense sumprod engine, the
-// shard coordinator substitutes RPC clients — either way the combination
-// loops below run unchanged, which is what keeps distributed answers
-// bit-identical to local ones.
+// compiledBlock is one constraint block's sub-engine: a dense sum-product
+// engine over the block's attributes, addressed by block-local positions.
 type compiledBlock struct {
 	vars  []int // global attribute positions, ascending
 	cards []int // cardinalities of vars
 	local []int // local index per global position; -1 when not a member
-	eng   BlockEngine
+	eng   *sumprod.Compiled
 	sum   float64 // cached unnormalized block sum Σ Π coeffs
 }
 
@@ -102,6 +99,16 @@ func (m *Model) Compile() (*Compiled, error) {
 // score over occupied cells instead of a dense joint walk.
 func (c *Compiled) Factored() bool { return c.eng == nil }
 
+// NumBlocks returns the number of constraint blocks of a factored snapshot
+// (0 in dense mode).
+func (c *Compiled) NumBlocks() int { return len(c.blocks) }
+
+// BlockVars returns a copy of block i's global attribute positions,
+// ascending.
+func (c *Compiled) BlockVars(i int) []int {
+	return append([]int(nil), c.blocks[i].vars...)
+}
+
 // compileBlocks builds one sub-engine per constraint block of the model.
 func (m *Model) compileBlocks() ([]*compiledBlock, error) {
 	var out []*compiledBlock
@@ -112,9 +119,7 @@ func (m *Model) compileBlocks() ([]*compiledBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		if b.sum, err = b.eng.Sum(); err != nil {
-			return nil, err
-		}
+		b.sum = b.eng.Sum()
 		out = append(out, b)
 	}
 	return out, nil
@@ -210,7 +215,7 @@ func (m *Model) buildBlock(blk []int, fams []*familyTerm, ar *blockArena) (*comp
 	if err != nil {
 		return nil, err
 	}
-	b.eng = localBlock{eng}
+	b.eng = eng
 	return b, nil
 }
 
@@ -269,11 +274,7 @@ func (c *Compiled) Prob(vars contingency.VarSet, values []int) (float64, error) 
 		if len(lv) == 0 {
 			res *= b.sum
 		} else {
-			s, err := b.eng.SumPinned(lv, lvals)
-			if err != nil {
-				return 0, err
-			}
-			res *= s
+			res *= b.eng.SumPinned(lv, lvals)
 		}
 	}
 	return res, nil
@@ -376,11 +377,7 @@ func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, erro
 			}
 			parts = append(parts, part{midx: midx, dims: dims, arr: arr})
 		case localFixed != nil:
-			s, err := b.eng.SumFixed(localFixed)
-			if err != nil {
-				return nil, err
-			}
-			scalar *= s
+			scalar *= b.eng.SumFixed(localFixed)
 		default:
 			scalar *= b.sum
 		}
@@ -435,11 +432,7 @@ func (c *Compiled) CellProb(cell []int) (float64, error) {
 		for li, gp := range b.vars {
 			localCell[li] = cell[gp]
 		}
-		var err error
-		if p, err = b.eng.CellValue(p, localCell); err != nil {
-			c.blockScratch.Put(scratch)
-			return 0, err
-		}
+		p = b.eng.CellValue(p, localCell)
 	}
 	c.blockScratch.Put(scratch)
 	return p, nil
@@ -602,10 +595,7 @@ func (c *Compiled) constraintRatio(cons Constraint, sum float64) float64 {
 			}
 		}
 		if len(lv) > 0 {
-			// Fitting only ever runs over in-process engines, whose
-			// SumPinned cannot fail.
-			s, _ := b.eng.SumPinned(lv, lvals)
-			ratio *= s / b.sum
+			ratio *= b.eng.SumPinned(lv, lvals) / b.sum
 		}
 	}
 	return ratio

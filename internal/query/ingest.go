@@ -67,8 +67,8 @@ type Versioned interface {
 type Readiness struct {
 	// Ready reports the process is serving a loaded, caught-up model.
 	Ready bool `json:"ready"`
-	// Role names the process's cluster role: "standalone", "primary",
-	// "replica", "shard", or "coordinator".
+	// Role names the process's replication role: "standalone",
+	// "primary", or "replica".
 	Role string `json:"role"`
 	// Version is the monotonic model version (applied log offset).
 	Version int64 `json:"version"`
@@ -90,8 +90,8 @@ type ReadyReporter interface {
 }
 
 // CacheTierStats is one cache tier's counters in the GET /v1/stats wire
-// format: the tier name ("wire", "engine", "cluster") plus the memo
-// counters inlined.
+// format: the tier name ("wire" or "engine") plus the memo counters
+// inlined.
 type CacheTierStats struct {
 	Tier string `json:"tier"`
 	memo.Stats
@@ -99,8 +99,7 @@ type CacheTierStats struct {
 
 // CacheStatsReporter is the optional cache-observability surface of a
 // served Querier: the tiers it carries beyond the server's own wire tier
-// (the engine-tier memo, a coordinator's remote-eval memo). A nil slice
-// means caching is off.
+// (the engine-tier memo). A nil slice means caching is off.
 type CacheStatsReporter interface {
 	CacheStats() []CacheTierStats
 }

@@ -143,8 +143,8 @@ type statsResponse struct {
 
 // stats serves the cache-observability counters of every tier this
 // process carries: the handler's own wire tier, then whatever the served
-// model reports (engine memo, a coordinator's remote-eval memo). With
-// caching off the tier list is empty — the endpoint always answers.
+// model reports (the engine memo). With caching off the tier list is
+// empty — the endpoint always answers.
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Version: h.version(), Tiers: []query.CacheTierStats{}}
 	if h.wire != nil {

@@ -136,8 +136,8 @@ type handler struct {
 	// ready is the Querier's readiness surface (replicas report catch-up
 	// lag through it); nil means ready-once-constructed.
 	ready query.ReadyReporter
-	// cacheStats is the Querier's cache-observability surface (engine and
-	// cluster tiers for /v1/stats); nil when it carries none.
+	// cacheStats is the Querier's cache-observability surface (the engine
+	// tier for /v1/stats); nil when it carries none.
 	cacheStats query.CacheStatsReporter
 	// wire is the L1 response-byte cache (see cache.go); nil when off.
 	wire *memo.Cache
@@ -235,7 +235,7 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 // readyz is the routing probe, distinct from healthz's liveness: healthz
 // says the process is up, readyz says it should receive traffic. A
 // standalone model is ready the moment it serves (the model loaded before
-// the listener bound); cluster roles report through query.ReadyReporter —
+// the listener bound); replication roles report through query.ReadyReporter —
 // a replica mid-catch-up or a broken primary answers 503 with its lag or
 // fault, so load balancers drain it without killing the process.
 func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
@@ -276,13 +276,21 @@ func (h *handler) schema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, body)
 }
 
-// decodeBody decodes one JSON value, rejecting trailing garbage.
+// decodeBody decodes one JSON value, rejecting trailing garbage: only
+// whitespace may follow it, so a second concatenated value is an error
+// rather than silently dropped.
 func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second value")
+		}
+		return fmt.Errorf("server: decoding request: trailing data after the JSON value: %w", err)
 	}
 	return nil
 }

@@ -376,6 +376,60 @@ func TestObserveBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyTrailingData: every JSON body endpoint takes exactly one value.
+// Trailing whitespace is fine; anything else after the value — garbage, a
+// second concatenated request, a stray closer — is a 400, and an observe
+// body so rejected is never applied.
+func TestBodyTrailingData(t *testing.T) {
+	ing := &stubIngestor{}
+	srv := httptest.NewServer(NewWithOptions(ing, Options{MaxBatch: 4}))
+	defer srv.Close()
+	bodies := map[string]string{
+		"/v1/query":       `{"kind":"probability","target":[{"attr":"CANCER","value":"Yes"}]}`,
+		"/v1/query/batch": `{"queries":[{"kind":"mpe"}]}`,
+		"/v1/observe":     `{"rows":[["Yes","Smoker"]]}`,
+	}
+	cases := []struct {
+		name, suffix string
+		want         int
+	}{
+		{"bare", "", http.StatusOK},
+		{"trailing newline", "\n", http.StatusOK},
+		{"trailing whitespace", " \t\r\n ", http.StatusOK},
+		{"trailing garbage", " trailing-garbage", http.StatusBadRequest},
+		{"trailing number", " 5", http.StatusBadRequest},
+		{"trailing closer", "}", http.StatusBadRequest},
+		{"trailing array closer", "]", http.StatusBadRequest},
+		{"second value", "\n{}", http.StatusBadRequest},
+	}
+	for path, body := range bodies {
+		for _, tc := range cases {
+			ing.rows = nil
+			status, resp := post(t, srv.URL+path, body+tc.suffix)
+			if status != tc.want {
+				t.Errorf("%s %s: = %d %q, want %d", path, tc.name, status, resp, tc.want)
+			}
+			if status != http.StatusOK && !strings.Contains(resp, `"error"`) {
+				t.Errorf("%s %s: rejection has no error body: %q", path, tc.name, resp)
+			}
+			if path == "/v1/observe" && status != http.StatusOK && len(ing.rows) != 0 {
+				t.Errorf("%s %s: rejected body was applied: %v", path, tc.name, ing.rows)
+			}
+		}
+		// Two whole requests back to back answer neither.
+		if status, resp := post(t, srv.URL+path, body+body); status != http.StatusBadRequest {
+			t.Errorf("%s concatenated requests: = %d %q, want 400", path, status, resp)
+		}
+	}
+	// Trailing bytes past the body cap are still a 413, not a 400.
+	small := httptest.NewServer(NewWithOptions(stubQuerier{}, Options{MaxBodyBytes: 128}))
+	defer small.Close()
+	q := bodies["/v1/query"]
+	if status, resp := post(t, small.URL+"/v1/query", q+strings.Repeat(" ", 256)); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized trailing whitespace = %d %q, want 413", status, resp)
+	}
+}
+
 // TestRulesRejectsNonFiniteParams is the NaN/Inf regression: ParseFloat
 // accepts "NaN" and "Inf", and a NaN threshold filters with always-false
 // comparisons instead of erroring — the server must 400 them.
