@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -470,5 +471,134 @@ func TestReplicaPoisonedByResetPrimary(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || rd.Ready || rd.Error == "" {
 		t.Fatalf("reset-primary replica readyz %d %+v", resp.StatusCode, rd)
+	}
+}
+
+// TestPrimaryLogStatus: GET /v1/log answers 4xx only for what the caller
+// got wrong — a malformed parameter or an offset outside the log — since
+// replicas take a 4xx as permanent. A record that fails its checksum on
+// the primary's disk answers 500, and a replica polling into it keeps
+// retrying instead of being poisoned.
+func TestPrimaryLogStatus(t *testing.T) {
+	path := t.TempDir() + "/observe.log"
+	lg, err := replog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	p, err := cluster.NewPrimary(newBank(t), lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Handler(server.New(p)))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	rep, err := cluster.BootReplica(ctx, srv.URL, loadBank, 2*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observeHTTP(t, srv.URL, batch(0))
+
+	// Flip the last payload byte of the only record on disk.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	last[0] ^= 0xff
+	if _, err := f.WriteAt(last, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"from=abc", http.StatusBadRequest},
+		{"from=0&max=0", http.StatusBadRequest},
+		{"from=2", http.StatusBadRequest},
+		{"from=1", http.StatusOK},
+		{"from=0", http.StatusInternalServerError},
+	} {
+		resp, err := http.Get(srv.URL + "/v1/log?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET /v1/log?%s = %d %s, want %d", tc.query, resp.StatusCode, body, tc.want)
+		}
+	}
+
+	followCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := rep.Follow(followCtx); err != nil {
+		t.Fatalf("follow into a corrupt primary record returned %v, want nil on cancel", err)
+	}
+	if rd := rep.Readiness(); rd.Error != "" || rep.Version() != 0 {
+		t.Fatalf("replica poisoned by the primary's own read fault: %+v", rd)
+	}
+}
+
+// TestClusterRolesReportEngineCacheTier: a primary and a replica forward
+// their bank's engine cache tier to GET /v1/stats, as a standalone server
+// does — neither embeds the concrete model, so the reporter is not
+// promoted.
+func TestClusterRolesReportEngineCacheTier(t *testing.T) {
+	bank := newBank(t)
+	bank.EnableCache(1 << 20)
+	lg := openLog(t)
+	t.Cleanup(func() { lg.Close() })
+	p, err := cluster.NewPrimary(bank, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrv := httptest.NewServer(p.Handler(server.New(p)))
+	t.Cleanup(psrv.Close)
+
+	load := func(r io.Reader) (cluster.Bank, error) {
+		m, err := pka.LoadModelSnapshot(r)
+		if err != nil {
+			return nil, err
+		}
+		m.EnableCache(1 << 20)
+		return m, nil
+	}
+	rep, err := cluster.BootReplica(context.Background(), psrv.URL, load, 2*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsrv := httptest.NewServer(server.New(rep))
+	t.Cleanup(rsrv.Close)
+
+	for role, url := range map[string]string{"primary": psrv.URL, "replica": rsrv.URL} {
+		resp, err := http.Get(url + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Tiers []query.CacheTierStats `json:"tiers"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, tr := range stats.Tiers {
+			found = found || tr.Tier == "engine"
+		}
+		if !found {
+			t.Errorf("%s /v1/stats has no engine tier: %+v", role, stats.Tiers)
+		}
 	}
 }

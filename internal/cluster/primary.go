@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,6 +113,16 @@ func (p *Primary) Readiness() query.Readiness {
 	return rd
 }
 
+// CacheStats forwards the bank's cache tiers: Primary embeds Bank as an
+// interface, so the concrete model's optional reporter method is not
+// promoted and must be surfaced by hand.
+func (p *Primary) CacheStats() []query.CacheTierStats {
+	if cs, ok := p.Bank.(query.CacheStatsReporter); ok {
+		return cs.CacheStats()
+	}
+	return nil
+}
+
 // KnowledgeBase exposes the bank's compiled knowledge base when it carries
 // one, keeping the batch endpoint's shared-session fast path intact behind
 // the primary wrapper (nil falls back to per-query execution).
@@ -188,7 +199,14 @@ func (p *Primary) serveLog(w http.ResponseWriter, r *http.Request) {
 	}
 	recs, next, err := p.log.Read(from, max)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		// Only an offset outside the log is the caller's fault, and replicas
+		// treat a 4xx as permanent; a read or checksum failure here is the
+		// primary's own and stays retryable.
+		status := http.StatusInternalServerError
+		if errors.Is(err, replog.ErrOutOfRange) {
+			status = http.StatusBadRequest
+		}
+		writeJSONError(w, status, err)
 		return
 	}
 	resp := logResponse{From: from, Next: next, End: p.log.Next(), Records: make([]json.RawMessage, len(recs))}

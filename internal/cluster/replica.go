@@ -111,6 +111,14 @@ func (r *Replica) KnowledgeBase() *kb.KnowledgeBase {
 	return nil
 }
 
+// CacheStats forwards the booted bank's cache tiers (see Primary's note).
+func (r *Replica) CacheStats() []query.CacheTierStats {
+	if cs, ok := r.bank.(query.CacheStatsReporter); ok {
+		return cs.CacheStats()
+	}
+	return nil
+}
+
 // Readiness reports catch-up state: unready until the replica has applied
 // everything the primary had when first asked, unready again only if the
 // stream breaks (a failed apply poisons the replica — it keeps serving its

@@ -21,6 +21,10 @@ var serverBodyPaths = []string{"/v1/query", "/v1/query/batch", "/v1/observe"}
 // not panic and must answer JSON; a body that is not exactly one JSON
 // value gets 400 or 413; query and batch never answer 5xx; and observe on
 // the read-only model is always 501.
+//
+// Every input gets a fresh ingest model restored from one snapshot, so an
+// accepted observe cannot carry over into the next input and each crasher
+// replays alone from testdata/fuzz.
 func FuzzServerBodies(f *testing.F) {
 	kbJSON, err := os.ReadFile(filepath.Join(golden7Dir, "dense_kb.json"))
 	if err != nil {
@@ -31,11 +35,12 @@ func FuzzServerBodies(f *testing.F) {
 		f.Fatal(err)
 	}
 	readOnly.EnableCache(1 << 20)
-	ingest := golden7DenseModel(f)
-	ingest.EnableCache(1 << 20)
+	var snap bytes.Buffer
+	if err := golden7DenseModel(f).SaveSnapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
 	opts := pka.ServerOptions{MaxBatch: 16, MaxBodyBytes: 4 << 10, MaxObserveRows: 16, CacheBytes: 1 << 20}
 	roSrv := pka.NewServerWithOptions(readOnly, opts)
-	ingestSrv := pka.NewServerWithOptions(ingest, opts)
 
 	queries := golden7DenseQueries()
 	for _, q := range queries {
@@ -65,6 +70,12 @@ func FuzzServerBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pathIdx uint8, body []byte) {
 		path := serverBodyPaths[int(pathIdx)%len(serverBodyPaths)]
 		malformed := !json.Valid(body)
+		ingest, err := pka.LoadModelSnapshot(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest.EnableCache(1 << 20)
+		ingestSrv := pka.NewServerWithOptions(ingest, opts)
 		for _, tc := range []struct {
 			name     string
 			h        http.Handler
