@@ -24,7 +24,11 @@ func cmdAnalyze(w io.Writer, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("analyze: -in is required")
 	}
-	schema, table, err := tabulateCSVFile(*in, *maxCard)
+	codes, err := scanCSVFile(*in, *maxCard)
+	if err != nil {
+		return err
+	}
+	table, err := codes.Table()
 	if err != nil {
 		return err
 	}
@@ -33,7 +37,7 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		return err
 	}
 	fmt.Fprintf(w, "pairwise associations over %d samples:\n\n", table.Total())
-	fmt.Fprint(w, pka.RenderAssociations(schema.Names(), pairs))
+	fmt.Fprint(w, pka.RenderAssociations(codes.Schema().Names(), pairs))
 	return nil
 }
 
@@ -75,27 +79,4 @@ func cmdValidate(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "log loss: %.4f nats/sample (%.4f bits/sample)\n",
 		loss, loss/math.Ln2)
 	return nil
-}
-
-// tabulateCSVFile infers a schema and tabulates the file in one pass each.
-func tabulateCSVFile(path string, maxCard int) (*pka.Schema, *pka.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, err := pka.InferSchema(f, maxCard)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	table, err := pka.TabulateCSV(f, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return schema, table, nil
 }

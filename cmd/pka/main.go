@@ -136,14 +136,18 @@ func cmdDiscover(w io.Writer, args []string) error {
 	if *sparse && *mergeRare > 0 {
 		return fmt.Errorf("discover: -merge-rare needs the dense path; drop -sparse or -merge-rare")
 	}
+	codes, err := scanCSVFile(*in, *maxCard)
+	if err != nil {
+		return err
+	}
 	if *cvFolds > 0 {
-		schema, table, err := tabulateCSVFile(*in, *maxCard)
+		table, err := codes.Table()
 		if err != nil {
 			return err
 		}
 		limit := *maxOrder
 		if limit == 0 {
-			limit = schema.R()
+			limit = codes.Schema().R()
 		}
 		scores, best, err := pka.SelectMaxOrder(table, limit, *cvFolds, *cvSeed)
 		if err != nil {
@@ -167,13 +171,7 @@ func cmdDiscover(w io.Writer, args []string) error {
 		MaxConstraints: *maxConstraints,
 		Workers:        *workers,
 	}
-	var model *pka.Model
-	var err error
-	if *sparse {
-		model, err = discoverSparseFromCSV(*in, *maxCard, opts)
-	} else {
-		model, err = discoverFromCSVMerged(*in, *maxCard, *mergeRare, opts)
-	}
+	model, err := discoverCodes(codes, *sparse, *mergeRare, opts)
 	if err != nil {
 		return err
 	}
@@ -208,61 +206,44 @@ func cmdDiscover(w io.Writer, args []string) error {
 	return nil
 }
 
-func discoverFromCSV(path string, maxCard int, opts pka.Options) (*pka.Model, error) {
-	return discoverFromCSVMerged(path, maxCard, 0, opts)
-}
-
-// discoverSparseFromCSV is the wide-schema path: the file is streamed into
-// a sparse contingency table and acquisition runs on it directly, so the
-// dense joint space is never allocated.
-func discoverSparseFromCSV(path string, maxCard int, opts pka.Options) (*pka.Model, error) {
+// scanCSVFile reads a CSV file in one pass: the schema is inferred and
+// every row coded at once, so no command reads its input twice.
+func scanCSVFile(path string, maxCard int) (*pka.CSVCodes, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := pka.InferSchema(f, maxCard)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, err
-	}
 	defer f.Close()
-	table, err := pka.TabulateCSVSparse(f, schema)
-	if err != nil {
-		return nil, err
-	}
-	return pka.DiscoverSparse(table, schema, opts)
+	return pka.ScanCSV(f, maxCard)
 }
 
-func discoverFromCSVMerged(path string, maxCard int, mergeRare int64, opts pka.Options) (*pka.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := pka.InferSchema(f, maxCard)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := pka.ReadCSV(f, schema)
-	if err != nil {
-		return nil, err
-	}
-	if mergeRare > 0 {
-		data, err = pka.MergeRareValues(data, mergeRare)
+// discoverCodes runs acquisition on a scanned CSV: on a sparse table
+// (-sparse, the wide-schema path that never allocates the dense joint
+// space), on records when rare values are merged first, or on the dense
+// table. Nothing keeps the codes, so their buffer is garbage before
+// discovery begins.
+func discoverCodes(codes *pka.CSVCodes, sparse bool, mergeRare int64, opts pka.Options) (*pka.Model, error) {
+	schema := codes.Schema()
+	switch {
+	case sparse:
+		table, err := codes.Sparse()
 		if err != nil {
 			return nil, err
 		}
+		return pka.DiscoverSparse(table, schema, opts)
+	case mergeRare > 0:
+		data, err := pka.MergeRareValues(codes.Dataset(), mergeRare)
+		if err != nil {
+			return nil, err
+		}
+		return pka.Discover(data, opts)
+	default:
+		table, err := codes.Table()
+		if err != nil {
+			return nil, err
+		}
+		return pka.DiscoverTable(table, schema, opts)
 	}
-	return pka.Discover(data, opts)
 }
 
 func cmdRules(w io.Writer, args []string) error {
@@ -395,25 +376,12 @@ func cmdTables(w io.Writer, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("tables: -in is required")
 	}
-	f, err := os.Open(*in)
+	codes, err := scanCSVFile(*in, *maxCard)
 	if err != nil {
 		return err
 	}
-	schema, err := pka.InferSchema(f, *maxCard)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	f, err = os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	data, err := pka.ReadCSV(f, schema)
-	if err != nil {
-		return err
-	}
-	table, err := data.Tabulate()
+	schema := codes.Schema()
+	table, err := codes.Table()
 	if err != nil {
 		return err
 	}

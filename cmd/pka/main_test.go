@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pka/internal/paperdata"
 )
@@ -184,5 +189,73 @@ func TestDiscoverSparseMode(t *testing.T) {
 	}
 	if err := run(&buf, []string{"discover", "-in", csvPath, "-sparse", "-merge-rare", "5"}); err == nil {
 		t.Error("-sparse with -merge-rare accepted")
+	}
+}
+
+// TestByteOrderMarkInput feeds a spreadsheet "CSV UTF-8" export — a leading
+// byte-order mark and CRLF line ends — to every command that reads CSV.
+// The mark must not become part of the first attribute's name.
+func TestByteOrderMarkInput(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "bom.csv")
+	if err := os.WriteFile(csvPath, []byte("\ufeffA,B\r\nx,y\r\nx,z\r\nw,y\r\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"discover", "-in", csvPath},
+		{"discover", "-sparse", "-in", csvPath},
+		{"discover", "-merge-rare", "2", "-in", csvPath},
+		{"tables", "-in", csvPath, "-rows", "A"},
+		{"analyze", "-in", csvPath},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if strings.Contains(buf.String(), "\ufeff") {
+			t.Errorf("%v: output carries the byte-order mark:\n%s", args, buf.String())
+		}
+	}
+	kbPath := filepath.Join(dir, "kb.json")
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"discover", "-in", csvPath, "-out", kbPath}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run(&buf, []string{"query", "-kb", kbPath, "-target", "A=x"}); err != nil {
+		t.Fatalf("query by the first attribute's name: %v", err)
+	}
+	buf.Reset()
+	if err := run(&buf, []string{"validate", "-kb", kbPath, "-in", csvPath}); err != nil || !strings.Contains(buf.String(), "3 samples") {
+		t.Errorf("validate: %v\n%s", err, buf.String())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- runServe(ctx, io.Discard, serveConfig{dataPath: csvPath, addr: "127.0.0.1:0"},
+			func(a net.Addr) { ready <- a })
+	}()
+	select {
+	case addr := <-ready:
+		resp, err := http.Post("http://"+addr.String()+"/v1/query", "application/json",
+			strings.NewReader(`{"kind":"probability","target":[{"attr":"A","value":"x"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("serve -data: query by the first attribute's name answered %s", resp.Status)
+		}
+	case err := <-done:
+		t.Fatalf("serve -data exited before ready: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve -data never became ready")
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("serve -data: %v", err)
 	}
 }

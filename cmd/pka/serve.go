@@ -134,11 +134,9 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig, ready func(net.
 			ScreenCIAlpha: cfg.screenCIAlpha,
 			Workers:       cfg.workers,
 		}
-		var err error
-		if cfg.sparse {
-			model, err = discoverSparseFromCSV(cfg.dataPath, cfg.maxCard, opts)
-		} else {
-			model, err = discoverFromCSV(cfg.dataPath, cfg.maxCard, opts)
+		codes, err := scanCSVFile(cfg.dataPath, cfg.maxCard)
+		if err == nil {
+			model, err = discoverCodes(codes, cfg.sparse, 0, opts)
 		}
 		if err != nil {
 			return fmt.Errorf("serve: discovering from %s: %w", cfg.dataPath, err)

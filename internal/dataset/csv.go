@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
 // ReadCSV ingests a CSV stream whose first row is a header of attribute
@@ -18,107 +16,22 @@ import (
 // Cell values are matched against value labels; unknown labels fall back to
 // the attribute's "other" value when the schema has one.
 func ReadCSV(r io.Reader, schema *Schema) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	colOf := make([]int, schema.R())
-	for i := range colOf {
-		colOf[i] = -1
-	}
-	for col, h := range header {
-		if p, err := schema.Position(strings.TrimSpace(h)); err == nil {
-			if prev := colOf[p]; prev >= 0 {
-				return nil, fmt.Errorf("dataset: CSV header names attribute %q twice (columns %d and %d)",
-					schema.Attr(p).Name, prev+1, col+1)
-			}
-			colOf[p] = col
-		}
-	}
-	for i, c := range colOf {
-		if c < 0 {
-			return nil, fmt.Errorf("dataset: CSV header missing attribute %q", schema.Attr(i).Name)
-		}
-	}
 	d := NewDataset(schema)
-	row := 1
-	labels := make([]string, schema.R())
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+	var slab []int
+	err := streamCSV(r, schema, "dataset: ", func(cell []int) error {
+		if len(slab) < len(cell) {
+			slab = make([]int, max(len(d.records), 64)*len(cell))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", row+1, err)
-		}
-		row++
-		for i, col := range colOf {
-			if col >= len(rec) {
-				return nil, fmt.Errorf("dataset: CSV row %d short: no column %d", row, col)
-			}
-			labels[i] = strings.TrimSpace(rec[col])
-		}
-		if err := d.AppendLabeled(labels); err != nil {
-			return nil, fmt.Errorf("dataset: CSV row %d: %w", row, err)
-		}
+		rec := Record(slab[:len(cell):len(cell)])
+		slab = slab[len(cell):]
+		copy(rec, cell)
+		d.records = append(d.records, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
-}
-
-// InferSchema scans a CSV stream and builds a schema whose attributes are
-// the header columns and whose values are the distinct labels seen, sorted
-// for determinism. It is the "just point it at the data" ingest path of the
-// CLI. maxCard bounds the per-attribute distinct count to catch columns that
-// are really continuous identifiers (0 means no bound).
-func InferSchema(r io.Reader, maxCard int) (*Schema, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	for i, h := range header {
-		header[i] = strings.TrimSpace(h)
-	}
-	sets := make([]map[string]bool, len(header))
-	for i := range sets {
-		sets[i] = make(map[string]bool)
-	}
-	row := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", row+1, err)
-		}
-		row++
-		if len(rec) < len(header) {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d columns, header has %d",
-				row, len(rec), len(header))
-		}
-		for i := range header {
-			v := strings.TrimSpace(rec[i])
-			sets[i][v] = true
-			if maxCard > 0 && len(sets[i]) > maxCard {
-				return nil, fmt.Errorf("dataset: column %q exceeds %d distinct values; discretize it first",
-					header[i], maxCard)
-			}
-		}
-	}
-	attrs := make([]Attribute, len(header))
-	for i, h := range header {
-		vals := make([]string, 0, len(sets[i]))
-		for v := range sets[i] {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		attrs[i] = Attribute{Name: h, Values: vals}
-	}
-	return NewSchema(attrs)
 }
 
 // WriteCSV emits the dataset with a header row, decoding records to labels.

@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strings"
 
 	"pka/internal/contingency"
 )
@@ -18,7 +16,7 @@ func TabulateCSV(r io.Reader, schema *Schema) (*contingency.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = streamCSV(r, schema, func(cell []int) error {
+	err = streamCSV(r, schema, "", func(cell []int) error {
 		return table.Observe(cell...)
 	})
 	if err != nil {
@@ -26,11 +24,6 @@ func TabulateCSV(r io.Reader, schema *Schema) (*contingency.Table, error) {
 	}
 	return table, nil
 }
-
-// tabulateChunkRows is how many decoded rows TabulateCSVSparse buffers
-// before flushing one ObserveBatch — large enough to amortize the batched
-// mutation's per-call work, small enough to keep ingest memory flat.
-const tabulateChunkRows = 4096
 
 // TabulateCSVSparse is TabulateCSV into a sparse table, for wide schemas
 // whose dense joint space does not fit in memory. Rows are ingested through
@@ -41,40 +34,36 @@ func TabulateCSVSparse(r io.Reader, schema *Schema) (*contingency.Sparse, error)
 	if err != nil {
 		return nil, err
 	}
-	chunk := make([][]int, 0, tabulateChunkRows)
-	err = streamCSV(r, schema, func(cell []int) error {
-		chunk = append(chunk, append([]int(nil), cell...))
-		if len(chunk) == cap(chunk) {
-			if err := table.ObserveBatch(chunk); err != nil {
-				return err
-			}
-			chunk = chunk[:0]
-		}
-		return nil
+	ch := newChunk(schema.R())
+	err = streamCSV(r, schema, "", func(cell []int) error {
+		copy(ch.next(), cell)
+		return ch.flushIfFull(table)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := table.ObserveBatch(chunk); err != nil {
+	if err := ch.flush(table); err != nil {
 		return nil, err
 	}
 	return table, nil
 }
 
-// streamCSV drives fn with the coded cell of each data row.
-func streamCSV(r io.Reader, schema *Schema, fn func(cell []int) error) error {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
+// streamCSV drives fn with the coded cell of each data row. Each column's
+// labels are looked up once: a label outside the schema is resolved to the
+// attribute's OtherValue (or an error) the first time it appears and
+// remembered from then on. labelPrefix leads the text of that error's
+// cause — ReadCSV's has always carried AppendLabeled's "dataset: ".
+func streamCSV(r io.Reader, schema *Schema, labelPrefix string, fn func(cell []int) error) error {
+	s := newCSVScanner(r)
+	if err := s.header(); err != nil {
 		return fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
 	colOf := make([]int, schema.R())
 	for i := range colOf {
 		colOf[i] = -1
 	}
-	for col, h := range header {
-		if p, err := schema.Position(strings.TrimSpace(h)); err == nil {
+	for col, h := range s.fields {
+		if p, err := schema.Position(string(h)); err == nil {
 			if prev := colOf[p]; prev >= 0 {
 				return fmt.Errorf("dataset: CSV header names attribute %q twice (columns %d and %d)",
 					schema.Attr(p).Name, prev+1, col+1)
@@ -82,35 +71,34 @@ func streamCSV(r io.Reader, schema *Schema, fn func(cell []int) error) error {
 			colOf[p] = col
 		}
 	}
+	cols := make([]labelIndex, schema.R())
 	for i, c := range colOf {
 		if c < 0 {
 			return fmt.Errorf("dataset: CSV header missing attribute %q", schema.Attr(i).Name)
 		}
+		for v, label := range schema.Attr(i).Values {
+			cols[i].add(label, v)
+		}
 	}
 	cell := make([]int, schema.R())
-	row := 1
-	for {
-		rec, err := cr.Read()
+	for row := 2; ; row++ {
+		err := s.next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("dataset: reading CSV row %d: %w", row+1, err)
+			return fmt.Errorf("dataset: reading CSV row %d: %w", row, err)
 		}
-		row++
 		for i, col := range colOf {
-			if col >= len(rec) {
-				return fmt.Errorf("dataset: CSV row %d short: no column %d", row, col)
-			}
-			a := schema.Attr(i)
-			label := strings.TrimSpace(rec[col])
-			idx := a.ValueIndex(label)
-			if idx < 0 {
-				idx = a.ValueIndex(OtherValue)
-				if idx < 0 {
-					return fmt.Errorf("dataset: CSV row %d: attribute %q has no value %q and no %q fallback",
-						row, a.Name, label, OtherValue)
+			f := s.fields[col]
+			idx, ok := cols[i].find(f)
+			if !ok {
+				a := schema.Attr(i)
+				if idx = a.ValueIndex(OtherValue); idx < 0 {
+					return fmt.Errorf("dataset: CSV row %d: %sattribute %q has no value %q and no %q fallback",
+						row, labelPrefix, a.Name, f, OtherValue)
 				}
+				cols[i].add(string(f), idx)
 			}
 			cell[i] = idx
 		}

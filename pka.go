@@ -93,6 +93,16 @@ func ReadCSV(r io.Reader, schema *Schema) (*Dataset, error) { return dataset.Rea
 // seen per column (maxCard 0 = unbounded).
 func InferSchema(r io.Reader, maxCard int) (*Schema, error) { return dataset.InferSchema(r, maxCard) }
 
+// CSVCodes is a CSV data bank read in one pass: the inferred schema plus
+// every row's value codes at one byte per field. Count it with Table or
+// Sparse, or keep the rows with Dataset.
+type CSVCodes = dataset.Codes
+
+// ScanCSV reads CSV data once, inferring the schema as InferSchema does
+// (maxCard 0 = unbounded) and coding every row against it, so nothing reads
+// the stream a second time.
+func ScanCSV(r io.Reader, maxCard int) (*CSVCodes, error) { return dataset.ScanCSV(r, maxCard) }
+
 // MergeRareValues collapses attribute values observed fewer than minCount
 // times into the "other" bucket — defensive preprocessing before
 // tabulation (see dataset.MergeRareValues).
