@@ -8,10 +8,13 @@
 //	pka discover -in data.csv -out kb.json [-max-order N] [-prior P] [-sparse] [-screen]
 //	pka rules    -kb kb.json [-min-prob P] [-min-lift D] [-top K]
 //	pka query    -kb kb.json -target "ATTR=value" [-given "A=v,B=w"] [-json]
+//	pka explain  -kb kb.json [-given "A=v,B=w"] [-dot]
 //	pka serve    -kb kb.json|kb.pkas [-addr :8080]
 //	pka snapshot -in kb.json -out kb.pkas [-format binary|json]
 //	pka tables   -in data.csv [-rows ATTR] [-cols ATTR]
-//	pka bench    [-out BENCH_6.json] [-iters N] [-workers W]
+//	pka analyze  -in data.csv
+//	pka validate -kb kb.json -in holdout.csv
+//	pka simulate -scenario survey [-n N] [-seed S] [-out data.csv]
 //
 // All probability output derives from the stored product formula; no raw
 // data is needed after discovery.
@@ -27,6 +30,24 @@ import (
 	"pka"
 )
 
+// subcommands is the one list of pka's subcommands: dispatch and both
+// usage errors read it, in this order.
+var subcommands = []struct {
+	name string
+	run  func(w io.Writer, args []string) error
+}{
+	{"discover", cmdDiscover},
+	{"rules", cmdRules},
+	{"query", cmdQuery},
+	{"explain", cmdExplain},
+	{"serve", cmdServe},
+	{"snapshot", cmdSnapshot},
+	{"tables", cmdTables},
+	{"analyze", cmdAnalyze},
+	{"validate", cmdValidate},
+	{"simulate", cmdSimulate},
+}
+
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pka:", err)
@@ -35,35 +56,21 @@ func main() {
 }
 
 func run(w io.Writer, args []string) error {
+	if len(args) > 0 {
+		for _, c := range subcommands {
+			if c.name == args[0] {
+				return c.run(w, args[1:])
+			}
+		}
+	}
+	names := make([]string, len(subcommands))
+	for i, c := range subcommands {
+		names[i] = c.name
+	}
 	if len(args) == 0 {
-		return fmt.Errorf("usage: pka <discover|rules|query|serve|snapshot|tables> [flags]")
+		return fmt.Errorf("usage: pka <%s> [flags]", strings.Join(names, "|"))
 	}
-	switch args[0] {
-	case "discover":
-		return cmdDiscover(w, args[1:])
-	case "rules":
-		return cmdRules(w, args[1:])
-	case "query":
-		return cmdQuery(w, args[1:])
-	case "tables":
-		return cmdTables(w, args[1:])
-	case "simulate":
-		return cmdSimulate(w, args[1:])
-	case "explain":
-		return cmdExplain(w, args[1:])
-	case "analyze":
-		return cmdAnalyze(w, args[1:])
-	case "validate":
-		return cmdValidate(w, args[1:])
-	case "serve":
-		return cmdServe(w, args[1:])
-	case "snapshot":
-		return cmdSnapshot(w, args[1:])
-	case "bench":
-		return cmdBench(w, args[1:])
-	default:
-		return fmt.Errorf("unknown subcommand %q (want discover, rules, query, serve, snapshot, tables, simulate, explain, analyze, validate, or bench)", args[0])
-	}
+	return fmt.Errorf("unknown subcommand %q (want %s)", args[0], strings.Join(names, ", "))
 }
 
 // cmdExplain prints either the stored formula of a knowledge base or the

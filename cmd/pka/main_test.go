@@ -33,11 +33,20 @@ func writeMemoCSV(t *testing.T) string {
 
 func TestUsageErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, nil); err == nil {
-		t.Error("no args accepted")
+	err := run(&buf, nil)
+	if err == nil {
+		t.Fatal("no args accepted")
 	}
-	if err := run(&buf, []string{"bogus"}); err == nil {
-		t.Error("unknown subcommand accepted")
+	for _, c := range subcommands {
+		if !strings.Contains(err.Error(), c.name) {
+			t.Errorf("usage error %q does not name %q", err, c.name)
+		}
+	}
+	for _, name := range []string{"bogus", "bench"} {
+		err := run(&buf, []string{name})
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("run(%q) = %v, want an unknown subcommand error", name, err)
+		}
 	}
 	if err := run(&buf, []string{"discover"}); err == nil {
 		t.Error("discover without -in accepted")

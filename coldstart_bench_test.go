@@ -9,9 +9,8 @@ import (
 	"pka"
 )
 
-// wideColdStartModel reproduces the bench suite's 24-attribute sparse
-// workload (same seeds, same couplings) so the committed BENCH numbers and
-// `go test -bench ColdStart` measure the same model.
+// wideColdStartModel builds the 24-attribute sparse model (two planted
+// couplings, fixed seed) that the cold-start benchmarks save and reload.
 func wideColdStartModel(tb testing.TB) *pka.Model {
 	attrs := make([]pka.Attribute, 24)
 	for i := range attrs {

@@ -149,13 +149,6 @@ type Options struct {
 	// ScreenCIAlpha is the p-value above which a conditional test counts
 	// as independent (larger prunes more); 0 means 0.05.
 	ScreenCIAlpha float64
-	// CacheBytes sizes the engine-tier serving cache: cross-request
-	// memoization of evidence denominators, conditional-slice sweeps, and
-	// MPE completions, keyed by model version so every Update invalidates
-	// implicitly. 0 (the default) disables caching; negative means
-	// unbounded. The knob is serving configuration, not model state — it
-	// does not travel in snapshots (call EnableCache after loading).
-	CacheBytes int64
 }
 
 // Model is a discovered probabilistic knowledge base. It carries the full
@@ -267,9 +260,6 @@ func discoverCounts(table contingency.Counts, schema *Schema, opts Options) (*Mo
 	}
 	m := &Model{result: res, fit: fit, counts: table, opts: opts}
 	m.kbase.Store(kbase)
-	if opts.CacheBytes != 0 {
-		m.enableCache(opts.CacheBytes)
-	}
 	return m, nil
 }
 
@@ -366,9 +356,12 @@ func (m *Model) Update(rows []Record) (UpdateReport, error) {
 	return rep, nil
 }
 
-// EnableCache sizes the engine-tier serving cache on a live model (the
-// Options.CacheBytes knob, applied after construction — e.g. on a model
-// restored with LoadModelSnapshot). capacityBytes == 0 is a no-op;
+// EnableCache sizes the engine-tier serving cache on a live model:
+// cross-request memoization of evidence denominators, conditional-slice
+// sweeps, and MPE completions, keyed by model version so every Update
+// invalidates implicitly. The cache is serving configuration, not model
+// state, so it does not travel in snapshots: call EnableCache after
+// discovery or after LoadModelSnapshot. capacityBytes == 0 is a no-op;
 // negative means unbounded. Safe to call while the model serves queries;
 // it serializes with Update.
 func (m *Model) EnableCache(capacityBytes int64) {
