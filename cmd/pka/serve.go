@@ -51,7 +51,7 @@ func cmdServe(w io.Writer, args []string) error {
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "max queries per batch request (0 = default)")
 	fs.IntVar(&cfg.maxObserve, "max-observe", 0, "max rows per observe request (0 = default)")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 32<<20, "serving-cache capacity in bytes per tier (0 disables, negative unbounded)")
-	fs.IntVar(&cfg.workers, "workers", 0, "server-wide worker budget for batch queries, plus startup-discovery parallelism (0 = all cores, 1 = serial)")
+	fs.IntVar(&cfg.workers, "workers", 0, "with -data: startup-discovery parallelism (0 = all cores, 1 = serial)")
 	fs.IntVar(&cfg.maxCard, "max-card", 64, "with -data: reject CSV columns with more distinct values than this")
 	fs.IntVar(&cfg.maxOrder, "max-order", 0, "with -data: highest attribute-family order to scan (0 = all)")
 	fs.BoolVar(&cfg.sparse, "sparse", false, "with -data: wide-schema mode (sparse tabulation, factored engine)")
@@ -96,7 +96,6 @@ func (c serveConfig) serverOptions() server.Options {
 	return server.Options{
 		MaxBatch:       c.maxBatch,
 		MaxObserveRows: c.maxObserve,
-		Workers:        c.workers,
 		CacheBytes:     c.cacheBytes,
 	}
 }

@@ -99,9 +99,9 @@ func ExampleAnswer() {
 	// P(cancer | smoker) = 0.186
 }
 
-// ExampleAnswerBatch answers a same-evidence group of queries in one
-// batch: the evidence is validated and priced once and the conditionals
-// are served from one engine sweep, bit-identical to per-query Answer.
+// ExampleAnswerBatch answers three queries on one evidence set in one
+// batch: the evidence is priced once and shared through the engine memo,
+// and every answer is bit-identical to per-query Answer.
 func ExampleAnswerBatch() {
 	model, err := pka.DiscoverTable(paperdata.Table(), paperdata.Schema(), pka.Options{})
 	if err != nil {

@@ -57,8 +57,8 @@ func main() {
 	decode(res, &one)
 	fmt.Printf("P(CANCER=Yes | SMOKING=Smoker) = %.3f\n\n", one.Probability)
 
-	// A batch sharing one evidence set: the server validates the evidence
-	// once and answers the group from one conditional-slice sweep.
+	// A batch sharing one evidence set: the server answers every query
+	// from one model snapshot and prices the shared evidence once.
 	smoker := []pka.Assignment{{Attr: "SMOKING", Value: "Smoker"}}
 	batch := struct {
 		Queries []pka.Query `json:"queries"`

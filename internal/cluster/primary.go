@@ -124,8 +124,8 @@ func (p *Primary) CacheStats() []query.CacheTierStats {
 }
 
 // KnowledgeBase exposes the bank's compiled knowledge base when it carries
-// one, keeping the batch endpoint's shared-session fast path intact behind
-// the primary wrapper (nil falls back to per-query execution).
+// one, so a batch behind the primary wrapper answers every query from one
+// snapshot (nil falls back to per-query execution).
 func (p *Primary) KnowledgeBase() *kb.KnowledgeBase {
 	if kp, ok := p.Bank.(interface{ KnowledgeBase() *kb.KnowledgeBase }); ok {
 		return kp.KnowledgeBase()

@@ -101,9 +101,10 @@ func BootReplica(ctx context.Context, primaryURL string, load BankLoader, poll t
 // primary — version-gated read-your-writes.
 func (r *Replica) Version() int64 { return r.applied.Load() }
 
-// KnowledgeBase keeps the batch endpoint's shared-session fast path on
-// replicas (each batch grabs the current snapshot; a concurrent apply
-// swaps the next one in atomically, exactly as on the primary).
+// KnowledgeBase exposes the booted bank's compiled knowledge base, so a
+// batch on a replica answers every query from one snapshot (each batch
+// grabs the current one; a concurrent apply swaps the next one in
+// atomically, exactly as on the primary).
 func (r *Replica) KnowledgeBase() *kb.KnowledgeBase {
 	if kp, ok := r.bank.(interface{ KnowledgeBase() *kb.KnowledgeBase }); ok {
 		return kp.KnowledgeBase()

@@ -11,17 +11,17 @@ import (
 // The engine-tier (L2) cache: a knowledge base optionally carries a
 // version-keyed memo.Cache and serves its engine primitives — joint
 // probabilities (the shared conditional denominators), conditional-slice
-// sweeps, and MPE argmax passes — from it across requests. This promotes
-// the intra-batch reuse of Batch to cross-request scope: the same cache
-// feeds single queries and every Batch created on the view.
+// sweeps, and MPE argmax passes — from it. A model arms one across
+// requests; query.AnswerBatch arms one per batch when the model has none,
+// so the queries of a batch price their shared work once.
 //
 // Cached values are immutable once inserted (pkalint's memoimmut rule):
 // float64s copy by value, numerator slices are returned to callers as
 // read-only views, and Explanations are copied on every hit.
 
 // keyScratchPool pools the byte buffers cache keys render into: a
-// knowledge base is queried from many goroutines at once (unlike Batch,
-// which owns a single scratch), so each rendering borrows a buffer.
+// knowledge base is queried from many goroutines at once, so each
+// rendering borrows a buffer.
 var keyScratchPool = sync.Pool{New: func() any { return new(cacheKeyBuf) }}
 
 type cacheKeyBuf struct{ buf []byte }
@@ -42,9 +42,9 @@ func (k *KnowledgeBase) WithCache(c *memo.Cache, version int64) *KnowledgeBase {
 // serving layer reads its Stats for GET /v1/stats.
 func (k *KnowledgeBase) Cache() *memo.Cache { return k.cache }
 
-// appendAssignKey renders a resolved assignment canonically — the same
-// (VarSet key, ascending values) form Batch.canonKey uses, so one evidence
-// set hits the same entry no matter which surface asked.
+// appendAssignKey renders a resolved assignment canonically as its VarSet
+// key and ascending values, so every ordering of one evidence set hits the
+// same entry.
 func appendAssignKey(dst []byte, vs contingency.VarSet, values []int) []byte {
 	dst = vs.AppendKey(dst)
 	for _, v := range values {
@@ -55,11 +55,10 @@ func appendAssignKey(dst []byte, vs contingency.VarSet, values []int) []byte {
 }
 
 // cachedProb is eng.Prob behind the cache: key "p|" + canonical
-// assignment. The hit flag lets Batch keep its Evals counter honest.
-func (k *KnowledgeBase) cachedProb(vs contingency.VarSet, values []int) (float64, bool, error) {
+// assignment.
+func (k *KnowledgeBase) cachedProb(vs contingency.VarSet, values []int) (float64, error) {
 	if k.cache == nil {
-		p, err := k.eng.Prob(vs, values)
-		return p, false, err
+		return k.eng.Prob(vs, values)
 	}
 	ks := keyScratchPool.Get().(*cacheKeyBuf)
 	key := append(ks.buf[:0], 'p', '|')
@@ -67,14 +66,14 @@ func (k *KnowledgeBase) cachedProb(vs contingency.VarSet, values []int) (float64
 	ks.buf = key
 	if v, ok := k.cache.Get(key, k.cacheVersion); ok {
 		keyScratchPool.Put(ks)
-		return v.(float64), true, nil
+		return v.(float64), nil
 	}
 	p, err := k.eng.Prob(vs, values)
 	if err == nil {
 		k.cache.Put(key, k.cacheVersion, p, 8)
 	}
 	keyScratchPool.Put(ks)
-	return p, false, err
+	return p, err
 }
 
 // cachedMarginal is eng.MarginalGiven behind the cache: the conditional-
@@ -83,10 +82,9 @@ func (k *KnowledgeBase) cachedProb(vs contingency.VarSet, values []int) (float64
 // clamp vector and is only invoked on a miss, so hits skip building it.
 // The returned slice is the published cache value: callers must treat it
 // as read-only.
-func (k *KnowledgeBase) cachedMarginal(vs contingency.VarSet, values []int, pos int, fixed func() []int) ([]float64, bool, error) {
+func (k *KnowledgeBase) cachedMarginal(vs contingency.VarSet, values []int, pos int, fixed func() []int) ([]float64, error) {
 	if k.cache == nil {
-		nums, err := k.eng.MarginalGiven(contingency.NewVarSet(pos), fixed())
-		return nums, false, err
+		return k.eng.MarginalGiven(contingency.NewVarSet(pos), fixed())
 	}
 	ks := keyScratchPool.Get().(*cacheKeyBuf)
 	key := append(ks.buf[:0], 'm', '|')
@@ -96,26 +94,26 @@ func (k *KnowledgeBase) cachedMarginal(vs contingency.VarSet, values []int, pos 
 	ks.buf = key
 	if v, ok := k.cache.Get(key, k.cacheVersion); ok {
 		keyScratchPool.Put(ks)
-		return v.([]float64), true, nil
+		return v.([]float64), nil
 	}
 	nums, err := k.eng.MarginalGiven(contingency.NewVarSet(pos), fixed())
 	if err == nil {
 		k.cache.Put(key, k.cacheVersion, nums, int64(8*len(nums)))
 	}
 	keyScratchPool.Put(ks)
-	return nums, false, err
+	return nums, err
 }
 
 // cachedMPE is eng.MaxCell + labeling behind the cache, keyed "x|" +
 // canonical evidence. Hits return a fresh copy so callers may keep or
 // mutate their Explanation freely; the cached value stays frozen.
-func (k *KnowledgeBase) cachedMPE(vs contingency.VarSet, values []int, fixed func() []int) (Explanation, bool, error) {
+func (k *KnowledgeBase) cachedMPE(vs contingency.VarSet, values []int, fixed func() []int) (Explanation, error) {
 	if k.cache == nil {
 		best, bestP, err := k.eng.MaxCell(fixed())
 		if err != nil {
-			return Explanation{}, false, err
+			return Explanation{}, err
 		}
-		return k.explanationFrom(best, bestP), false, nil
+		return k.explanationFrom(best, bestP), nil
 	}
 	ks := keyScratchPool.Get().(*cacheKeyBuf)
 	key := append(ks.buf[:0], 'x', '|')
@@ -123,17 +121,25 @@ func (k *KnowledgeBase) cachedMPE(vs contingency.VarSet, values []int, fixed fun
 	ks.buf = key
 	if v, ok := k.cache.Get(key, k.cacheVersion); ok {
 		keyScratchPool.Put(ks)
-		return copyExplanation(v.(Explanation)), true, nil
+		return copyExplanation(v.(Explanation)), nil
 	}
 	best, bestP, err := k.eng.MaxCell(fixed())
 	if err != nil {
 		keyScratchPool.Put(ks)
-		return Explanation{}, false, err
+		return Explanation{}, err
 	}
 	exp := k.explanationFrom(best, bestP)
 	k.cache.Put(key, k.cacheVersion, exp, explanationCost(exp))
 	keyScratchPool.Put(ks)
-	return copyExplanation(exp), false, nil
+	return copyExplanation(exp), nil
+}
+
+// copyExplanation guards the cached completion from caller mutation.
+func copyExplanation(e Explanation) Explanation {
+	return Explanation{
+		Assignments: append([]Assignment(nil), e.Assignments...),
+		Probability: e.Probability,
+	}
 }
 
 // explanationCost estimates an Explanation's resident bytes for the

@@ -107,6 +107,19 @@ func (k *KnowledgeBase) resolve(assigns []Assignment) (contingency.VarSet, []int
 	return vs, values, nil
 }
 
+// clamp renders a resolved assignment as the engine's full-width fixed
+// vector: each assigned position holds its value, every other one -1.
+func (k *KnowledgeBase) clamp(vs contingency.VarSet, values []int) []int {
+	fixed := make([]int, k.schema.R())
+	for i := range fixed {
+		fixed[i] = -1
+	}
+	for i, p := range vs.Members() {
+		fixed[p] = values[i]
+	}
+	return fixed
+}
+
 // Probability returns the joint probability of the given assignments.
 // With no assignments it returns 1 (the empty event is certain).
 func (k *KnowledgeBase) Probability(assigns ...Assignment) (float64, error) {
@@ -117,12 +130,11 @@ func (k *KnowledgeBase) Probability(assigns ...Assignment) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	p, _, err := k.cachedProb(vs, values)
-	return p, err
+	return k.cachedProb(vs, values)
 }
 
 // errZeroEvidence is the one rendering of the zero-probability-evidence
-// failure, shared by the per-query and batch paths.
+// failure, shared by Conditional and Distribution.
 func errZeroEvidence(given []Assignment) error {
 	return fmt.Errorf("kb: conditioning on zero-probability evidence %v", given)
 }
@@ -170,7 +182,7 @@ func (k *KnowledgeBase) Distribution(attr string, given ...Assignment) (map[stri
 	}
 	denom := 1.0
 	if len(given) > 0 {
-		denom, _, err = k.cachedProb(gvs, gvals)
+		denom, err = k.cachedProb(gvs, gvals)
 		if err != nil {
 			return nil, err
 		}
@@ -178,26 +190,10 @@ func (k *KnowledgeBase) Distribution(attr string, given ...Assignment) (map[stri
 			return nil, errZeroEvidence(given)
 		}
 	}
-	nums, _, err := k.cachedMarginal(gvs, gvals, pos, func() []int {
-		fixed := make([]int, k.schema.R())
-		for i := range fixed {
-			fixed[i] = -1
-		}
-		for i, p := range gvs.Members() {
-			fixed[p] = gvals[i]
-		}
-		return fixed
-	})
+	nums, err := k.cachedMarginal(gvs, gvals, pos, func() []int { return k.clamp(gvs, gvals) })
 	if err != nil {
 		return nil, err
 	}
-	return buildDistribution(a, nums, denom)
-}
-
-// buildDistribution assembles a conditional distribution from slice
-// numerators and the evidence denominator, guarding that an exhaustive
-// range sums to 1 — the one body behind the per-query and batch paths.
-func buildDistribution(a dataset.Attribute, nums []float64, denom float64) (map[string]float64, error) {
 	out := make(map[string]float64, a.Card())
 	total := 0.0
 	for i, v := range a.Values {
@@ -211,18 +207,6 @@ func buildDistribution(a dataset.Attribute, nums []float64, denom float64) (map[
 	return out, nil
 }
 
-// mostLikelyFrom picks the distribution's argmax in value-label order
-// (ties break toward the earlier label).
-func mostLikelyFrom(a dataset.Attribute, dist map[string]float64) (string, float64) {
-	best, bestP := "", -1.0
-	for _, v := range a.Values {
-		if dist[v] > bestP {
-			best, bestP = v, dist[v]
-		}
-	}
-	return best, bestP
-}
-
 // MostLikely returns the most probable value of attr given the evidence and
 // its probability; ties break toward the earlier value label.
 func (k *KnowledgeBase) MostLikely(attr string, given ...Assignment) (string, float64, error) {
@@ -234,7 +218,12 @@ func (k *KnowledgeBase) MostLikely(attr string, given ...Assignment) (string, fl
 	if err != nil {
 		return "", 0, err
 	}
-	best, bestP := mostLikelyFrom(a, dist)
+	best, bestP := "", -1.0
+	for _, v := range a.Values {
+		if dist[v] > bestP {
+			best, bestP = v, dist[v]
+		}
+	}
 	return best, bestP, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"pka/internal/core"
 	"pka/internal/dataset"
 	"pka/internal/maxent"
+	"pka/internal/memo"
 )
 
 // memoSchema mirrors the memo's questionnaire.
@@ -338,6 +339,57 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {
 			t.Errorf("corrupt KB accepted: %s", c)
+		}
+	}
+}
+
+// TestBatchErrorParity: validation failures must match the per-query
+// messages exactly, so batch serving is indistinguishable to clients.
+// Batches answer through a cache-armed view of the knowledge base, so
+// each failing query runs on the plain KB and, twice, on a cached view:
+// a miss must not change the message, and an error must not be memoized
+// into a different one.
+func TestBatchErrorParity(t *testing.T) {
+	k := memoKB(t)
+	cached := k.WithCache(memo.New(-1), 0)
+	cases := []struct {
+		name string
+		run  func(*KnowledgeBase) error
+	}{
+		{"unknown evidence attr", func(k *KnowledgeBase) error {
+			_, err := k.Conditional([]Assignment{{Attr: "CANCER", Value: "Yes"}}, []Assignment{{Attr: "NOPE", Value: "x"}})
+			return err
+		}},
+		{"unknown target value", func(k *KnowledgeBase) error {
+			_, err := k.Conditional([]Assignment{{Attr: "CANCER", Value: "Maybe"}}, nil)
+			return err
+		}},
+		{"contradictory evidence", func(k *KnowledgeBase) error {
+			_, err := k.Probability(Assignment{Attr: "CANCER", Value: "Yes"}, Assignment{Attr: "CANCER", Value: "No"})
+			return err
+		}},
+		{"self-conditioning", func(k *KnowledgeBase) error {
+			_, err := k.Distribution("CANCER", Assignment{Attr: "CANCER", Value: "Yes"})
+			return err
+		}},
+		{"unknown distribution attr", func(k *KnowledgeBase) error {
+			_, err := k.Distribution("NOPE")
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		perErr := tc.run(k)
+		if perErr == nil {
+			t.Fatalf("%s: expected an error from the plain KB", tc.name)
+		}
+		for pass := 0; pass < 2; pass++ {
+			batErr := tc.run(cached)
+			if batErr == nil {
+				t.Fatalf("%s (pass %d): expected an error from the cached KB", tc.name, pass)
+			}
+			if perErr.Error() != batErr.Error() {
+				t.Errorf("%s (pass %d): per-query %q, cached %q", tc.name, pass, perErr, batErr)
+			}
 		}
 	}
 }

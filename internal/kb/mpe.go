@@ -25,28 +25,17 @@ func (k *KnowledgeBase) MostProbableExplanation(given ...Assignment) (Explanatio
 	if err != nil {
 		return Explanation{}, err
 	}
-	pEvidence, _, err := k.cachedProb(vs, values)
+	pEvidence, err := k.cachedProb(vs, values)
 	if err != nil {
 		return Explanation{}, err
 	}
 	if pEvidence == 0 {
 		return Explanation{}, fmt.Errorf("kb: evidence %v has zero probability", given)
 	}
-	exp, _, err := k.cachedMPE(vs, values, func() []int {
-		fixed := make([]int, k.schema.R())
-		for i := range fixed {
-			fixed[i] = -1
-		}
-		for mi, pos := range vs.Members() {
-			fixed[pos] = values[mi]
-		}
-		return fixed
-	})
-	return exp, err
+	return k.cachedMPE(vs, values, func() []int { return k.clamp(vs, values) })
 }
 
-// explanationFrom labels a full cell as an Explanation — shared by the
-// per-query and batch MPE paths.
+// explanationFrom labels a full cell as an Explanation.
 func (k *KnowledgeBase) explanationFrom(best []int, p float64) Explanation {
 	out := Explanation{Probability: p}
 	for pos := 0; pos < k.schema.R(); pos++ {

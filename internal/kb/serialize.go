@@ -81,7 +81,11 @@ func Load(r io.Reader) (*KnowledgeBase, error) {
 	if err := json.Unmarshal(doc.Model, &model); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidFormat, err)
 	}
-	return New(schema, &model)
+	k, err := New(schema, &model)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidFormat, err)
+	}
+	return k, nil
 }
 
 // SaveBinary writes the knowledge base as a PKAS binary snapshot: schema,

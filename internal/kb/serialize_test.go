@@ -25,6 +25,15 @@ func TestLoadInvalidFormat(t *testing.T) {
 		{"missing version", `{"attributes": [], "model": {}}`},
 		{"bad schema", `{"version": 1, "attributes": [{"name": "", "values": ["a"]}], "model": {}}`},
 		{"bad model", `{"version": 1, "attributes": [{"name": "A", "values": ["a", "b"]}], "model": "nope"}`},
+		{"schema and model disagree", `{"version":1,"attributes":[{"name":"A","values":["x","y"]}],"model":{"names":["A"],"cards":[3],"a0":1}}`},
+		// Hostile positions and coefficients in an otherwise valid
+		// two-attribute document: positions outside the schema must not
+		// reach the VarSet constructor, and a negative coefficient would
+		// answer negative probabilities.
+		{"negative constraint position", twoAttrKB("[-1]", "[0]", "[1,1]")},
+		{"constraint position past MaxVars", twoAttrKB("[70000]", "[0]", "[1,1]")},
+		{"negative family position", twoAttrKB("[0]", "[-3]", "[1,1]")},
+		{"negative coefficient", twoAttrKB("[0]", "[0]", "[-5,1]")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,6 +43,16 @@ func TestLoadInvalidFormat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// twoAttrKB renders a knowledge base over attributes A and B with one
+// constraint family and one coefficient family, their positions and
+// coefficients spliced in as JSON. twoAttrKB("[0]", "[0]", "[1,1]") loads.
+func twoAttrKB(family, vars, coeffs string) string {
+	return `{"version":1,"attributes":[{"name":"A","values":["x","y"]},{"name":"B","values":["p","q"]}],` +
+		`"model":{"names":["A","B"],"cards":[2,2],"a0":0.25,` +
+		`"constraints":[{"family":` + family + `,"values":[0],"target":0.5}],` +
+		`"families":[{"vars":` + vars + `,"coeffs":` + coeffs + `}]}}`
 }
 
 // TestBinaryRoundTrip checks SaveBinary/LoadBinary preserve the engine:
@@ -93,5 +112,18 @@ func TestLoadAnyDispatch(t *testing.T) {
 	}
 	if _, err := LoadAny(bytes.NewReader(append([]byte(snapshot.Magic), 0x00))); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Errorf("LoadAny(truncated snapshot) = %v, want snapshot.ErrTruncated", err)
+	}
+}
+
+// TestTwoAttrKBLoads pins the baseline the hostile documents in
+// TestLoadInvalidFormat are spliced from: unmodified, it loads and answers
+// P(A=x) = 0.5.
+func TestTwoAttrKBLoads(t *testing.T) {
+	k, err := Load(strings.NewReader(twoAttrKB("[0]", "[0]", "[1,1]")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := k.Probability(Assignment{Attr: "A", Value: "x"}); err != nil || p != 0.5 {
+		t.Fatalf("P(A=x) = %v, %v; want 0.5", p, err)
 	}
 }

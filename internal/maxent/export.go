@@ -125,6 +125,9 @@ func RestoreModel(st *ModelState) (*Model, error) {
 			return nil, fmt.Errorf("maxent: restoring model: family %v has %d coefficients, want %d",
 				fs.Vars, len(fs.Coeffs), size)
 		}
+		if err := checkCoeffs(fs.Coeffs); err != nil {
+			return nil, fmt.Errorf("maxent: restoring model: family %v: %w", fs.Vars, err)
+		}
 		vs := contingency.NewVarSet(fs.Vars...)
 		if _, dup := nm.families[vs]; dup {
 			return nil, fmt.Errorf("maxent: restoring model: duplicate coefficient family %v", vs)

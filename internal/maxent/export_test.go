@@ -127,6 +127,15 @@ func TestRestoreModelValidation(t *testing.T) {
 		{"family members unsorted", func(st *ModelState) {
 			st.Families[0].Vars = []int{1, 0}
 		}, "not ascending"},
+		{"negative coefficient", func(st *ModelState) {
+			st.Families[0].Coeffs[0] = -5
+		}, "want finite and non-negative"},
+		{"nan coefficient", func(st *ModelState) {
+			st.Families[0].Coeffs[0] = math.NaN()
+		}, "want finite and non-negative"},
+		{"infinite coefficient", func(st *ModelState) {
+			st.Families[0].Coeffs[0] = math.Inf(1)
+		}, "want finite and non-negative"},
 		{"zero a0", func(st *ModelState) { st.A0 = 0 }, "degenerate a0"},
 		{"nan a0 rejected", func(st *ModelState) { st.A0 = math.NaN() }, "degenerate a0"},
 	}

@@ -349,6 +349,11 @@ func TestModelJSONRejectsCorrupt(t *testing.T) {
 		`{"names":["A"],"cards":[2],"a0":1,"constraints":[],"families":[{"vars":[0],"coeffs":[1,1]}]}`,
 		`{"names":["A"],"cards":[2],"a0":1,"constraints":[{"family":[0],"values":[0],"target":2}],"families":[]}`,
 		`{"names":[],"cards":[],"a0":1}`,
+		// A constraint family without its coefficients, and one whose
+		// cardinality claims far more cells than the document carries.
+		`{"names":["A"],"cards":[2],"a0":1,"constraints":[{"family":[0],"values":[0],"target":0.5}],"families":[]}`,
+		`{"names":["A"],"cards":[4000000000],"a0":1,"constraints":[{"family":[0],"values":[0],"target":0.5}],"families":[{"vars":[0],"coeffs":[1,1]}]}`,
+		`{"names":["A","B"],"cards":[4611686018427387905,4],"a0":1,"constraints":[{"family":[0,1],"values":[0,0],"target":0.5}],"families":[{"vars":[0,1],"coeffs":[1,1,1,1]}]}`,
 		`garbage`,
 	}
 	for _, c := range cases {

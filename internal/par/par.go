@@ -4,8 +4,8 @@
 //
 // The paper's procedure is embarrassingly parallel at every level —
 // pairwise association screening, per-family MML scans, the independent
-// constraint blocks of the maximum-entropy fit, and per-evidence-group
-// batch query execution — and each of those loops shares the same shape:
+// constraint blocks of the maximum-entropy fit, and the queries of a
+// batch — and each of those loops shares the same shape:
 // n independent tasks, each writing its result into slot i of a
 // pre-allocated slice, reduced afterwards in index order. Do runs exactly
 // that shape. Because workers only ever write their own slot and the

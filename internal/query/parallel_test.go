@@ -2,11 +2,12 @@ package query
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"pka/internal/kb"
+	"pka/internal/memo"
 )
 
 // mixedBatch builds a workload spanning every query kind, several
@@ -57,9 +58,33 @@ func wireBytes(t *testing.T, results []Result) []string {
 	return out
 }
 
-// TestAnswerBatchParallelBitIdentical executes the mixed workload — and a
-// seeded shuffle of it — serially and at several worker counts, and
-// demands byte-identical wire encodings slot for slot.
+// assertPerQueryWire demands that each batch slot's wire encoding equals
+// what per-query Answer on m gives for the same query.
+func assertPerQueryWire(t *testing.T, m Querier, queries []Query, got []Result) {
+	t.Helper()
+	if len(got) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(got), len(queries))
+	}
+	gotWire := wireBytes(t, got)
+	for i, qu := range queries {
+		res, err := Answer(m, qu)
+		if err != nil {
+			res = Result{Kind: qu.Kind, Error: err.Error()}
+		}
+		b, merr := json.Marshal(res)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if string(b) != gotWire[i] {
+			t.Fatalf("slot %d: batch %s != per-query %s", i, gotWire[i], b)
+		}
+	}
+}
+
+// TestAnswerBatchParallelBitIdentical executes the mixed workload — and
+// seeded shuffles of it — as a batch, whose queries fan out over the
+// workers, and demands wire encodings byte-identical to per-query Answer,
+// slot for slot.
 func TestAnswerBatchParallelBitIdentical(t *testing.T) {
 	m := memoModel(t)
 	base := mixedBatch()
@@ -71,123 +96,108 @@ func TestAnswerBatchParallelBitIdentical(t *testing.T) {
 				queries[i], queries[j] = queries[j], queries[i]
 			})
 		}
-		serial, err := AnswerBatchWorkers(m, queries, 1)
+		got, err := AnswerBatch(m, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialWire := wireBytes(t, serial)
-		// The serial batch must itself match per-query answers.
-		for i, qu := range queries {
-			res, err := Answer(m, qu)
-			if err != nil {
-				res = Result{Kind: qu.Kind, Error: err.Error()}
-			}
-			b, merr := json.Marshal(res)
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			if string(b) != serialWire[i] {
-				t.Fatalf("shuffle %d: serial batch slot %d %s != per-query %s",
-					shuffleSeed, i, serialWire[i], b)
-			}
-		}
-		for _, workers := range []int{0, 2, 3, 16} {
-			par, err := AnswerBatchWorkers(m, queries, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parWire := wireBytes(t, par)
-			for i := range serialWire {
-				if parWire[i] != serialWire[i] {
-					t.Fatalf("shuffle=%d workers=%d: slot %d\nparallel %s\nserial   %s",
-						shuffleSeed, workers, i, parWire[i], serialWire[i])
-				}
-			}
-		}
+		assertPerQueryWire(t, m, queries, got)
 	}
 }
 
 // TestAnswerBatchWorkersPlainQuerier: implementations without a knowledge
-// base still answer per query, any worker count.
+// base are answered one query at a time, matching per-query Answer.
 func TestAnswerBatchWorkersPlainQuerier(t *testing.T) {
 	m := memoModel(t)
 	queries := mixedBatch()
-	serial, err := AnswerBatchWorkers(plainQuerier{m}, queries, 1)
+	got, err := AnswerBatch(plainQuerier{m}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := AnswerBatchWorkers(plainQuerier{m}, queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialWire, parWire := wireBytes(t, serial), wireBytes(t, par)
-	for i := range serialWire {
-		if serialWire[i] != parWire[i] {
-			t.Fatalf("slot %d: %s != %s", i, parWire[i], serialWire[i])
-		}
-	}
+	assertPerQueryWire(t, m, queries, got)
 }
 
 // TestAnswerBatchWorkersEmpty keeps the degenerate shapes stable.
 func TestAnswerBatchWorkersEmpty(t *testing.T) {
 	m := memoModel(t)
-	for _, workers := range []int{1, 4} {
-		out, err := AnswerBatchWorkers(m, nil, workers)
+	for _, querier := range []Querier{m, plainQuerier{m}} {
+		out, err := AnswerBatch(querier, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(out) != 0 {
-			t.Fatalf("workers=%d: %d results for empty batch", workers, len(out))
+			t.Fatalf("%d results for empty batch", len(out))
 		}
 	}
-	if _, err := AnswerBatchWorkers(nil, mixedBatch(), 4); err == nil {
+	if _, err := AnswerBatch(nil, mixedBatch()); err == nil {
 		t.Fatal("nil querier accepted")
 	}
 }
 
-// TestEvidenceGroupKey pins the grouping invariant: same set in any
-// order → same key; different sets → different keys; quoting prevents
-// collisions between crafted names.
-func TestEvidenceGroupKey(t *testing.T) {
-	a := []kb.Assignment{{Attr: "A", Value: "x"}, {Attr: "B", Value: "y"}}
-	b := []kb.Assignment{{Attr: "B", Value: "y"}, {Attr: "A", Value: "x"}}
-	if evidenceGroupKey(a) != evidenceGroupKey(b) {
-		t.Error("orderings of one evidence set keyed differently")
-	}
-	c := []kb.Assignment{{Attr: "A", Value: "x"}}
-	if evidenceGroupKey(a) == evidenceGroupKey(c) {
-		t.Error("distinct evidence sets share a key")
-	}
-	// A crafted value embedding the separator must not collide.
-	d := []kb.Assignment{{Attr: "A", Value: `x","B"="y`}}
-	if evidenceGroupKey(a) == evidenceGroupKey(d) {
-		t.Error("crafted value collides with a two-assignment set")
-	}
-	if evidenceGroupKey(nil) != "" {
-		t.Error("empty evidence key not empty")
-	}
-	if fmt.Sprint(evidenceGroupKey(c)) == "" {
-		t.Error("non-empty evidence keyed empty")
-	}
+// countingQuerier records how a batch reaches the model: snapshots taken
+// through KnowledgeBase, and calls to the querier's own query methods.
+type countingQuerier struct {
+	*memoQuerier
+	snapshots, direct atomic.Int64
 }
 
-// TestCountEvidenceGroups pins the width estimator the server's worker
-// budget keys on.
-func TestCountEvidenceGroups(t *testing.T) {
-	smoker := []kb.Assignment{{Attr: "SMOKING", Value: "Smoker"}}
-	both := []kb.Assignment{{Attr: "SMOKING", Value: "Smoker"}, {Attr: "FAMILY HISTORY", Value: "Yes"}}
-	bothRev := []kb.Assignment{{Attr: "FAMILY HISTORY", Value: "Yes"}, {Attr: "SMOKING", Value: "Smoker"}}
-	if got := CountEvidenceGroups(nil); got != 0 {
-		t.Errorf("empty batch: %d groups, want 0", got)
+func (c *countingQuerier) KnowledgeBase() *kb.KnowledgeBase {
+	c.snapshots.Add(1)
+	return c.memoQuerier.KnowledgeBase()
+}
+func (c *countingQuerier) Probability(assigns ...kb.Assignment) (float64, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.Probability(assigns...)
+}
+func (c *countingQuerier) Conditional(target, given []kb.Assignment) (float64, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.Conditional(target, given)
+}
+func (c *countingQuerier) Distribution(attr string, given ...kb.Assignment) (map[string]float64, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.Distribution(attr, given...)
+}
+func (c *countingQuerier) MostLikely(attr string, given ...kb.Assignment) (string, float64, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.MostLikely(attr, given...)
+}
+func (c *countingQuerier) Lift(target kb.Assignment, given ...kb.Assignment) (float64, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.Lift(target, given...)
+}
+func (c *countingQuerier) MostProbableExplanation(given ...kb.Assignment) (kb.Explanation, error) {
+	c.direct.Add(1)
+	return c.memoQuerier.MostProbableExplanation(given...)
+}
+
+// TestAnswerBatchOneSnapshot: a batch reads the querier's knowledge base
+// exactly once and answers every query from that snapshot, never through
+// the querier's own query methods (which, on a streaming model, could each
+// see a different version). A snapshot that carries an engine memo is the
+// one the batch prices its shared work through.
+func TestAnswerBatchOneSnapshot(t *testing.T) {
+	m := memoModel(t)
+	cache := memo.New(1 << 20)
+	for name, inner := range map[string]*memoQuerier{
+		"no-memo":  m,
+		"own-memo": {k: m.k.WithCache(cache, 0)},
+	} {
+		c := &countingQuerier{memoQuerier: inner}
+		queries := mixedBatch()
+		got, err := AnswerBatch(c, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.snapshots.Load(); n != 1 {
+			t.Errorf("%s: KnowledgeBase called %d times per batch, want 1", name, n)
+		}
+		if n := c.direct.Load(); n != 0 {
+			t.Errorf("%s: %d queries answered through the querier's own methods, want 0", name, n)
+		}
+		assertPerQueryWire(t, m, queries, got)
 	}
-	queries := []Query{
-		{Kind: KindProbability, Target: smoker},          // no evidence
-		{Kind: KindConditional, Target: smoker},          // no evidence: same group
-		{Kind: KindMPE, Given: smoker},                   // group 2
-		{Kind: KindDistribution, Attr: "X", Given: both}, // group 3
-		{Kind: KindMPE, Given: bothRev},                  // same set as group 3
-	}
-	if got := CountEvidenceGroups(queries); got != 3 {
-		t.Errorf("%d groups, want 3", got)
+	// mixedBatch repeats its queries, so the model's memo must have served
+	// hits, not merely recorded misses.
+	if st := cache.Stats(); st.Hits == 0 || st.Entries == 0 {
+		t.Errorf("model memo unused by the batch: %+v", st)
 	}
 }

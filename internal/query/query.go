@@ -11,13 +11,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 
 	"pka/internal/contingency"
 	"pka/internal/dataset"
 	"pka/internal/kb"
+	"pka/internal/memo"
 	"pka/internal/par"
 	"pka/internal/rules"
 )
@@ -175,6 +173,18 @@ func EncodeResult(w io.Writer, res Result) error {
 	return json.NewEncoder(w).Encode(res)
 }
 
+// answerer is the probabilistic method set Answer dispatches through.
+// Every Querier has it, and so does a *kb.KnowledgeBase, which
+// AnswerBatch answers against directly.
+type answerer interface {
+	Probability(assigns ...kb.Assignment) (float64, error)
+	Conditional(target, given []kb.Assignment) (float64, error)
+	Distribution(attr string, given ...kb.Assignment) (map[string]float64, error)
+	MostLikely(attr string, given ...kb.Assignment) (string, float64, error)
+	Lift(target kb.Assignment, given ...kb.Assignment) (float64, error)
+	MostProbableExplanation(given ...kb.Assignment) (kb.Explanation, error)
+}
+
 // Answer executes one query against the model. The error return carries
 // validation and model failures; Result.Error stays empty on this path
 // (it is filled by AnswerBatch, which must report per-query failures).
@@ -182,6 +192,10 @@ func Answer(q Querier, qu Query) (Result, error) {
 	if q == nil {
 		return Result{}, fmt.Errorf("query: nil querier")
 	}
+	return answer(q, qu)
+}
+
+func answer(q answerer, qu Query) (Result, error) {
 	if err := qu.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -227,155 +241,54 @@ func Answer(q Querier, qu Query) (Result, error) {
 	return res, nil
 }
 
-// kbProvider is the seam the batch fast path keys on: queriers backed by a
-// compiled knowledge base expose it, and their queries are served through
-// a kb.Batch session — evidence validated and priced once per distinct
-// set, same-evidence conditionals answered from one batch sweep.
+// batchAnswer is answer for a batch slot: a failure lands in Result.Error.
+func batchAnswer(q answerer, qu Query) Result {
+	res, err := answer(q, qu)
+	if err != nil {
+		return Result{Kind: qu.Kind, Error: err.Error()}
+	}
+	return res
+}
+
+// kbProvider is the seam AnswerBatch keys on: queriers backed by a
+// compiled knowledge base expose its current snapshot.
 type kbProvider interface {
 	KnowledgeBase() *kb.KnowledgeBase
 }
 
-// batchQuerier overlays a kb.Batch session on a Querier: the six
-// probabilistic methods go through the session's shared caches, everything
-// else delegates.
-type batchQuerier struct {
-	Querier
-	b *kb.Batch
-}
-
-func (s batchQuerier) Probability(assigns ...kb.Assignment) (float64, error) {
-	return s.b.Probability(assigns...)
-}
-
-func (s batchQuerier) Conditional(target, given []kb.Assignment) (float64, error) {
-	return s.b.Conditional(target, given)
-}
-
-func (s batchQuerier) Distribution(attr string, given ...kb.Assignment) (map[string]float64, error) {
-	return s.b.Distribution(attr, given...)
-}
-
-func (s batchQuerier) MostLikely(attr string, given ...kb.Assignment) (string, float64, error) {
-	return s.b.MostLikely(attr, given...)
-}
-
-func (s batchQuerier) Lift(target kb.Assignment, given ...kb.Assignment) (float64, error) {
-	return s.b.Lift(target, given...)
-}
-
-func (s batchQuerier) MostProbableExplanation(given ...kb.Assignment) (kb.Explanation, error) {
-	return s.b.MostProbableExplanation(given...)
-}
-
-// AnswerBatch executes a group of queries against the model, sharing the
-// engine work queries have in common instead of issuing len(queries)
-// independent calls. Every probability returned is bit-identical to the
-// per-query Answer result. One failed query does not sink the batch: its
-// slot carries Result.Error and the rest are answered; the error return is
-// reserved for a nil querier.
+// AnswerBatch executes a group of queries against the model. Every result
+// is bit-identical to the per-query Answer result. One failed query does
+// not sink the batch: its slot carries Result.Error and the rest are
+// answered; the error return is reserved for a nil querier.
 //
-// Queriers backed by a compiled knowledge base get the full batch path
-// (per-evidence-set validation and denominators, grouped conditional-slice
-// sweeps), with the per-evidence-set groups executed concurrently over
-// GOMAXPROCS workers — use AnswerBatchWorkers to pin the count; other
-// Querier implementations are served per query on the calling goroutine.
+// A querier backed by a compiled knowledge base is read once, so the whole
+// batch answers from one snapshot even while updates swap the model. The
+// queries fan out over GOMAXPROCS workers, and work they share (evidence
+// denominators, conditional-slice sweeps, MPE passes) is priced once
+// through the knowledge base's engine memo: the model's own when it has
+// one, otherwise a memo that lives for this batch. Other Querier
+// implementations are answered one query at a time, in order.
 func AnswerBatch(q Querier, queries []Query) ([]Result, error) {
-	return AnswerBatchWorkers(q, queries, 0)
-}
-
-// AnswerBatchWorkers is AnswerBatch with an explicit worker count.
-// workers <= 0 uses GOMAXPROCS; 1 forces the sequential single-session
-// path (exactly the historical execution). With more workers, queries are
-// grouped by their evidence set and each group runs on its own batch
-// session over the shared immutable engine: within a group the evidence
-// is validated once, its denominator priced once, and same-evidence
-// conditionals served from one conditional-slice sweep — the full batch
-// fast path — while distinct evidence sets proceed concurrently. Each
-// query's Result (wire bytes included) is bit-identical for any worker
-// count: the per-query values never depend on which session computed
-// them, only the amount of shared work does.
-func AnswerBatchWorkers(q Querier, queries []Query, workers int) ([]Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("query: nil querier")
 	}
+	out := make([]Result, len(queries))
 	var kbase *kb.KnowledgeBase
 	if p, ok := q.(kbProvider); ok {
 		kbase = p.KnowledgeBase()
 	}
-	out := make([]Result, len(queries))
-	answerRange := func(exec Querier, idx []int) {
-		for _, i := range idx {
-			res, err := Answer(exec, queries[i])
-			if err != nil {
-				out[i] = Result{Kind: queries[i].Kind, Error: err.Error()}
-				continue
-			}
-			out[i] = res
-		}
-	}
-	all := make([]int, len(queries))
-	for i := range all {
-		all[i] = i
-	}
 	if kbase == nil {
-		// Arbitrary Querier implementations carry no concurrency contract
-		// and no session to share: serve per query, in order.
-		answerRange(q, all)
-		return out, nil
-	}
-	if par.Workers(workers, len(queries)) == 1 {
-		answerRange(batchQuerier{Querier: q, b: kb.NewBatch(kbase)}, all)
-		return out, nil
-	}
-	// Group query indices by evidence set (first-appearance order): each
-	// group shares one session — denominators, sweeps, and MPE completions
-	// are computed once per group — and groups are independent, so they
-	// fan out over the pool. Result slots are written by original index.
-	groupOf := make(map[string]int)
-	var groups [][]int
-	for i, qu := range queries {
-		key := evidenceGroupKey(qu.Given)
-		g, ok := groupOf[key]
-		if !ok {
-			g = len(groups)
-			groupOf[key] = g
-			groups = append(groups, nil)
+		for i, qu := range queries {
+			out[i] = batchAnswer(q, qu)
 		}
-		groups[g] = append(groups[g], i)
+		return out, nil
 	}
-	_ = par.Do(len(groups), workers, func(g int) error {
-		answerRange(batchQuerier{Querier: q, b: kb.NewBatch(kbase)}, groups[g])
+	if kbase.Cache() == nil {
+		kbase = kbase.WithCache(memo.New(-1), 0)
+	}
+	_ = par.Do(len(queries), 0, func(i int) error {
+		out[i] = batchAnswer(kbase, queries[i])
 		return nil // per-query failures land in their Result slot
 	})
 	return out, nil
-}
-
-// CountEvidenceGroups returns how many distinct evidence sets the batch
-// spans — the batch's parallelizable width (AnswerBatchWorkers runs one
-// session per group). Callers budgeting worker goroutines across many
-// concurrent batches use it to avoid reserving parallelism a batch cannot
-// spend: a single-group batch executes sequentially no matter how many
-// workers it is offered.
-func CountEvidenceGroups(queries []Query) int {
-	seen := make(map[string]struct{}, len(queries))
-	for _, qu := range queries {
-		seen[evidenceGroupKey(qu.Given)] = struct{}{}
-	}
-	return len(seen)
-}
-
-// evidenceGroupKey renders a query's evidence as an order-insensitive
-// grouping key, so every ordering of the same evidence set lands in one
-// batch session. Unresolvable names still key consistently — their
-// queries fail identically whichever session sees them.
-func evidenceGroupKey(given []kb.Assignment) string {
-	if len(given) == 0 {
-		return ""
-	}
-	parts := make([]string, len(given))
-	for i, a := range given {
-		parts[i] = strconv.Quote(a.Attr) + "=" + strconv.Quote(a.Value)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }

@@ -317,8 +317,9 @@ func TestAnswerDispatch(t *testing.T) {
 }
 
 // TestAnswerBatchMatchesAnswer: batch execution is bit-identical to
-// per-query Answer on both the kb fast path and the generic fallback, and
-// failed queries surface per-slot without sinking the batch.
+// per-query Answer both through the knowledge base and through the generic
+// fallback, and failed queries surface per-slot, with the same message,
+// without sinking the batch.
 func TestAnswerBatchMatchesAnswer(t *testing.T) {
 	m := memoModel(t)
 	queries := []Query{
@@ -339,8 +340,19 @@ func TestAnswerBatchMatchesAnswer(t *testing.T) {
 			Given:  []kb.Assignment{{Attr: "SMOKING", Value: "Smoker"}}},
 		{Kind: KindMPE, Given: []kb.Assignment{{Attr: "SMOKING", Value: "Smoker"}}},
 		{Kind: "bogus"},
+		// Model failures, whose messages must match per-query Answer's.
+		{Kind: KindConditional, // unknown evidence attribute
+			Target: []kb.Assignment{{Attr: "CANCER", Value: "Yes"}},
+			Given:  []kb.Assignment{{Attr: "NOPE", Value: "x"}}},
+		{Kind: KindConditional, // unknown target value, no evidence
+			Target: []kb.Assignment{{Attr: "CANCER", Value: "Maybe"}}},
+		{Kind: KindProbability, // contradictory assignments
+			Target: []kb.Assignment{{Attr: "CANCER", Value: "Yes"}, {Attr: "CANCER", Value: "No"}}},
+		{Kind: KindDistribution, Attr: "CANCER", // self-conditioning
+			Given: []kb.Assignment{{Attr: "CANCER", Value: "Yes"}}},
+		{Kind: KindDistribution, Attr: "NOPE"}, // unknown distribution attribute
 	}
-	for name, querier := range map[string]Querier{"kb-fast-path": m, "generic-fallback": plainQuerier{m}} {
+	for name, querier := range map[string]Querier{"knowledge-base": m, "generic-fallback": plainQuerier{m}} {
 		got, err := AnswerBatch(querier, queries)
 		if err != nil {
 			t.Fatal(err)

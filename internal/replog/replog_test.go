@@ -2,14 +2,16 @@ package replog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func mustAppend(t *testing.T, l *Log, payload string) uint64 {
+func mustAppend(t testing.TB, l *Log, payload string) uint64 {
 	t.Helper()
 	off, err := l.Append([]byte(payload))
 	if err != nil {
@@ -116,7 +118,7 @@ func TestReopenResumesOffsets(t *testing.T) {
 
 // writeLog builds a well-formed two-record log on disk and returns its
 // bytes for corruption tests.
-func writeLog(t *testing.T) (string, []byte) {
+func writeLog(t testing.TB) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "observe.pkal")
 	l, err := Open(path)
@@ -254,4 +256,67 @@ func TestConcurrentReadersWithAppender(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// FuzzReplogOpen writes arbitrary bytes as a log file, opens it and reads
+// every record from Base. Each step must either fail with one of the
+// package's named errors or succeed, and every payload a read returns must
+// be the one framed in the file with a CRC that verifies.
+func FuzzReplogOpen(f *testing.F) {
+	_, valid := writeLog(f)
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add([]byte(Magic))
+	f.Add(valid[:headerLen])
+	f.Add(valid[:len(valid)-3])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0x20
+	f.Add(flipped)
+	named := []error{ErrBadMagic, ErrUnsupportedVersion, ErrChecksum, ErrTruncated, ErrOutOfRange}
+	isNamed := func(err error) bool {
+		for _, n := range named {
+			if errors.Is(err, n) {
+				return true
+			}
+		}
+		return false
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.pkal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path)
+		if err != nil {
+			if !isNamed(err) {
+				t.Fatalf("Open failed with an unnamed error: %v", err)
+			}
+			return
+		}
+		defer l.Close()
+		payloads, next, err := l.Read(l.Base(), len(data)+1)
+		if err != nil {
+			if !isNamed(err) {
+				t.Fatalf("Read failed with an unnamed error: %v", err)
+			}
+			return
+		}
+		if next != l.Base()+uint64(len(payloads)) {
+			t.Fatalf("Read returned next %d after %d records from %d", next, len(payloads), l.Base())
+		}
+		// Walk the frames Open accepted and hold each payload to its
+		// framed bytes and CRC.
+		pos := headerLen
+		for i, p := range payloads {
+			n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
+			crc := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
+			if !bytes.Equal(p, data[pos+frameLen:pos+frameLen+n]) {
+				t.Fatalf("record %d: payload differs from its framed bytes", i)
+			}
+			if crc32.Checksum(p, castagnoli) != crc {
+				t.Fatalf("record %d: CRC does not verify", i)
+			}
+			pos += frameLen + n
+		}
+	})
 }

@@ -21,8 +21,7 @@ import (
 //
 // Correctness rests on two facts. First, answers are insensitive to
 // assignment order (resolution canonicalizes to sorted positions), so the
-// key sorts target and evidence parts — the same canonicalization
-// AnswerBatch's evidence grouping uses — and any ordering of one question
+// key sorts target and evidence parts, and any ordering of one question
 // hits one entry. Second, the model stores a swapped engine before bumping
 // its version (see queryCore), so bytes cached under a pre-read version v
 // always come from an engine at least as fresh as v: a client that

@@ -37,7 +37,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -58,16 +57,6 @@ type Options struct {
 	// MaxObserveRows caps the rows accepted per observe request
 	// (0 = DefaultMaxObserveRows).
 	MaxObserveRows int
-	// Workers is the server-wide parallelism budget for batch query
-	// execution: /v1/query/batch groups queries by evidence set and runs
-	// the groups concurrently, and the total extra goroutines across ALL
-	// in-flight batch requests never exceeds this budget — each request
-	// takes whatever tokens are free (falling back to sequential execution
-	// on its own request goroutine when none are), so concurrent batches
-	// cannot oversubscribe the scheduler. 0 uses GOMAXPROCS, 1 forces
-	// sequential execution for every request. Results are bit-identical at
-	// any setting.
-	Workers int
 	// CacheBytes sizes the wire-tier response cache: exact encoded 200
 	// bodies of /v1/query, /v1/rules, and /v1/explain, keyed by canonical
 	// request + model version so every observe batch invalidates
@@ -102,11 +91,6 @@ func NewWithOptions(q query.Querier, opts Options) http.Handler {
 		opts.MaxObserveRows = DefaultMaxObserveRows
 	}
 	h := &handler{q: q, opts: opts}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	h.workerTokens = make(chan struct{}, budget)
 	h.ingest, _ = q.(query.Ingestor)
 	h.versioned, _ = q.(query.Versioned)
 	h.ready, _ = q.(query.ReadyReporter)
@@ -142,48 +126,6 @@ type handler struct {
 	// wire is the L1 response-byte cache (see cache.go); nil when off.
 	wire *memo.Cache
 	opts Options
-	// workerTokens is the server-wide batch-parallelism budget (capacity =
-	// Options.Workers, GOMAXPROCS by default): each batch request grabs
-	// whatever tokens are free, runs its evidence-group fan-out on that
-	// many goroutines, and returns them. Under concurrent load the total
-	// batch worker goroutines stay bounded by the budget — late requests
-	// simply execute sequentially on their own request goroutine, which is
-	// bit-identical, instead of multiplying pools.
-	workerTokens chan struct{}
-}
-
-// acquireWorkers takes up to max tokens from the free budget without
-// blocking; the returned count may be 0 (run sequentially). A lone token
-// is never kept: one worker is the sequential path, so reserving a token
-// for it would waste budget other batches could spend.
-func (h *handler) acquireWorkers(max int) int {
-	if max > cap(h.workerTokens) {
-		max = cap(h.workerTokens)
-	}
-	if max < 2 {
-		return 0
-	}
-	n := 0
-	for n < max {
-		select {
-		case h.workerTokens <- struct{}{}:
-			n++
-			continue
-		default:
-		}
-		break
-	}
-	if n == 1 {
-		<-h.workerTokens
-		return 0
-	}
-	return n
-}
-
-func (h *handler) releaseWorkers(n int) {
-	for i := 0; i < n; i++ {
-		<-h.workerTokens
-	}
 }
 
 // bufPool recycles response-encoding buffers across requests: every
@@ -391,19 +333,7 @@ func (h *handler) queryBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Queries), h.opts.MaxBatch))
 		return
 	}
-	// Spend free server-wide budget on this batch, but only as much as it
-	// can use: a batch parallelizes across its distinct evidence groups,
-	// so a one-group batch takes nothing and runs sequentially without
-	// starving concurrent batches. An exhausted budget likewise means
-	// sequential execution (workers = 1), never queueing — the answer
-	// bytes are identical either way.
-	tokens := h.acquireWorkers(query.CountEvidenceGroups(req.Queries))
-	defer h.releaseWorkers(tokens)
-	workers := tokens
-	if workers < 1 {
-		workers = 1
-	}
-	results, err := query.AnswerBatchWorkers(h.q, req.Queries, workers)
+	results, err := query.AnswerBatch(h.q, req.Queries)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "", err)
 		return

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -458,61 +457,6 @@ func BenchmarkHandlerQuery(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-}
-
-// TestBatchWorkerBudget pins the server-wide parallelism budget: tokens
-// are returned after every request (so the budget never leaks under
-// sequential load), concurrent batches all answer correctly even when the
-// budget is exhausted (they fall back to sequential execution), and a
-// Workers=1 handler still serves batches.
-func TestBatchWorkerBudget(t *testing.T) {
-	for _, workers := range []int{0, 1, 2} {
-		h := NewWithOptions(stubQuerier{}, Options{Workers: workers}).(interface {
-			http.Handler
-		})
-		body := []byte(`{"queries":[{"kind":"conditional","target":[{"attr":"CANCER","value":"Yes"}],"given":[{"attr":"SMOKING","value":"Smoker"}]},{"kind":"probability","target":[{"attr":"CANCER","value":"No"}]}]}`)
-		do := func() error {
-			req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
-			}
-			var resp struct {
-				Results []query.Result `json:"results"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				return err
-			}
-			if len(resp.Results) != 2 || resp.Results[0].Error != "" {
-				return fmt.Errorf("unexpected results %+v", resp.Results)
-			}
-			return nil
-		}
-		// Concurrent burst: more requests than budget tokens.
-		var wg sync.WaitGroup
-		errs := make([]error, 8)
-		for g := range errs {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				errs[g] = do()
-			}(g)
-		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Fatalf("workers=%d: concurrent request %d: %v", workers, g, err)
-			}
-		}
-		// Sequential follow-ups: a leaked token budget would not break
-		// these (they fall back to serial), but run them to pin release.
-		for i := 0; i < 4; i++ {
-			if err := do(); err != nil {
-				t.Fatalf("workers=%d: sequential request %d: %v", workers, i, err)
-			}
 		}
 	}
 }

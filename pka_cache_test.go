@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // pka_cache_test.go — the serving-cache correctness battery: with caching
 // on, every wire response must be byte-identical to the cache-off server,
 // for every query kind, on dense and factored engines, before and after
-// streaming updates, at any worker setting; and the whole stack must stay
+// streaming updates, with batches fanned out or not; and the whole stack must stay
 // clean under -race while observes and queries interleave.
 
 // cacheTestModel discovers a fresh model over the deterministic stream
@@ -102,16 +103,20 @@ func TestCacheWireByteIdentity(t *testing.T) {
 		name     string
 		factored bool
 	}{{"dense", false}, {"factored", true}} {
+		// workers bounds the batch fan-out through GOMAXPROCS: 1 answers
+		// each batch on its request goroutine, 0 leaves the machine's count.
 		for _, workers := range []int{1, 0} {
 			t.Run(fmt.Sprintf("%s/workers=%d", eng.name, workers), func(t *testing.T) {
+				if workers > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				}
 				mOn := cacheTestModel(t, eng.factored)
 				mOff := cacheTestModel(t, eng.factored)
 				mOn.EnableCache(1 << 20)
 				srvOn := httptest.NewServer(NewServerWithOptions(mOn,
-					ServerOptions{Workers: workers, CacheBytes: 1 << 20}))
+					ServerOptions{CacheBytes: 1 << 20}))
 				defer srvOn.Close()
-				srvOff := httptest.NewServer(NewServerWithOptions(mOff,
-					ServerOptions{Workers: workers}))
+				srvOff := httptest.NewServer(NewServerWithOptions(mOff, ServerOptions{}))
 				defer srvOff.Close()
 
 				sweep := func(stage string) {

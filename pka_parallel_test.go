@@ -49,8 +49,8 @@ func wideStreamRows(rng *rand.Rand, n int) []Record {
 // TestParallelFitScreenServeRaceHammer is the tentpole's -race hammer: one
 // wide streaming model concurrently (a) folding in observation batches —
 // each Update runs the parallel association screen and the parallel
-// incremental factored refit — (b) serving HTTP batch queries through the
-// parallel per-evidence-group executor, (c) answering direct AnswerBatch
+// incremental factored refit — (b) serving HTTP batch queries, whose
+// queries fan out over the batch's workers, (c) answering direct AnswerBatch
 // calls, and (d) reading the discovery record (Screen, Findings, Fit).
 // Every served probability must stay in range and no request may fail;
 // the race detector guards the rest.
@@ -151,7 +151,7 @@ func TestParallelFitScreenServeRaceHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations*3; i++ {
-				results, err := AnswerBatchWorkers(model, queries, 3)
+				results, err := AnswerBatch(model, queries)
 				if err != nil {
 					fail("direct batch: " + err.Error())
 					return

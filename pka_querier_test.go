@@ -98,7 +98,7 @@ func TestModelQueryModelParity(t *testing.T) {
 	}
 }
 
-// mixedQueries is a batch with shared evidence groups, repeated queries,
+// mixedQueries is a batch with shared evidence sets, repeated queries,
 // every kind, and one failing entry.
 func mixedQueries() []pka.Query {
 	smoker := []pka.Assignment{{Attr: "SMOKING", Value: "Smoker"}}
@@ -321,11 +321,10 @@ func BenchmarkAnswerBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAnswerBatchParallel serves one batch of 128 queries spread over
-// 16 distinct evidence groups (conditionals, distributions, and MPE
-// completions per group) at several worker counts — the server's
-// /v1/query/batch hot path. Results are bit-identical across counts; the
-// sub-benchmarks differ only in wall time.
+// BenchmarkAnswerBatchParallel serves one batch of 128 queries over 16
+// distinct evidence sets (conditionals, distributions, and MPE completions
+// per set) — the server's /v1/query/batch hot path. The queries fan out
+// over GOMAXPROCS workers; run with -cpu 1,2,4 to read the scaling.
 func BenchmarkAnswerBatchParallel(b *testing.B) {
 	schema, err := pka.NewSchema([]pka.Attribute{
 		{Name: "A0", Values: []string{"a", "b", "c"}},
@@ -364,7 +363,7 @@ func BenchmarkAnswerBatchParallel(b *testing.B) {
 	}
 	var queries []pka.Query
 	// Base-3 digits of g over three evidence attributes: 27 possible
-	// combos, so g = 0..15 yields 16 genuinely distinct evidence groups.
+	// combos, so g = 0..15 yields 16 genuinely distinct evidence sets.
 	for g := 0; g < 16; g++ {
 		given := []pka.Assignment{
 			{Attr: "A0", Value: labels[g%3]},
@@ -382,20 +381,17 @@ func BenchmarkAnswerBatchParallel(b *testing.B) {
 			pka.Query{Kind: pka.QueryMPE, Given: given},
 		)
 	}
-	for _, workers := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				results, err := pka.AnswerBatchWorkers(m, queries, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for qi, r := range results {
-					if r.Error != "" {
-						b.Fatalf("query %d failed: %s", qi, r.Error)
-					}
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := pka.AnswerBatch(m, queries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for qi, r := range results {
+			if r.Error != "" {
+				b.Fatalf("query %d failed: %s", qi, r.Error)
 			}
-		})
+		}
 	}
 }

@@ -55,24 +55,15 @@ type Counts = contingency.Counts
 // Answer executes one query against any Querier.
 func Answer(q Querier, qu Query) (QueryResult, error) { return query.Answer(q, qu) }
 
-// AnswerBatch executes a group of queries, sharing the engine work they
-// have in common instead of issuing len(queries) independent calls:
-// evidence is validated and priced once per distinct set, groups of
-// same-evidence queries are served through the compiled engine's batch
-// conditional-slice sweep, and distinct evidence groups execute
-// concurrently over GOMAXPROCS workers (the compiled engine is immutable
-// and safe for any number of goroutines). Probabilities are bit-identical
-// to per-query Answer for any worker count; a failed query carries its
+// AnswerBatch executes a group of queries against one snapshot of the
+// model, concurrently over GOMAXPROCS workers, pricing the engine work
+// they share (evidence denominators, conditional-slice sweeps, MPE
+// passes) once through the engine-tier memo: the model's own when
+// EnableCache armed it, otherwise one that lives for the batch. Every
+// result is bit-identical to per-query Answer; a failed query carries its
 // message in QueryResult.Error without sinking the batch.
 func AnswerBatch(q Querier, queries []Query) ([]QueryResult, error) {
 	return query.AnswerBatch(q, queries)
-}
-
-// AnswerBatchWorkers is AnswerBatch with an explicit worker bound:
-// 0 uses GOMAXPROCS, 1 forces the sequential single-session execution.
-// Results (wire bytes included) are bit-identical across worker counts.
-func AnswerBatchWorkers(q Querier, queries []Query, workers int) ([]QueryResult, error) {
-	return query.AnswerBatchWorkers(q, queries, workers)
 }
 
 // EncodeQueryResult writes a result in the shared wire encoding (one JSON
@@ -260,10 +251,10 @@ func (c *queryCore) CacheStats() []query.CacheTierStats {
 // default), negative means unbounded.
 func (q *QueryModel) EnableCache(capacityBytes int64) { q.enableCache(capacityBytes) }
 
-// KnowledgeBase exposes the query layer for advanced use. AnswerBatch also
-// keys on it to route batches through the shared-engine fast path; note
-// that a streaming update swaps the returned snapshot out from under
-// long-lived holders (grab it per batch, not per process).
+// KnowledgeBase exposes the query layer for advanced use. AnswerBatch
+// reads it once per batch, so every query of a batch answers from one
+// snapshot; note that a streaming update swaps the returned snapshot out
+// from under long-lived holders (grab it per batch, not per process).
 func (c *queryCore) KnowledgeBase() *kb.KnowledgeBase { return c.kb() }
 
 // Info is the metadata digest available on any knowledge base — including
