@@ -374,8 +374,8 @@ func givenSuffix(given string) string {
 func cmdTables(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	in := fs.String("in", "", "input CSV file")
-	rows := fs.String("rows", "", "row attribute (default: first)")
-	cols := fs.String("cols", "", "column attribute (default: second)")
+	rows := fs.String("rows", "", "row attribute (default: the first attribute -cols does not name)")
+	cols := fs.String("cols", "", "column attribute (default: the first attribute -rows does not take)")
 	maxCard := fs.Int("max-card", 64, "reject CSV columns with more distinct values than this")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -392,7 +392,10 @@ func cmdTables(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	rowAxis, colAxis := 0, 1
+	if schema.R() < 2 {
+		return fmt.Errorf("tables: need at least 2 attributes")
+	}
+	rowAxis, colAxis := -1, -1
 	if *rows != "" {
 		if rowAxis, err = schema.Position(*rows); err != nil {
 			return err
@@ -403,10 +406,26 @@ func cmdTables(w io.Writer, args []string) error {
 			return err
 		}
 	}
-	if schema.R() < 2 {
-		return fmt.Errorf("tables: need at least 2 attributes")
+	if rowAxis >= 0 && rowAxis == colAxis {
+		return fmt.Errorf("tables: -rows and -cols both name %q", *rows)
+	}
+	// An unnamed axis takes the first attribute in schema order that the
+	// other flag did not.
+	if rowAxis < 0 {
+		rowAxis = firstAxisExcept(colAxis)
+	}
+	if colAxis < 0 {
+		colAxis = firstAxisExcept(rowAxis)
 	}
 	return table.RenderSlices(w, rowAxis, colAxis, true)
+}
+
+// firstAxisExcept returns 0, or 1 when taken is 0.
+func firstAxisExcept(taken int) int {
+	if taken == 0 {
+		return 1
+	}
+	return 0
 }
 
 // loadKB opens a saved knowledge base in either on-disk format — JSON or

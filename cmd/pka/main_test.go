@@ -125,6 +125,40 @@ func TestTablesSubcommand(t *testing.T) {
 	}
 }
 
+// TestTablesAxisDefaults: a flag left unset takes the first attribute in
+// schema order that the other flag did not name, and naming one attribute
+// for both axes fails with its name.
+func TestTablesAxisDefaults(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "abc.csv")
+	if err := os.WriteFile(csvPath, []byte("A,B,C\nx,p,u\ny,q,u\nx,q,v\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flags  []string
+		header string // rows\cols
+	}{
+		{nil, `A\B`},
+		{[]string{"-rows", "B"}, `B\A`},
+		{[]string{"-cols", "A"}, `B\A`},
+		{[]string{"-rows", "A"}, `A\B`},
+		{[]string{"-cols", "B"}, `A\B`},
+		{[]string{"-rows", "C", "-cols", "B"}, `C\B`},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, append([]string{"tables", "-in", csvPath}, tc.flags...)); err != nil {
+			t.Fatalf("%v: %v", tc.flags, err)
+		}
+		if !strings.Contains(buf.String(), tc.header+" ") {
+			t.Errorf("%v: want a %s table, got:\n%s", tc.flags, tc.header, buf.String())
+		}
+	}
+	var buf bytes.Buffer
+	err := run(&buf, []string{"tables", "-in", csvPath, "-rows", "B", "-cols", "B"})
+	if err == nil || !strings.Contains(err.Error(), `"B"`) {
+		t.Errorf("-rows B -cols B: got %v, want an error naming B", err)
+	}
+}
+
 func TestParseAssignments(t *testing.T) {
 	as, err := parseAssignments("A=x, FAMILY HISTORY=Yes")
 	if err != nil {

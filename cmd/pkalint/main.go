@@ -1,14 +1,13 @@
 // Command pkalint runs the repo's invariant analyzers (internal/analysis)
-// over Go packages. It speaks two protocols:
+// as a `go vet` tool:
 //
-//	pkalint ./...                     standalone: load, analyze, report
-//	go vet -vettool=$(which pkalint)  the cmd/go vet-tool protocol
+//	go build -o /tmp/pkalint ./cmd/pkalint
+//	go vet -vettool=/tmp/pkalint ./...
 //
-// The vet-tool protocol is the one CI uses: cmd/go hands the tool one
-// .cfg file per package (absolute file list, import map, export-data
-// paths) plus the -V=full and -flags handshakes. Both modes print
-// findings as file:line:col: message [analyzer] and exit 2 when any
-// finding survives suppression.
+// cmd/go hands the tool one .cfg file per package (absolute file list,
+// import map, export-data paths) after the -V=full and -flags handshakes.
+// Findings print as file:line:col: message [analyzer], and the run exits
+// 2 when any finding survives suppression.
 package main
 
 import (
@@ -34,44 +33,16 @@ func main() {
 			fmt.Println("[]")
 			return
 		case "-h", "-help", "--help":
-			fmt.Fprintf(os.Stderr, "usage: pkalint [packages]\n       go vet -vettool=$(which pkalint) [packages]\n\nAnalyzers:\n")
+			fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which pkalint) [packages]\n\nAnalyzers:\n")
 			for _, an := range analysis.Analyzers() {
 				fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, an.Doc)
 			}
 			os.Exit(0)
 		}
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetTool(args[0]))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which pkalint) [packages]")
+		os.Exit(1)
 	}
-	os.Exit(runStandalone(args))
-}
-
-// runStandalone loads packages by pattern relative to the working
-// directory and analyzes them.
-func runStandalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analysis.LoadPatterns(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pkalint: %v\n", err)
-		return 1
-	}
-	found := false
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analysis.Analyzers())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pkalint: %v\n", err)
-			return 1
-		}
-		for _, d := range diags {
-			found = true
-			fmt.Fprintln(os.Stderr, d)
-		}
-	}
-	if found {
-		return 2
-	}
-	return 0
+	os.Exit(runVetTool(args[0]))
 }

@@ -102,7 +102,7 @@ func TestIntegrationWideSparsePipeline(t *testing.T) {
 		t.Errorf("P(17=hi|3=hi) = %.3f, want ≈0.925", p)
 	}
 	// Holdout-style validation also runs sparsely.
-	loss, err := model.LogLossSparse(sparse)
+	loss, err := model.LogLoss(sparse)
 	if err != nil {
 		t.Fatal(err)
 	}

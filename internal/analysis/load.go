@@ -31,13 +31,7 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
 	Export     string
-	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
 
@@ -115,39 +109,6 @@ func newTypesInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-}
-
-// LoadPatterns type-checks the packages matching patterns (relative to
-// dir), excluding dependencies, and returns them ready for analysis.
-func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	gc := newGCImporter(fset, exports)
-	var out []*Package
-	for _, p := range listed {
-		if p.DepOnly || p.Standard || p.Name == "" {
-			continue
-		}
-		pkg, err := checkFiles(fset, p.ImportPath, p.Dir, p.GoFiles, exportImporter{gc: gc, importMap: p.ImportMap})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
 }
 
 // CheckPackage type-checks one package from an explicit file list and

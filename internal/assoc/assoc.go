@@ -133,11 +133,12 @@ func scoreRows(cards []int, total int64, workers int, table func(i, j int) ([]in
 // (workers <= 0 GOMAXPROCS, 1 the sequential loop); results are
 // bit-identical across worker counts.
 //
-// Dense tables marginalize each pair. Sparse tables under bulkPairwiseMinR
-// attributes read each pair from the projection cache; wider ones read the
-// pair-count ledger (Sparse.PairCounts). Both caches are maintained in
-// place by every table mutation, so re-screening a table under streaming
-// ingest costs O(pairs), not O(pairs × occupied).
+// Each pair is read with Counts.Marginalize — a fresh marginal on a dense
+// table, the projection cache on a sparse one — except on sparse tables of
+// bulkPairwiseMinR or more attributes, which read the pair-count ledger
+// (Sparse.PairCounts). Both caches are maintained in place by every table
+// mutation, so re-screening a sparse table under streaming ingest costs
+// O(pairs), not O(pairs × occupied).
 //
 // Concurrency: both caches publish under the table's internal lock, so
 // any number of concurrent screens of one table is safe; table mutation
@@ -149,39 +150,21 @@ func ScorePairs(c contingency.Counts, workers int) ([]PairStats, error) {
 	if c.R() < 2 {
 		return nil, fmt.Errorf("assoc: need at least 2 attributes")
 	}
-	switch t := c.(type) {
-	case *contingency.Table:
-		return scoreRows(t.Cards(), t.Total(), workers, func(i, j int) ([]int64, error) {
-			pair, err := t.Marginalize(contingency.NewVarSet(i, j))
-			if err != nil {
-				return nil, err
-			}
-			return pair.Counts(), nil
-		})
-	case *contingency.Sparse:
-		return scoreSparse(t, workers, t.R() >= bulkPairwiseMinR)
-	}
-	return nil, fmt.Errorf("assoc: pair scoring needs a dense or sparse contingency backend, got %T", c)
-}
-
-// scoreSparse is ScorePairs over a sparse table, reading pairs from the
-// pair-count ledger or from the per-family projection cache.
-func scoreSparse(s *contingency.Sparse, workers int, ledger bool) ([]PairStats, error) {
 	table := func(i, j int) ([]int64, error) {
-		proj, err := s.ProjectCached(contingency.NewVarSet(i, j))
+		pair, err := c.Marginalize(contingency.NewVarSet(i, j))
 		if err != nil {
 			return nil, err
 		}
-		return proj.Counts(), nil
+		return pair.Counts(), nil
 	}
-	if ledger {
+	if s, ok := c.(*contingency.Sparse); ok && s.R() >= bulkPairwiseMinR {
 		pc, err := s.PairCounts(workers)
 		if err != nil {
 			return nil, err
 		}
 		table = func(i, j int) ([]int64, error) { return pc.Counts(i, j), nil }
 	}
-	return scoreRows(s.Cards(), s.Total(), workers, table)
+	return scoreRows(contingency.CardsOf(c), c.Total(), workers, table)
 }
 
 // sortByMI orders pair results by descending mutual information, stably

@@ -1,7 +1,6 @@
 package assoc
 
 import (
-	"fmt"
 	"math"
 
 	"pka/internal/contingency"
@@ -33,20 +32,12 @@ type FlatCells struct {
 	data   []int
 }
 
-// Flatten materializes the occupied cells of any enumerable counts
-// backend. Memory is O(occupied × R).
+// Flatten materializes the cells Counts.EachCell visits. Memory is
+// O(cells × R).
 func Flatten(c contingency.Counts) (*FlatCells, error) {
-	each, err := contingency.EachCellDeterministic(c)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: flattening counts: %w", err)
-	}
 	r := c.R()
-	cards := make([]int, r)
-	for i := range cards {
-		cards[i] = c.Card(i)
-	}
-	f := &FlatCells{Cards: cards, Total: c.Total(), r: r}
-	each(func(cell []int, n int64) {
+	f := &FlatCells{Cards: contingency.CardsOf(c), Total: c.Total(), r: r}
+	c.EachCell(func(cell []int, n int64) {
 		f.data = append(f.data, cell...)
 		f.Counts = append(f.Counts, n)
 	})

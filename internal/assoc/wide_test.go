@@ -39,17 +39,23 @@ func coupledSparse(t *testing.T, r, rows int, seed int64) *contingency.Sparse {
 	return s
 }
 
-// TestPairwiseSparseBulkMatchesProjection pins the wide-path contract: the
-// ledger scorer must reproduce the projection-based path bit for bit, on
-// any worker count.
+// TestPairwiseSparseBulkMatchesProjection pins the wide-path contract: on a
+// table wide enough for the ledger, ScorePairs must reproduce the
+// per-pair projection scoring bit for bit, on any worker count.
 func TestPairwiseSparseBulkMatchesProjection(t *testing.T) {
-	s := coupledSparse(t, 8, 3000, 42)
-	want, err := PairwiseSparseWorkers(s, 1)
+	s := coupledSparse(t, bulkPairwiseMinR, 3000, 42)
+	want, err := sortedPairs(scoreRows(s.Cards(), s.Total(), 1, func(i, j int) ([]int64, error) {
+		proj, err := s.Marginalize(contingency.NewVarSet(i, j))
+		if err != nil {
+			return nil, err
+		}
+		return proj.Counts(), nil
+	}))
 	if err != nil {
 		t.Fatalf("projection path: %v", err)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := sortedPairs(scoreSparse(s, workers, true))
+		got, err := PairwiseSparseWorkers(s, workers)
 		if err != nil {
 			t.Fatalf("bulk path (workers=%d): %v", workers, err)
 		}
@@ -61,6 +67,9 @@ func TestPairwiseSparseBulkMatchesProjection(t *testing.T) {
 				t.Errorf("workers=%d pair %d: bulk %+v != projection %+v", workers, k, got[k], want[k])
 			}
 		}
+	}
+	if s.PairCountBuilds() != 1 {
+		t.Errorf("ledger built %d times, want 1", s.PairCountBuilds())
 	}
 }
 

@@ -18,6 +18,43 @@ import (
 // version 2 stores KeyWords() uint64 words per cell and each family as its
 // member list, so any schema width round-trips. Decoding accepts both.
 
+// Counts kind bytes: the first byte of an EncodeCounts payload says which
+// backend follows.
+const (
+	countsDense  = 1
+	countsSparse = 2
+)
+
+// EncodeCounts appends either backend behind its kind byte — the snapshot's
+// counts section.
+func EncodeCounts(w *wire.Writer, c Counts) { c.encode(w) }
+
+func (t *Table) encode(w *wire.Writer) {
+	w.Byte(countsDense)
+	EncodeTable(w, t)
+}
+
+func (s *Sparse) encode(w *wire.Writer) {
+	w.Byte(countsSparse)
+	EncodeSparse(w, s)
+}
+
+// DecodeCounts reads a payload written by EncodeCounts; version is the
+// sparse wire form (see DecodeSparse).
+func DecodeCounts(r *wire.Reader, version int) (Counts, error) {
+	switch kind := r.Byte(); kind {
+	case countsDense:
+		return DecodeTable(r)
+	case countsSparse:
+		return DecodeSparse(r, version)
+	default:
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("contingency: decoding counts: %w", err)
+		}
+		return nil, fmt.Errorf("contingency: unknown counts kind %d", kind)
+	}
+}
+
 // encodeShape writes the shared axis header: labels then cardinalities.
 func encodeShape(w *wire.Writer, names []string, cards []int) {
 	w.Int(len(names))
@@ -96,7 +133,7 @@ func EncodeSparse(w *wire.Writer, s *Sparse) {
 	encodeShape(w, s.names, s.cards)
 	w.Int(s.store.occupied())
 	words := make([]uint64, s.keyWords)
-	s.EachCellSorted(func(cell []int, c int64) {
+	s.EachCell(func(cell []int, c int64) {
 		s.packWords(cell, words)
 		for _, wd := range words {
 			w.Uint64(wd)

@@ -33,10 +33,10 @@ func encodedSparse(t *testing.T) (*Sparse, []byte) {
 		}
 	}
 	// Warm the projection cache so it travels.
-	if _, err := s.ProjectCached(NewVarSet(0, 1)); err != nil {
+	if _, err := s.Marginalize(NewVarSet(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ProjectCached(NewVarSet(2)); err != nil {
+	if _, err := s.Marginalize(NewVarSet(2)); err != nil {
 		t.Fatal(err)
 	}
 	var w wire.Writer

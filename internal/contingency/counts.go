@@ -1,14 +1,15 @@
 package contingency
 
-import "fmt"
+import "pka/internal/wire"
 
-// Counts is the read-only view of tabulated observations the acquisition
-// machinery scans against: shape, sample total, and marginal counts over
-// attribute subsets. Both the dense *Table and the hash-backed *Sparse
-// implement it, so the MML tester, the discovery engine, and the validation
-// measures run unchanged over either backend — the memo's procedure is
-// defined entirely in terms of the N_ij... marginals, never the storage
-// layout.
+// Counts is the whole contract between tabulated observations and the
+// acquisition machinery: shape, sample total, marginal counts and tables
+// over attribute subsets, a deterministic cell walk, a self-check, and
+// atomic batched mutation. Both the dense *Table and the hash-backed
+// *Sparse implement it, so the MML tester, the discovery engine, the
+// association screen, streaming updates and the validation measures run
+// unchanged over either backend — the memo's procedure is defined entirely
+// in terms of the N_ij... marginals, never the storage layout.
 type Counts interface {
 	// R returns the number of attributes (axes).
 	R() int
@@ -22,34 +23,43 @@ type Counts interface {
 	// the sum of all cells agreeing with values on the axes of vars
 	// (ascending axis order).
 	MarginalCount(vars VarSet, values []int) (int64, error)
-}
-
-// CellVisitor is the optional companion of Counts for backends that can
-// enumerate their occupied cells — used by goodness-of-fit and log-loss
-// scoring, which sum over observed cells only. The coordinate slice passed
-// to fn is reused between calls. Both *Table and *Sparse implement it.
-type CellVisitor interface {
+	// Marginalize returns the dense marginal table over the kept axes
+	// (ascending position order) — Eqs. 1-5. The result is read-only: a
+	// sparse backend may hand out its live cached projection.
+	Marginalize(keep VarSet) (*Table, error)
+	// EachCell visits cells in a deterministic order, so floating-point
+	// accumulations over them reproduce run to run: dense tables walk
+	// row-major and visit empty cells too, sparse tables visit their
+	// occupied cells in ascending packed-key order. The coordinate slice
+	// is reused between calls.
 	EachCell(fn func(cell []int, count int64))
-}
-
-// EachCellDeterministic returns a deterministic occupied-cell enumerator
-// for the backend — sparse tables visit in ascending packed-key order,
-// dense tables row-major — so floating-point accumulations over the cells
-// reproduce run to run. Backends that cannot enumerate return an error.
-func EachCellDeterministic(c Counts) (func(fn func(cell []int, count int64)), error) {
-	switch t := c.(type) {
-	case *Sparse:
-		return t.EachCellSorted, nil
-	case CellVisitor:
-		return t.EachCell, nil
-	}
-	return nil, fmt.Errorf("contingency: counts backend %T cannot enumerate occupied cells", c)
-}
-
-// consistencyChecker is the optional self-check hook the discovery engine
-// probes for on its input.
-type consistencyChecker interface {
+	// CheckConsistency verifies the bookkeeping invariants: the cached
+	// total equals the cell sum and no cell is negative.
 	CheckConsistency() error
+	// ApplyBatch applies signed cell deltas as one mutation. The whole
+	// batch is validated first — a bad coordinate, or a net delta that
+	// would drive a cell negative, rejects it with the table untouched.
+	ApplyBatch(deltas []CellDelta) error
+
+	// encode writes the EncodeCounts form; it also seals the interface to
+	// this package's two backends.
+	encode(w *wire.Writer)
+}
+
+// CellDelta is one batched mutation: a full-width cell and a signed count
+// delta.
+type CellDelta struct {
+	Cell  []int
+	Delta int64
+}
+
+// observations turns rows into +1 deltas — the ObserveBatch batch.
+func observations(rows [][]int) []CellDelta {
+	deltas := make([]CellDelta, len(rows))
+	for i, r := range rows {
+		deltas[i] = CellDelta{Cell: r, Delta: 1}
+	}
+	return deltas
 }
 
 // CardsOf collects every axis cardinality of a Counts backend into a slice.
@@ -62,8 +72,6 @@ func CardsOf(c Counts) []int {
 }
 
 var (
-	_ Counts      = (*Table)(nil)
-	_ Counts      = (*Sparse)(nil)
-	_ CellVisitor = (*Table)(nil)
-	_ CellVisitor = (*Sparse)(nil)
+	_ Counts = (*Table)(nil)
+	_ Counts = (*Sparse)(nil)
 )

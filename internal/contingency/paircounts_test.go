@@ -78,7 +78,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 			}
 			// A cached family projection rides along: both caches are
 			// maintained by the same mutation pass.
-			if _, err := s.ProjectCached(NewVarSet(0, r-1)); err != nil {
+			if _, err := s.Marginalize(NewVarSet(0, r-1)); err != nil {
 				t.Fatal(err)
 			}
 			verify := func(step string) {
@@ -107,7 +107,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 					}
 				case 2: // delete some occupied cells to zero, add a new one
 					var deltas []CellDelta
-					s.EachCellSorted(func(cell []int, c int64) {
+					s.EachCell(func(cell []int, c int64) {
 						if len(deltas) < 4 && rng.Intn(3) == 0 {
 							deltas = append(deltas, CellDelta{Cell: slices.Clone(cell), Delta: -c})
 						}
@@ -119,7 +119,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 				case 3: // rejected batches leave table and ledger untouched
 					total, ledger := s.Total(), ledgerSnapshot(s)
 					var some []int
-					s.EachCellSorted(func(cell []int, _ int64) {
+					s.EachCell(func(cell []int, _ int64) {
 						if some == nil {
 							some = slices.Clone(cell)
 						}
@@ -263,7 +263,7 @@ func TestPairCountsNotSnapshotted(t *testing.T) {
 	if err := s.ObserveBatch(randomRows(rand.New(rand.NewSource(5)), cards, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ProjectCached(NewVarSet(1, 2)); err != nil {
+	if _, err := s.Marginalize(NewVarSet(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	var before, after wire.Writer

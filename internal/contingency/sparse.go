@@ -271,13 +271,6 @@ func (s *Sparse) applyToProjections(cell []int, delta int64) {
 	})
 }
 
-// CellDelta is one batched sparse-table mutation: a full-width cell and a
-// signed count delta.
-type CellDelta struct {
-	Cell  []int
-	Delta int64
-}
-
 // ApplyBatch applies a group of cell deltas as one mutation. The whole batch
 // is validated before anything is written — bad coordinates or a cell count
 // that would go negative reject the batch with the table untouched — and
@@ -296,16 +289,7 @@ func (s *Sparse) ApplyBatch(deltas []CellDelta) error {
 // counted or (on a bad coordinate) none are. Cached projections are updated
 // in place, making it the ingest step of the streaming/incremental-refit
 // pipeline.
-func (s *Sparse) ObserveBatch(rows [][]int) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	deltas := make([]CellDelta, len(rows))
-	for i, r := range rows {
-		deltas[i] = CellDelta{Cell: r, Delta: 1}
-	}
-	return s.ApplyBatch(deltas)
-}
+func (s *Sparse) ObserveBatch(rows [][]int) error { return s.ApplyBatch(observations(rows)) }
 
 // At returns a cell's count (zero for unobserved cells).
 func (s *Sparse) At(cell ...int) (int64, error) {
@@ -313,12 +297,6 @@ func (s *Sparse) At(cell ...int) (int64, error) {
 		return 0, err
 	}
 	return s.store.get(cell), nil
-}
-
-// EachCell visits every occupied cell. Iteration order is unspecified; the
-// coordinate slice is reused between calls.
-func (s *Sparse) EachCell(fn func(cell []int, count int64)) {
-	s.store.each(make([]int, len(s.cards)), fn)
 }
 
 // Project sums the sparse table onto the kept attribute subset, returning a
@@ -358,7 +336,7 @@ func (s *Sparse) Project(keep VarSet) (*Table, error) {
 	return dense, nil
 }
 
-// ProjectCached is Project served from (and populating) the per-family
+// Marginalize is Project served from (and populating) the per-family
 // dense-projection cache when the family is small enough to cache; wider
 // families fall back to a fresh projection. The returned table is the live
 // cache entry and MUST be treated as read-only by the caller. It stays
@@ -368,7 +346,7 @@ func (s *Sparse) Project(keep VarSet) (*Table, error) {
 // call instead of an O(occupied) re-projection after every ingested batch.
 // Wider schemas screen from the pair-count ledger instead (PairCounts),
 // which holds every pair in one slab.
-func (s *Sparse) ProjectCached(keep VarSet) (*Table, error) {
+func (s *Sparse) Marginalize(keep VarSet) (*Table, error) {
 	if keep.Empty() {
 		return nil, fmt.Errorf("contingency: cannot project to the empty attribute set")
 	}
@@ -547,7 +525,7 @@ func (s *Sparse) projectionEntries() []*projEntry {
 // removes the bound (the pre-knob behavior). Resizing starts the cache
 // cold. Call it before sharing the table across goroutines, like mutation.
 //
-// Caveat for ProjectCached callers holding a returned table across
+// Caveat for Marginalize callers holding a returned table across
 // mutation: that contract only holds while the family stays cached —
 // eviction plus re-projection yields a new table, and the retained pointer
 // stops being maintained. Retain tables only with the cache unbounded.
@@ -566,12 +544,12 @@ func (s *Sparse) ProjectionCacheEvictions() int64 {
 	return s.projCache.Stats().Evictions
 }
 
-// EachCellSorted visits every occupied cell in ascending packed-key order —
-// a deterministic enumeration (map iteration is not) for consumers whose
+// EachCell visits every occupied cell in ascending packed-key order — a
+// deterministic enumeration (map iteration is not) for consumers whose
 // floating-point accumulations must reproduce run to run. Multi-word keys
-// order as multi-word integers, so single-word schemas keep the exact
-// pre-refactor order.
-func (s *Sparse) EachCellSorted(fn func(cell []int, count int64)) {
+// order as multi-word integers. The coordinate slice is reused between
+// calls.
+func (s *Sparse) EachCell(fn func(cell []int, count int64)) {
 	s.store.eachSorted(make([]int, len(s.cards)), fn)
 }
 

@@ -369,7 +369,7 @@ func TestSparseEachCellSortedDeterministic(t *testing.T) {
 	}
 	collect := func() [][]int {
 		var out [][]int
-		s.EachCellSorted(func(cell []int, count int64) {
+		s.EachCell(func(cell []int, count int64) {
 			out = append(out, append(append([]int(nil), cell...), int(count)))
 		})
 		return out
@@ -381,7 +381,7 @@ func TestSparseEachCellSortedDeterministic(t *testing.T) {
 	for i := range a {
 		for j := range a[i] {
 			if a[i][j] != b[i][j] {
-				t.Fatalf("EachCellSorted order not deterministic at %d", i)
+				t.Fatalf("EachCell order not deterministic at %d", i)
 			}
 		}
 	}

@@ -168,21 +168,33 @@ func (t *Table) Observe(cell ...int) error { return t.Add(1, cell...) }
 
 // ObserveBatch records one sample per row, atomically: the whole batch is
 // validated before anything is written, so a bad coordinate rejects it
-// with the table untouched — the dense counterpart of Sparse.ObserveBatch,
-// for streaming ingest over narrow schemas.
-func (t *Table) ObserveBatch(rows [][]int) error {
-	offs := make([]int, len(rows))
-	for i, r := range rows {
-		off, err := t.offset(r)
+// with the table untouched.
+func (t *Table) ObserveBatch(rows [][]int) error { return t.ApplyBatch(observations(rows)) }
+
+// ApplyBatch applies signed cell deltas as one all-or-nothing mutation:
+// every coordinate is checked, and every cell's net delta must leave it
+// non-negative, before any count is written.
+func (t *Table) ApplyBatch(deltas []CellDelta) error {
+	offs := make([]int, len(deltas))
+	net := make(map[int]int64, len(deltas))
+	for i, d := range deltas {
+		off, err := t.offset(d.Cell)
 		if err != nil {
-			return fmt.Errorf("contingency: batch row %d: %w", i, err)
+			return fmt.Errorf("contingency: batch delta %d: %w", i, err)
 		}
 		offs[i] = off
+		net[off] += d.Delta
 	}
-	for _, off := range offs {
-		t.counts[off]++
+	for i, off := range offs {
+		if t.counts[off]+net[off] < 0 {
+			return fmt.Errorf("contingency: batch would drive cell %v negative (%d%+d)",
+				deltas[i].Cell, t.counts[off], net[off])
+		}
 	}
-	t.total += int64(len(rows))
+	for i, off := range offs {
+		t.counts[off] += deltas[i].Delta
+		t.total += deltas[i].Delta
+	}
 	return nil
 }
 

@@ -25,10 +25,8 @@ func Discover(table *contingency.Table, opts Options) (*Result, error) {
 // counts; on wide schemas the model is fit and queried through the
 // factored engine and the joint space is never materialized.
 func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
-	if ck, ok := table.(interface{ CheckConsistency() error }); ok {
-		if err := ck.CheckConsistency(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	if err := table.CheckConsistency(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if table.Total() == 0 {
 		return nil, fmt.Errorf("core: empty contingency table")
@@ -158,13 +156,7 @@ func (st *scanState) run() error {
 	for order := 2; order <= st.opts.MaxOrder; order++ {
 		level := LevelReport{Order: order}
 		for pass := 1; ; pass++ {
-			var tests []mml.CellTest
-			var err error
-			if st.opts.Workers == 1 {
-				tests, err = st.tester.ScanOrder(order, predict)
-			} else {
-				tests, err = st.tester.ScanOrderParallel(order, predict, st.opts.Workers)
-			}
+			tests, err := st.tester.ScanOrderParallel(order, predict, st.opts.Workers)
 			if err != nil {
 				return err
 			}

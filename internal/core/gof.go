@@ -29,9 +29,9 @@ type Fit struct {
 // higher-order constraints carry their own redundancies (e.g. implied
 // zeros), which makes the test conservative.
 //
-// Dense tables score against the materialized model joint; any other
-// counts backend (a wide sparse table) scores over its occupied cells
-// only, using the algebraic identities G2 = 2 Σ_occ obs ln(obs/exp) and
+// Dense tables under a dense engine score against the materialized model
+// joint; otherwise (a wide sparse table, or a factored model) scoring runs
+// over the occupied cells only, using the algebraic identities G2 = 2 Σ_occ obs ln(obs/exp) and
 // X2 = Σ_occ obs²/exp − N, so no joint space is ever materialized.
 func GoodnessOfFit(table contingency.Counts, model *maxent.Model) (Fit, error) {
 	if table.Total() == 0 {
@@ -86,15 +86,11 @@ func goodnessOfFitDense(table *contingency.Table, model *maxent.Model) (Fit, err
 // goodnessOfFitOccupied scores over the backend's occupied cells only,
 // pricing each against the compiled model's cell probability.
 func goodnessOfFitOccupied(table contingency.Counts, compiled *maxent.Compiled, model *maxent.Model) (Fit, error) {
-	visit, err := contingency.EachCellDeterministic(table)
-	if err != nil {
-		return Fit{}, fmt.Errorf("core: %w", err)
-	}
 	n := float64(table.Total())
 	var g2, x2 float64
 	var ruledOut bool
 	var visitErr error
-	visit(func(cell []int, c int64) {
+	table.EachCell(func(cell []int, c int64) {
 		if c == 0 || ruledOut || visitErr != nil {
 			return
 		}

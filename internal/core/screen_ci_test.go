@@ -137,26 +137,40 @@ func TestScreenCIRequiresScreenPairs(t *testing.T) {
 	}
 }
 
-// opaqueCounts hides a backend's cell enumeration, so assoc.Flatten fails
-// on it: a CI pass that reaches for the occupied cells errors out.
-type opaqueCounts struct{ contingency.Counts }
+// walkCounter counts a backend's cell walks, so a test can see whether a
+// CI pass materialized the occupied cells.
+type walkCounter struct {
+	contingency.Counts
+	walks int
+}
+
+func (c *walkCounter) EachCell(fn func(cell []int, count int64)) {
+	c.walks++
+	c.Counts.EachCell(fn)
+}
 
 // TestApplyCIScreenSkipsFlattenWithoutTriangles: when no kept edge has a
 // common neighbor there is nothing to test, so the CI pass must not
 // materialize the occupied cells — and its report is the one the full
 // pass would have written.
 func TestApplyCIScreenSkipsFlattenWithoutTriangles(t *testing.T) {
-	table := opaqueCounts{ciChainTable(t, 500, 2)}
+	table := &walkCounter{Counts: ciChainTable(t, 500, 2)}
 	adj := [][]bool{{false, true, false}, {true, false, true}, {false, true, false}}
 	rep := &ScreenReport{PairsKept: 2}
 	if err := applyCIScreen(table, adj, 0, 1, rep); err != nil {
-		t.Fatalf("triangle-free CI pass flattened the table: %v", err)
+		t.Fatalf("triangle-free CI pass: %v", err)
+	}
+	if table.walks != 0 {
+		t.Fatalf("triangle-free CI pass walked the cells %d times", table.walks)
 	}
 	if want := (ScreenReport{PairsKept: 2, CIAlpha: 0.05}); *rep != want {
 		t.Fatalf("report %+v, want %+v", *rep, want)
 	}
 	adj[0][2], adj[2][0] = true, true
-	if err := applyCIScreen(table, adj, 0, 1, &ScreenReport{PairsKept: 3}); err == nil {
-		t.Fatal("a CI pass with a triangle did not need the occupied cells")
+	if err := applyCIScreen(table, adj, 0, 1, &ScreenReport{PairsKept: 3}); err != nil {
+		t.Fatalf("CI pass with a triangle: %v", err)
+	}
+	if table.walks != 1 {
+		t.Fatalf("CI pass with a triangle walked the cells %d times, want 1", table.walks)
 	}
 }

@@ -39,8 +39,8 @@ type UpdateOutcome struct {
 
 // Update folds a count delta into a previous discovery result without
 // re-deriving the knowledge base from scratch. The delta must ALREADY be
-// applied to table (via Sparse.ApplyBatch/ObserveBatch or dense Adds);
-// deltas describes what changed so Update can tell which marginals moved.
+// applied to table (Counts.ApplyBatch); deltas describes what changed so
+// Update can tell which marginals moved.
 //
 // The incremental pipeline: constraints whose family marginals moved are
 // retargeted in place (maxent.SetTarget), the model warm-refits from the

@@ -172,7 +172,7 @@ func sameSparse(t *testing.T, what, data string, got, want *contingency.Sparse) 
 	}
 	list := func(s *contingency.Sparse) []cellCount {
 		var out []cellCount
-		s.EachCellSorted(func(cell []int, c int64) {
+		s.EachCell(func(cell []int, c int64) {
 			out = append(out, cellCount{fmt.Sprint(cell), c})
 		})
 		return out

@@ -46,14 +46,10 @@ func (k *KnowledgeBase) LogLoss(t contingency.Counts) (float64, error) {
 		}
 		return loss / float64(t.Total()), nil
 	}
-	visit, err := contingency.EachCellDeterministic(t)
-	if err != nil {
-		return 0, fmt.Errorf("kb: %w", err)
-	}
 	var loss float64
 	var ruledOut bool
 	var visitErr error
-	visit(func(cell []int, c int64) {
+	t.EachCell(func(cell []int, c int64) {
 		if c == 0 || ruledOut || visitErr != nil {
 			return
 		}

@@ -6,12 +6,15 @@ import (
 	"pka/internal/par"
 )
 
-// ScanOrderParallel is ScanOrder with the family pricing fanned out over
-// the shared worker pool (par.Do): each family costs one batch marginal
-// sweep plus its cell tests, so families are the natural unit of parallel
-// work. Results are identical to the sequential scan (same order, same
-// values); only wall time changes. workers <= 0 uses GOMAXPROCS; 1 runs
-// the families sequentially on the calling goroutine.
+// ScanOrderParallel scores every not-yet-significant cell of every order-r
+// family, drawing model probabilities one batch marginal per family, and
+// returns the tests in deterministic (family, cell) order — one full scan
+// of the memo's Figure 3 inner loop. Families are priced over the shared
+// worker pool (par.Do): each costs one batch marginal sweep plus its cell
+// tests, so families are the natural unit of parallel work. Results are
+// identical for any worker count (same order, same values); only wall time
+// changes. workers <= 0 uses GOMAXPROCS; 1 runs the families sequentially
+// on the calling goroutine.
 //
 // Scoring is read-only on the tester, and the predictor must be safe for
 // concurrent use — compiled model engines are.

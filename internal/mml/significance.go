@@ -207,23 +207,10 @@ func (t *Tester) scanFamily(fam contingency.VarSet, pred Predictor) ([]CellTest,
 	return out, nil
 }
 
-// ScanOrder scores every not-yet-significant cell of every order-r family,
-// drawing model probabilities one batch marginal per family, and returns
-// the tests in deterministic (family, cell) order — one full scan of the
-// memo's Figure 3 inner loop.
+// ScanOrder is ScanOrderParallel on one worker: the families are priced
+// in order on the calling goroutine.
 func (t *Tester) ScanOrder(r int, pred Predictor) ([]CellTest, error) {
-	if r < 2 || r > t.table.R() {
-		return nil, fmt.Errorf("mml: scan order %d outside [2,%d]", r, t.table.R())
-	}
-	var out []CellTest
-	for _, fam := range t.familiesAtOrder(r) {
-		tests, err := t.scanFamily(fam, pred)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tests...)
-	}
-	return out, nil
+	return t.ScanOrderParallel(r, pred, 1)
 }
 
 // MostSignificant returns the index of the most significant test (smallest

@@ -51,11 +51,10 @@ type SignificantCell struct {
 //
 // The table must stay read-only for the tester's lifetime, which lets every
 // marginal count the scans need — a candidate cell's observed count and its
-// known sub-marginals — come from one dense projection per family, built
-// on first use and kept for every later pass: one O(joint) Marginalize per
-// family on a dense table, and on a sparse table the table's own cached
-// projection (Sparse.ProjectCached, O(occupied × |family|) on a miss), held
-// by reference rather than copied. Each lookup afterwards is O(|family|).
+// known sub-marginals — come from one Counts.Marginalize per family, built
+// on first use and kept for every later pass: O(joint) on a dense table,
+// and on a sparse table its own cached projection (O(occupied × |family|)
+// on a miss), held by reference rather than copied. Each lookup afterwards is O(|family|).
 // The projections span only the candidate families and their sub-families,
 // so their size is bounded by the cell universe CellsAtOrder counts.
 type Tester struct {
@@ -84,8 +83,7 @@ type Tester struct {
 	margs  map[contingency.VarSet]*contingency.Table
 }
 
-// NewTester validates inputs and builds a tester over the counts backend
-// (dense *contingency.Table or *contingency.Sparse).
+// NewTester validates inputs and builds a tester over the counts backend.
 func NewTester(table contingency.Counts, cfg Config) (*Tester, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -93,10 +91,8 @@ func NewTester(table contingency.Counts, cfg Config) (*Tester, error) {
 	if table.Total() == 0 {
 		return nil, fmt.Errorf("mml: empty contingency table")
 	}
-	if ck, ok := table.(interface{ CheckConsistency() error }); ok {
-		if err := ck.CheckConsistency(); err != nil {
-			return nil, fmt.Errorf("mml: %w", err)
-		}
+	if err := table.CheckConsistency(); err != nil {
+		return nil, fmt.Errorf("mml: %w", err)
 	}
 	return &Tester{
 		table:       table,
@@ -283,8 +279,8 @@ func (t *Tester) marginalCount(family contingency.VarSet, values []int) (int64, 
 }
 
 // marginal returns the family's marginal table, projecting and publishing
-// it on first use, or nil when the backend is neither dense nor sparse or
-// cannot project the family (the empty family, or one beyond its axes).
+// it on first use, or nil when the backend cannot project the family (the
+// empty family, or one beyond its axes).
 // Racing builders compute equal tables and the first publication wins.
 func (t *Tester) marginal(family contingency.VarSet) *contingency.Table {
 	t.margMu.RLock()
@@ -293,15 +289,7 @@ func (t *Tester) marginal(family contingency.VarSet) *contingency.Table {
 	if ok {
 		return m
 	}
-	var err error
-	switch tab := t.table.(type) {
-	case *contingency.Table:
-		m, err = tab.Marginalize(family)
-	case *contingency.Sparse:
-		m, err = tab.ProjectCached(family)
-	default:
-		return nil
-	}
+	m, err := t.table.Marginalize(family)
 	if err != nil {
 		return nil
 	}

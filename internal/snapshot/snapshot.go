@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"pka/internal/contingency"
+	"pka/internal/core"
 	"pka/internal/dataset"
 	"pka/internal/maxent"
 	"pka/internal/wire"
@@ -52,40 +53,19 @@ const (
 	secOptions = 4
 )
 
-// Counts-section kind bytes.
-const (
-	countsDense  = 1
-	countsSparse = 2
-)
-
 // castagnoli is the CRC-32C table shared by writer and reader.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// DiscoveryOptions mirrors the public discovery knobs so an updatable
-// model restored from a snapshot refits with the policy it was built
-// under. The package cannot import the root pka package; conversion
-// to/from pka.Options happens there.
-type DiscoveryOptions struct {
-	MaxOrder           int
-	PriorH2            float64
-	MaxConstraints     int
-	RecordScans        bool
-	IncludeForcedCells bool
-	Workers            int
-	ScreenPairs        bool
-	ScreenAlpha        float64
-	ScreenCI           bool
-	ScreenCIAlpha      float64
-}
-
 // Snapshot is the in-memory form of one PKAS file. Schema and Model are
 // required; Counts and Options travel only in full snapshots saved from an
-// updatable model (a query-only snapshot serves without them).
+// updatable model (a query-only snapshot serves without them). Options
+// carries the discovery knobs an updatable model refits with; only the
+// fields encodeOptions writes travel.
 type Snapshot struct {
 	Schema  *dataset.Schema
 	Model   *maxent.Model
 	Counts  contingency.Counts
-	Options *DiscoveryOptions
+	Options *core.Options
 }
 
 // IsSnapshot reports whether prefix starts with the PKAS magic — the
@@ -116,11 +96,7 @@ func Write(w io.Writer, s *Snapshot) error {
 	section(&payload, secSchema, func(b *wire.Writer) { encodeSchema(b, s.Schema) })
 	section(&payload, secModel, func(b *wire.Writer) { encodeModel(b, st) })
 	if s.Counts != nil {
-		var encErr error
-		section(&payload, secCounts, func(b *wire.Writer) { encErr = encodeCounts(b, s.Counts) })
-		if encErr != nil {
-			return encErr
-		}
+		section(&payload, secCounts, func(b *wire.Writer) { contingency.EncodeCounts(b, s.Counts) })
 	}
 	if s.Options != nil {
 		section(&payload, secOptions, func(b *wire.Writer) { encodeOptions(b, s.Options) })
@@ -246,7 +222,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 				return nil, err
 			}
 		case secCounts:
-			if s.Counts, err = decodeCounts(body, version); err != nil {
+			if s.Counts, err = contingency.DecodeCounts(body, version); err != nil {
 				return nil, err
 			}
 		case secOptions:
@@ -467,46 +443,16 @@ func modelCount(r *wire.Reader) (int, bool) {
 	return n, true
 }
 
-// encodeCounts writes section 3: a kind byte plus the contingency codec.
-func encodeCounts(w *wire.Writer, c contingency.Counts) error {
-	switch t := c.(type) {
-	case *contingency.Table:
-		w.Byte(countsDense)
-		contingency.EncodeTable(w, t)
-	case *contingency.Sparse:
-		w.Byte(countsSparse)
-		contingency.EncodeSparse(w, t)
-	default:
-		return fmt.Errorf("snapshot: cannot serialize counts of type %T", c)
-	}
-	return nil
-}
-
-// decodeCounts reads section 3.
-func decodeCounts(r *wire.Reader, version int) (contingency.Counts, error) {
-	switch kind := r.Byte(); kind {
-	case countsDense:
-		return contingency.DecodeTable(r)
-	case countsSparse:
-		return contingency.DecodeSparse(r, version)
-	default:
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("snapshot: decoding counts: %w", err)
-		}
-		return nil, fmt.Errorf("snapshot: unknown counts kind %d", kind)
-	}
-}
-
 // encodeOptions writes section 4.
-func encodeOptions(w *wire.Writer, o *DiscoveryOptions) {
+func encodeOptions(w *wire.Writer, o *core.Options) {
 	w.Int(o.MaxOrder)
-	w.Float64(o.PriorH2)
+	w.Float64(o.MML.PriorH2)
 	w.Int(o.MaxConstraints)
 	var flags byte
 	if o.RecordScans {
 		flags |= 1
 	}
-	if o.IncludeForcedCells {
+	if o.MML.IncludeForced {
 		flags |= 2
 	}
 	if o.ScreenPairs {
@@ -523,14 +469,14 @@ func encodeOptions(w *wire.Writer, o *DiscoveryOptions) {
 }
 
 // decodeOptions reads section 4.
-func decodeOptions(r *wire.Reader, version int) (*DiscoveryOptions, error) {
-	o := &DiscoveryOptions{}
+func decodeOptions(r *wire.Reader, version int) (*core.Options, error) {
+	o := &core.Options{}
 	o.MaxOrder = r.Int()
-	o.PriorH2 = r.Float64()
+	o.MML.PriorH2 = r.Float64()
 	o.MaxConstraints = r.Int()
 	flags := r.Byte()
 	o.RecordScans = flags&1 != 0
-	o.IncludeForcedCells = flags&2 != 0
+	o.MML.IncludeForced = flags&2 != 0
 	o.ScreenPairs = flags&4 != 0
 	o.ScreenCI = flags&8 != 0
 	o.ScreenAlpha = r.Float64()

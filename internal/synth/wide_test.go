@@ -104,7 +104,7 @@ func TestWidePairsSampling(t *testing.T) {
 		t.Fatalf("CheckConsistency: %v", err)
 	}
 	var mismatch bool
-	tab.EachCellSorted(func(cell []int, c int64) {
+	tab.EachCell(func(cell []int, c int64) {
 		n2, err := again.At(cell...)
 		if err != nil || n2 != c {
 			mismatch = true

@@ -174,7 +174,9 @@ type Model struct {
 	// counts is the discovery table, retained for streaming updates; the
 	// Model owns it after Discover* returns — callers must not mutate it.
 	counts contingency.Counts
-	opts   Options
+	// opts is the engine form of the discovery options, which Update
+	// refits with and SaveSnapshot persists.
+	opts core.Options
 }
 
 // Discover tabulates the dataset and runs the full acquisition procedure.
@@ -218,9 +220,10 @@ func DiscoverSparse(table *SparseTable, schema *Schema, opts Options) (*Model, e
 	return discoverCounts(table, schema, opts)
 }
 
-// coreOptions translates the public discovery options to the engine's.
+// coreOptions translates the public discovery options to the engine's;
+// zero values stay zero, and the engine fills in its defaults.
 func coreOptions(opts Options) core.Options {
-	coreOpts := core.Options{
+	return core.Options{
 		MaxOrder: opts.MaxOrder,
 		MML: mml.Config{
 			PriorH2:       opts.PriorH2,
@@ -234,10 +237,6 @@ func coreOptions(opts Options) core.Options {
 		ScreenCI:       opts.ScreenCI,
 		ScreenCIAlpha:  opts.ScreenCIAlpha,
 	}
-	if coreOpts.MML.PriorH2 == 0 {
-		coreOpts.MML.PriorH2 = mml.DefaultConfig().PriorH2
-	}
-	return coreOpts
 }
 
 // discoverCounts is the shared backend-agnostic acquisition driver. The
@@ -246,7 +245,8 @@ func coreOptions(opts Options) core.Options {
 // table afterwards — Update writes it without locking, so even read-only
 // caller access would race with ingest.
 func discoverCounts(table contingency.Counts, schema *Schema, opts Options) (*Model, error) {
-	res, err := core.DiscoverCounts(table, coreOptions(opts))
+	copts := coreOptions(opts)
+	res, err := core.DiscoverCounts(table, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func discoverCounts(table contingency.Counts, schema *Schema, opts Options) (*Mo
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{result: res, fit: fit, counts: table, opts: opts}
+	m := &Model{result: res, fit: fit, counts: table, opts: copts}
 	m.kbase.Store(kbase)
 	return m, nil
 }
@@ -296,24 +296,22 @@ func (m *Model) Update(rows []Record) (UpdateReport, error) {
 		rep.TotalSamples = m.counts.Total()
 		return rep, nil
 	}
-	cells := make([][]int, len(rows))
 	deltas := make([]contingency.CellDelta, len(rows))
 	for i, r := range rows {
-		cells[i] = append([]int(nil), r...)
-		deltas[i] = contingency.CellDelta{Cell: cells[i], Delta: 1}
+		deltas[i] = contingency.CellDelta{Cell: r, Delta: 1}
 	}
-	if err := m.observeCounts(cells); err != nil {
+	if err := m.counts.ApplyBatch(deltas); err != nil {
 		// The batch never touched the table: a client-input failure.
 		return rep, fmt.Errorf("%w: %w", query.ErrRejectedRows, err)
 	}
-	out, err := core.Update(m.result, m.counts, deltas, coreOptions(m.opts))
+	out, err := core.Update(m.result, m.counts, deltas, m.opts)
 	if err != nil {
 		// Roll the counts back so the served model and its data bank stay
 		// in step; the batch is rejected as a unit.
 		for i := range deltas {
 			deltas[i].Delta = -1
 		}
-		if rbErr := m.applyDeltas(deltas); rbErr != nil {
+		if rbErr := m.counts.ApplyBatch(deltas); rbErr != nil {
 			return rep, fmt.Errorf("pka: update failed (%w) and rollback failed: %v", err, rbErr)
 		}
 		return rep, err
@@ -368,35 +366,6 @@ func (m *Model) EnableCache(capacityBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.enableCache(capacityBytes)
-}
-
-// observeCounts routes a validated batch into the retained counts backend.
-func (m *Model) observeCounts(cells [][]int) error {
-	switch t := m.counts.(type) {
-	case *contingency.Sparse:
-		return t.ObserveBatch(cells)
-	case *contingency.Table:
-		return t.ObserveBatch(cells)
-	default:
-		return fmt.Errorf("pka: counts backend %T cannot ingest batches", m.counts)
-	}
-}
-
-// applyDeltas applies signed cell deltas to the retained counts backend.
-func (m *Model) applyDeltas(deltas []contingency.CellDelta) error {
-	switch t := m.counts.(type) {
-	case *contingency.Sparse:
-		return t.ApplyBatch(deltas)
-	case *contingency.Table:
-		for _, d := range deltas {
-			if err := t.Add(d.Delta, d.Cell...); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("pka: counts backend %T cannot ingest batches", m.counts)
-	}
 }
 
 // ObserveLabeled is Update with rows of value labels in schema order — the
@@ -503,7 +472,7 @@ func (m *Model) SaveSnapshot(w io.Writer) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	kbase := m.kb()
-	opts := snapshotOptions(m.opts)
+	opts := m.opts
 	return snapshot.Write(w, &snapshot.Snapshot{
 		Schema:  kbase.Schema(),
 		Model:   kbase.Model(),
@@ -563,46 +532,14 @@ func LoadModelSnapshot(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts Options
+	var opts core.Options
 	if s.Options != nil {
-		opts = discoveryOptions(*s.Options)
+		opts = *s.Options
 	}
 	res := &core.Result{Model: s.Model, TotalSamples: s.Counts.Total()}
 	m := &Model{result: res, fit: fit, counts: s.Counts, opts: opts}
 	m.kbase.Store(kbase)
 	return m, nil
-}
-
-// snapshotOptions converts public discovery options to the snapshot form.
-func snapshotOptions(o Options) snapshot.DiscoveryOptions {
-	return snapshot.DiscoveryOptions{
-		MaxOrder:           o.MaxOrder,
-		PriorH2:            o.PriorH2,
-		MaxConstraints:     o.MaxConstraints,
-		RecordScans:        o.RecordScans,
-		IncludeForcedCells: o.IncludeForcedCells,
-		Workers:            o.Workers,
-		ScreenPairs:        o.ScreenPairs,
-		ScreenAlpha:        o.ScreenAlpha,
-		ScreenCI:           o.ScreenCI,
-		ScreenCIAlpha:      o.ScreenCIAlpha,
-	}
-}
-
-// discoveryOptions is the inverse of snapshotOptions.
-func discoveryOptions(o snapshot.DiscoveryOptions) Options {
-	return Options{
-		MaxOrder:           o.MaxOrder,
-		PriorH2:            o.PriorH2,
-		MaxConstraints:     o.MaxConstraints,
-		RecordScans:        o.RecordScans,
-		IncludeForcedCells: o.IncludeForcedCells,
-		Workers:            o.Workers,
-		ScreenPairs:        o.ScreenPairs,
-		ScreenAlpha:        o.ScreenAlpha,
-		ScreenCI:           o.ScreenCI,
-		ScreenCIAlpha:      o.ScreenCIAlpha,
-	}
 }
 
 // QueryModel is a loaded, query-only knowledge base: the same Querier

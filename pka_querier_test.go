@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pka"
+	"pka/internal/contingency"
 	"pka/internal/paperdata"
 )
 
@@ -31,7 +32,8 @@ func loadedModel(t testing.TB, m *pka.Model) *pka.QueryModel {
 }
 
 // TestModelQueryModelParity: the whole Querier surface (plus the metadata
-// and validation accessors QueryModel used to lack — Lift, LogLossSparse,
+// and validation accessors QueryModel used to lack — Lift, LogLoss on dense
+// and sparse counts,
 // Info, NumConstraints, Entropy) answers identically through Model and
 // through a save/load round trip, because both run the same shared core.
 func TestModelQueryModelParity(t *testing.T) {
@@ -61,6 +63,15 @@ func TestModelQueryModelParity(t *testing.T) {
 	qll, err2 := q.LogLoss(table)
 	if err1 != nil || err2 != nil || mll != qll {
 		t.Errorf("LogLoss parity: %x vs %x (%v, %v)", mll, qll, err1, err2)
+	}
+	sparse, err := contingency.FromDense(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msl, err1 := m.LogLoss(sparse)
+	qsl, err2 := q.LogLoss(sparse)
+	if err1 != nil || err2 != nil || msl != qsl {
+		t.Errorf("sparse LogLoss parity: %x vs %x (%v, %v)", msl, qsl, err1, err2)
 	}
 	if mi, qi := m.Info(), q.Info(); mi != qi {
 		t.Errorf("Info parity: %+v vs %+v", mi, qi)

@@ -47,9 +47,9 @@ const (
 	QueryMPE          = query.KindMPE
 )
 
-// Counts is the read-only view of tabulated observations shared by the
-// dense Table and the wide-schema SparseTable — the shape LogLoss accepts,
-// so models validate against either backend.
+// Counts is the counts contract shared by the dense Table and the
+// wide-schema SparseTable — the shape LogLoss accepts, so models validate
+// against either backend.
 type Counts = contingency.Counts
 
 // Answer executes one query against any Querier.
@@ -190,12 +190,6 @@ func (c *queryCore) DependencyDOT() string { return c.kb().DependencyDOT() }
 // sample) on validation counts of the same shape — dense Table or wide
 // SparseTable alike (only occupied cells are scored).
 func (c *queryCore) LogLoss(table Counts) (float64, error) { return c.kb().LogLoss(table) }
-
-// LogLossSparse is LogLoss on a sparse validation table: only occupied
-// cells are scored, so wide holdouts validate without densifying.
-func (c *queryCore) LogLossSparse(table *SparseTable) (float64, error) {
-	return c.kb().LogLoss(table)
-}
 
 // Save persists the knowledge base (schema + fitted model) as JSON — the
 // interchange format.
