@@ -94,6 +94,16 @@ func DecodeTable(r *wire.Reader) (*Table, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("contingency: decoding dense shape: %w", err)
 	}
+	// Every count takes at least one byte, so a shape claiming more cells
+	// than the payload has bytes left is truncated; rejecting it before New
+	// stops a corrupt shape from allocating a table the payload cannot fill.
+	cells := 1
+	for _, c := range cards {
+		if c > 0 && cells > r.Remaining()/c {
+			return nil, fmt.Errorf("contingency: decoding dense counts: %w", wire.ErrTruncated)
+		}
+		cells *= max(c, 1)
+	}
 	t, err := New(names, cards)
 	if err != nil {
 		return nil, err

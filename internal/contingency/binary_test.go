@@ -2,6 +2,8 @@ package contingency
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -172,5 +174,27 @@ func TestDecodeSparseRejectsCorrupt(t *testing.T) {
 				t.Errorf("got %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeTableBoundsShapeByPayload: a dense shape claiming more cells
+// than the payload has bytes is rejected as truncated before the table is
+// allocated, so a few corrupt bytes cannot cost a 128 MiB count array.
+func TestDecodeTableBoundsShapeByPayload(t *testing.T) {
+	var w wire.Writer
+	w.Int(2)
+	w.String("A")
+	w.String("B")
+	w.Ints([]int{1 << 12, 1 << 12})
+	w.Uvarint(7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTable(wire.NewReader(w.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("got %v, want wire.ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the shape allocated %d bytes", grew)
 	}
 }

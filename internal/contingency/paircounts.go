@@ -12,7 +12,7 @@ import (
 // lexicographic order of Combinations(R, 2) — and its table is row-major
 // over (value of i, value of j).
 //
-// It is derived state of a Sparse table, like the projection cache: the
+// It is derived state of a Sparse table, like its cached projections: the
 // wide pairwise screen reads every pair from it, and every mutation folds
 // its changed cells into it in place (O(pairs) per distinct changed cell),
 // so re-screening a table under streaming ingest never rescans the
@@ -26,9 +26,10 @@ type PairCounts struct {
 	counts []int64
 }
 
-// pairCountsKey is the ledger's slot in the projection cache. VarSet keys
-// are hex digits and dots, so it can never collide with a family.
-var pairCountsKey = []byte("pair-counts")
+// maxKeptPairCountBytes is the largest ledger a table keeps. A bigger one
+// is counted for the call that asks and dropped afterwards, so a very wide
+// schema cannot pin more than this much derived state.
+const maxKeptPairCountBytes = 256 << 20
 
 // newPairCounts lays out an all-zero ledger for the cardinalities, or
 // fails when its slab would exceed the dense-table cell limit.
@@ -80,37 +81,44 @@ func (p *PairCounts) add(cell []int, delta int64) {
 	}
 }
 
-// bytes is the ledger's resident size for the projection-cache budget.
+// bytes is the ledger's resident size.
 func (p *PairCounts) bytes() int64 {
 	return int64(8*len(p.counts) + 8*(len(p.rowOff)+len(p.cum)))
 }
 
 // PairCounts returns the table's pair-count ledger, building it on first
-// use and caching it in the projection cache, where it counts against the
-// SetProjectionCacheBytes budget. From then on every mutation keeps it
-// current. A ledger that does not fit the budget is built for this call
-// only. The build decodes the occupied cells once into narrow columns and
-// spreads the pairs over workers (Options.Workers semantics); its integer
-// adds make the result independent of the worker count.
+// use and keeping it for the table's lifetime; from then on every
+// mutation keeps it current. A ledger over maxKeptPairCountBytes is built
+// for this call only. The build decodes the occupied cells once into
+// narrow columns and spreads the pairs over workers (Options.Workers
+// semantics); its integer adds make the result independent of the worker
+// count.
 //
 // Safe for concurrent readers: racing first callers each count the same
 // ledger and the first publication wins, as for projections.
 func (s *Sparse) PairCounts(workers int) (*PairCounts, error) {
-	if v, ok := s.projCache.Get(pairCountsKey, 0); ok {
-		return v.(*PairCounts), nil
+	return s.pairCounts(workers, maxKeptPairCountBytes)
+}
+
+// pairCounts is PairCounts with the keep ceiling as a parameter.
+func (s *Sparse) pairCounts(workers int, keepBytes int64) (*PairCounts, error) {
+	if p := s.cachedPairCounts(); p != nil {
+		return p, nil
 	}
 	p, err := s.buildPairCounts(workers)
 	if err != nil {
 		return nil, err
 	}
 	s.pairCountBuilds.Add(1)
+	if p.bytes() > keepBytes {
+		return p, nil
+	}
 	s.projMu.Lock()
 	defer s.projMu.Unlock()
-	if v, ok := s.projCache.Get(pairCountsKey, 0); ok {
-		return v.(*PairCounts), nil
+	if s.pairs == nil {
+		s.pairs = p
 	}
-	s.projCache.Put(pairCountsKey, 0, p, p.bytes())
-	return p, nil
+	return s.pairs, nil
 }
 
 // PairCountBuilds reports how many times the pair-count ledger has been
@@ -118,12 +126,11 @@ func (s *Sparse) PairCounts(workers int) (*PairCounts, error) {
 // invariant that mutation maintains the ledger instead of dropping it.
 func (s *Sparse) PairCountBuilds() int64 { return s.pairCountBuilds.Load() }
 
-// cachedPairCounts returns the cached ledger, or nil.
+// cachedPairCounts returns the kept ledger, or nil.
 func (s *Sparse) cachedPairCounts() *PairCounts {
-	if v, ok := s.projCache.Get(pairCountsKey, 0); ok {
-		return v.(*PairCounts)
-	}
-	return nil
+	s.projMu.RLock()
+	defer s.projMu.RUnlock()
+	return s.pairs
 }
 
 // buildPairCounts counts a fresh ledger from the occupied cells.

@@ -183,10 +183,11 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 	}
 }
 
-// TestPairCountsBudget: the ledger counts against the projection-cache
-// budget. Under a budget it cannot fit, every call builds a transient
-// ledger that is still exact; under the default budget it is built once
-// and is not reported as a family projection.
+// TestPairCountsBudget: a ledger within the keep ceiling is built once,
+// kept, and not reported as a family projection; one over the ceiling is
+// counted afresh for every call, is still exact, and is never kept. The
+// ceiling is a parameter of pairCounts, so the over-ceiling case lowers it
+// instead of allocating a 256 MiB ledger.
 func TestPairCountsBudget(t *testing.T) {
 	cards := ledgerSchemas()[80]
 	rng := rand.New(rand.NewSource(3))
@@ -197,29 +198,33 @@ func TestPairCountsBudget(t *testing.T) {
 	if err := s.ObserveBatch(randomRows(rng, cards, 200)); err != nil {
 		t.Fatal(err)
 	}
+	over := s.Clone()
 	for call := 1; call <= 2; call++ {
 		if _, err := s.PairCounts(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.PairCountBuilds() != 1 || s.CachedProjections() != 0 {
-		t.Fatalf("default budget: %d builds, %d projections reported; want 1 and 0",
-			s.PairCountBuilds(), s.CachedProjections())
+	if s.PairCountBuilds() != 1 || s.cachedPairCounts() == nil || s.CachedProjections() != 0 {
+		t.Fatalf("default ceiling: %d builds, ledger kept %v, %d projections reported; want 1, true and 0",
+			s.PairCountBuilds(), s.cachedPairCounts() != nil, s.CachedProjections())
 	}
 
-	s.SetProjectionCacheBytes(64 << 10) // 4 KiB per shard: the ledger cannot fit
+	const ceiling = 4 << 10
 	for call := 1; call <= 2; call++ {
-		p, err := s.PairCounts(2)
+		p, err := over.pairCounts(2, ceiling)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.PairCountBuilds(); got != int64(1+call) {
-			t.Fatalf("call %d under a small budget: %d builds, want %d", call, got, 1+call)
+		if p.bytes() <= ceiling {
+			t.Fatalf("the %d-byte ledger fits the %d-byte test ceiling", p.bytes(), ceiling)
 		}
-		checkLedgerAgainstProject(t, s, p)
-	}
-	if s.cachedPairCounts() != nil {
-		t.Fatal("a ledger over the budget was cached")
+		if got := over.PairCountBuilds(); got != int64(call) {
+			t.Fatalf("call %d over the ceiling: %d builds, want %d", call, got, call)
+		}
+		if over.cachedPairCounts() != nil {
+			t.Fatal("a ledger over the ceiling was kept")
+		}
+		checkLedgerAgainstProject(t, over, p)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"pka/internal/memo"
 )
 
 // Sparse is a contingency table held as a hash of occupied cells — the
@@ -37,32 +35,26 @@ type Sparse struct {
 	store    cellStore
 	total    int64
 
-	// subScratch is the mutation-path projection scratch; safe because
-	// mutation must not overlap any other call (see the contract below).
-	subScratch []int
-
-	// projCache is the per-family dense-projection cache behind
-	// MarginalCount: the first marginal query over an attribute family
+	// projs holds the per-family dense projections behind MarginalCount
+	// and Marginalize: the first marginal query over an attribute family
 	// projects the occupied cells onto that family once
 	// (O(occupied × |family|)), and every later query over the same family
-	// is a dense O(1) lookup.
-	// Mutation (Observe/Add/ApplyBatch/ObserveBatch) maintains every cached
-	// projection in place — O(families) per changed cell instead of an
-	// O(occupied) re-projection per family on the next read — so the cache
-	// survives streaming ingest. Capacity pressure can retire entries
-	// (SetProjectionCacheBytes); a retired family simply re-projects on its
-	// next query. projMu serializes publication so a family only ever has
-	// one live table (first publication wins) — a requirement of in-place
-	// maintenance, which updates the cached table, not copies of it.
-	// The same cache holds the pair-count ledger (PairCounts), which the
-	// wide pairwise screen builds once and mutation maintains in place the
-	// same way.
+	// is a dense O(1) lookup. pairs is the pair-count ledger (PairCounts)
+	// the wide pairwise screen reads. Both are derived state, owned by the
+	// table for its whole lifetime: nothing evicts them, and mutation
+	// (Observe/Add/ApplyBatch/ObserveBatch) maintains them in place —
+	// O(families + pairs) per changed cell instead of an O(occupied)
+	// re-projection on the next read — so they survive streaming ingest
+	// and a table Marginalize returned stays current. projMu serializes
+	// publication so a family only ever has one live table (first
+	// publication wins), which in-place maintenance depends on.
 	// Concurrency contract: mutation must not overlap any other call — it
-	// writes cached tables and the ledger in place — while read-only use,
+	// writes the projections and the ledger in place — while read-only use,
 	// MarginalCount and PairCounts included, is safe from any number of
 	// goroutines.
-	projMu    sync.Mutex
-	projCache *memo.Cache
+	projMu sync.RWMutex
+	projs  map[VarSet]*projEntry
+	pairs  *PairCounts
 
 	pairCountBuilds atomic.Int64
 }
@@ -72,26 +64,14 @@ type Sparse struct {
 // cells instead of materializing a large dense table per family.
 const maxCachedProjCells = 1 << 16
 
-// defaultProjCacheBytes is the projection cache's capacity when
-// SetProjectionCacheBytes was never called — generous enough that realistic
-// discovery scans never feel it, while still bounding a pathological
-// many-family workload.
-const defaultProjCacheBytes = 256 << 20
-
 // projEntry is one cached projection: the family, its member positions
 // (pre-expanded so the per-cell mutation path need not re-derive them), and
-// the dense table. The table is deliberately mutated in place after
-// insertion — safe under the Sparse concurrency contract, which gives
-// mutation exclusive access.
+// the dense table, which mutation updates in place.
 type projEntry struct {
 	vs      VarSet
 	members []int
 	t       *Table
 }
-
-// projEntryOverhead approximates a projEntry's bookkeeping bytes beyond the
-// table counts and member list.
-const projEntryOverhead = 96
 
 // keyField locates one attribute's coordinate inside the packed multi-word
 // cell key.
@@ -148,11 +128,9 @@ func NewSparse(names []string, cards []int) (*Sparse, error) {
 		return nil, err
 	}
 	s := &Sparse{
-		cards:      append([]int(nil), cards...),
-		fields:     fields,
-		keyWords:   nwords,
-		subScratch: make([]int, len(cards)),
-		projCache:  memo.New(defaultProjCacheBytes),
+		cards:    append([]int(nil), cards...),
+		fields:   fields,
+		keyWords: nwords,
 	}
 	switch nwords {
 	case 1:
@@ -251,24 +229,22 @@ func (s *Sparse) Add(delta int64, cell ...int) error {
 }
 
 // applyToProjections folds one cell delta into every cached projection and
-// the cached pair-count ledger. The coordinates must already be validated;
-// projection coordinates are a subset of the cell's, so the dense adds
-// cannot fail — if one somehow does, the stale table is dropped rather than
-// left wrong (Each deletes on false). The in-place writes are safe because
-// mutation holds exclusive access to the Sparse by contract.
+// the cached pair-count ledger. The coordinates must already be validated
+// and the delta must leave the cell non-negative, so no projection cell
+// can go negative either. The in-place writes are safe because mutation
+// holds exclusive access to the Sparse by contract.
 func (s *Sparse) applyToProjections(cell []int, delta int64) {
-	sub := s.subScratch
-	s.projCache.Each(func(_ string, v any) bool {
-		e, ok := v.(*projEntry)
-		if !ok {
-			v.(*PairCounts).add(cell, delta)
-			return true
-		}
+	for _, e := range s.projs {
+		off := 0
 		for i, p := range e.members {
-			sub[i] = cell[p]
+			off += cell[p] * e.t.strides[i]
 		}
-		return e.t.Add(delta, sub[:len(e.members)]...) == nil
-	})
+		e.t.counts[off] += delta
+		e.t.total += delta
+	}
+	if s.pairs != nil {
+		s.pairs.add(cell, delta)
+	}
 }
 
 // ApplyBatch applies a group of cell deltas as one mutation. The whole batch
@@ -380,21 +356,19 @@ func (s *Sparse) ToDense() (*Table, error) {
 	return dense, nil
 }
 
-// Clone returns a deep copy of the table's counts. The projection cache
-// (pair-count ledger included) does not travel: the copy starts cold and
-// rebuilds its cached projections on first use — so cloning is cheap in proportion to the
-// occupied cells, and a clone taken for speculative mutation never
-// aliases the original's cached tables.
+// Clone returns a deep copy of the table's counts. Cached projections and
+// the pair-count ledger do not travel: the copy starts cold and rebuilds
+// them on first use — so cloning is cheap in proportion to the occupied
+// cells, and a clone taken for speculative mutation never aliases the
+// original's cached tables.
 func (s *Sparse) Clone() *Sparse {
 	return &Sparse{
-		names:      append([]string(nil), s.names...),
-		cards:      append([]int(nil), s.cards...),
-		fields:     append([]keyField(nil), s.fields...),
-		keyWords:   s.keyWords,
-		store:      s.store.clone(),
-		total:      s.total,
-		subScratch: make([]int, len(s.cards)),
-		projCache:  memo.New(s.projCache.Capacity()),
+		names:    append([]string(nil), s.names...),
+		cards:    append([]int(nil), s.cards...),
+		fields:   append([]keyField(nil), s.fields...),
+		keyWords: s.keyWords,
+		store:    s.store.clone(),
+		total:    s.total,
 	}
 }
 
@@ -474,10 +448,11 @@ func (s *Sparse) projection(vars VarSet, members []int) *Table {
 			return nil
 		}
 	}
-	var keyArr [48]byte
-	key := vars.AppendKey(keyArr[:0])
-	if v, ok := s.projCache.Get(key, 0); ok {
-		return v.(*projEntry).t
+	s.projMu.RLock()
+	e := s.projs[vars]
+	s.projMu.RUnlock()
+	if e != nil {
+		return e.t
 	}
 	t, err := s.Project(vars)
 	if err != nil {
@@ -491,16 +466,15 @@ func (s *Sparse) projection(vars VarSet, members []int) *Table {
 // first: the double-checked lock keeps one live table per family, which
 // in-place maintenance depends on. Returns the table that won.
 func (s *Sparse) publishProjection(vars VarSet, t *Table) *Table {
-	var keyArr [48]byte
-	key := vars.AppendKey(keyArr[:0])
 	s.projMu.Lock()
 	defer s.projMu.Unlock()
-	if v, ok := s.projCache.Get(key, 0); ok {
-		return v.(*projEntry).t
+	if e, ok := s.projs[vars]; ok {
+		return e.t
 	}
-	e := &projEntry{vs: vars, members: vars.Members(), t: t}
-	cost := int64(8*len(t.counts)+8*len(e.members)) + projEntryOverhead
-	s.projCache.Put(key, 0, e, cost)
+	if s.projs == nil {
+		s.projs = make(map[VarSet]*projEntry)
+	}
+	s.projs[vars] = &projEntry{vs: vars, members: vars.Members(), t: t}
 	return t
 }
 
@@ -508,41 +482,20 @@ func (s *Sparse) publishProjection(vars VarSet, t *Table) *Table {
 // order — the canonical enumeration the snapshot codec and the verifier
 // walk.
 func (s *Sparse) projectionEntries() []*projEntry {
-	var out []*projEntry
-	s.projCache.Each(func(_ string, v any) bool {
-		if e, ok := v.(*projEntry); ok {
-			out = append(out, e)
-		}
-		return true
-	})
+	s.projMu.RLock()
+	out := make([]*projEntry, 0, len(s.projs))
+	for _, e := range s.projs {
+		out = append(out, e)
+	}
+	s.projMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].vs.Less(out[j].vs) })
 	return out
 }
 
-// SetProjectionCacheBytes bounds the projection cache: n > 0 caps its
-// resident bytes (LRU eviction under pressure — an evicted family is not an
-// error, its next marginal query re-projects from the live counts), n <= 0
-// removes the bound (the pre-knob behavior). Resizing starts the cache
-// cold. Call it before sharing the table across goroutines, like mutation.
-//
-// Caveat for Marginalize callers holding a returned table across
-// mutation: that contract only holds while the family stays cached —
-// eviction plus re-projection yields a new table, and the retained pointer
-// stops being maintained. Retain tables only with the cache unbounded.
-func (s *Sparse) SetProjectionCacheBytes(n int64) {
-	if n == 0 {
-		n = -1
-	}
-	s.projMu.Lock()
-	s.projCache = memo.New(n)
-	s.projMu.Unlock()
-}
-
-// ProjectionCacheEvictions reports how many cached projections capacity
-// pressure has retired — observability for sizing the cache bound.
-func (s *Sparse) ProjectionCacheEvictions() int64 {
-	return s.projCache.Stats().Evictions
-}
+// ProjectionCacheEvictions always reports 0: cached projections and the
+// pair-count ledger live as long as the table and are never evicted. It
+// stays only because the benchmark's per-layer report still reads it.
+func (s *Sparse) ProjectionCacheEvictions() int64 { return 0 }
 
 // EachCell visits every occupied cell in ascending packed-key order — a
 // deterministic enumeration (map iteration is not) for consumers whose
@@ -607,7 +560,9 @@ func (s *Sparse) VerifyProjections() error {
 // mutation maintains caches instead of dropping them. The pair-count
 // ledger is not a family projection and is not counted.
 func (s *Sparse) CachedProjections() int {
-	return len(s.projectionEntries())
+	s.projMu.RLock()
+	defer s.projMu.RUnlock()
+	return len(s.projs)
 }
 
 // ---------------------------------------------------------------------------

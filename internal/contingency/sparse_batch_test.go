@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -278,10 +279,10 @@ func TestObserveBatchMatchesLoopObserve(t *testing.T) {
 	})
 }
 
-// TestProjectionCacheBound: under a tight byte budget the projection cache
-// evicts least-recently-used families instead of growing without bound, the
-// eviction counter advances, and every marginal — cached, evicted, or
-// rebuilt — still matches the occupied-cell scan.
+// TestProjectionCacheBound: projections are never evicted. Cycling
+// marginal queries over every family keeps each family cached, every
+// marginal matches the occupied-cell scan, and every cached table still
+// equals a fresh projection.
 func TestProjectionCacheBound(t *testing.T) {
 	cards := []int{3, 3, 3, 3, 3, 3}
 	s, err := NewSparse(nil, cards)
@@ -294,23 +295,19 @@ func TestProjectionCacheBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each pair entry costs ~200 bytes and the cache spreads its budget
-	// over its shards: this budget fits one entry per shard, so shards
-	// that attract two or more of the 15 families must evict.
-	s.SetProjectionCacheBytes(5 << 10)
-	if got := s.CachedProjections(); got != 0 {
-		t.Fatalf("resize did not start cold: %d entries", got)
-	}
 	var families []VarSet
 	for i := 0; i < s.R(); i++ {
 		for j := i + 1; j < s.R(); j++ {
-			families = append(families, NewVarSet(i, j))
+			families = append(families, NewVarSet(i, j), NewVarSet(i, j, (j+1)%s.R()))
 		}
 	}
 	for round := 0; round < 3; round++ {
 		for _, vs := range families {
 			members := vs.Members()
-			values := []int{rng.Intn(cards[members[0]]), rng.Intn(cards[members[1]])}
+			values := make([]int, len(members))
+			for i, p := range members {
+				values[i] = rng.Intn(cards[p])
+			}
 			got, err := s.MarginalCount(vs, values)
 			if err != nil {
 				t.Fatal(err)
@@ -320,15 +317,82 @@ func TestProjectionCacheBound(t *testing.T) {
 			}
 		}
 	}
-	if ev := s.ProjectionCacheEvictions(); ev == 0 {
-		t.Error("cycling more families than fit evicted nothing")
+	distinct := make(map[VarSet]bool)
+	for _, vs := range families {
+		distinct[vs] = true
+	}
+	if got := s.CachedProjections(); got != len(distinct) {
+		t.Errorf("%d families cached after querying %d", got, len(distinct))
+	}
+	if ev := s.ProjectionCacheEvictions(); ev != 0 {
+		t.Errorf("%d evictions reported", ev)
 	}
 	if err := s.VerifyProjections(); err != nil {
 		t.Error(err)
 	}
-	// The bound holds: cached entries cost more than 0 bytes each, so the
-	// entry count cannot exceed capacity/cost; sanity-check it is small.
-	if got := s.CachedProjections(); got >= len(families) {
-		t.Errorf("%d of %d families cached despite a 1 KiB budget", got, len(families))
+}
+
+// TestRetainedTablesStayCurrent: a Marginalize table and a PairCounts
+// ledger taken before a series of batches — one of them the rollback of
+// the batch before it — are the live derived state, not copies: after
+// every round they equal a fresh projection and a fresh ledger.
+func TestRetainedTablesStayCurrent(t *testing.T) {
+	cards := []int{2, 3, 2, 4, 2}
+	rng := rand.New(rand.NewSource(11))
+	s, err := NewSparse(nil, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveBatch(randomRows(rng, cards, 50)); err != nil {
+		t.Fatal(err)
+	}
+	fam := NewVarSet(1, 3)
+	marg, err := s.Marginalize(fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := s.PairCounts(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(round string) {
+		t.Helper()
+		fresh, err := s.Project(fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !marg.Equal(fresh) {
+			t.Fatalf("%s: retained Marginalize table diverged from Project", round)
+		}
+		rebuilt, err := s.buildPairCounts(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ledger.counts, rebuilt.counts) {
+			t.Fatalf("%s: retained ledger diverged from a rebuild", round)
+		}
+	}
+	var last []CellDelta
+	for round := 0; round < 4; round++ {
+		last = observations(randomRows(rng, cards, 30))
+		if err := s.ApplyBatch(last); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("batch %d", round))
+	}
+	rollback := make([]CellDelta, len(last))
+	for i, d := range last {
+		rollback[i] = CellDelta{Cell: d.Cell, Delta: -d.Delta}
+	}
+	if err := s.ApplyBatch(rollback); err != nil {
+		t.Fatal(err)
+	}
+	check("rollback")
+	if err := s.ApplyBatch(observations(randomRows(rng, cards, 30))); err != nil {
+		t.Fatal(err)
+	}
+	check("batch after rollback")
+	if s.PairCountBuilds() != 1 {
+		t.Errorf("ledger built %d times, want once", s.PairCountBuilds())
 	}
 }

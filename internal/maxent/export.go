@@ -95,88 +95,17 @@ func (m *Model) Export() (*ModelState, error) {
 // exported state, skipping the solve entirely. The restored model is
 // marked fit-clean with nothing dirty, so a later incremental refit treats
 // every block whose targets did not move as converged, exactly as the
-// saved model would have. The state is validated as strictly as the
-// AddConstraint path would — dedupe, range checks, exact coefficient
-// sizes, family/constraint agreement — but the model is bulk-constructed
-// (taking ownership of the state's slices) instead of built one
-// AddConstraint at a time: restore is the serving cold-start hot path. In
-// factored mode the block structure must match what the constraint graph
-// implies.
+// saved model would have. The state is validated by modelFromState, and
+// in factored mode the block structure must match what the constraint
+// graph implies.
 func RestoreModel(st *ModelState) (*Model, error) {
-	nm, err := NewModel(st.Names, st.Cards)
+	nm, err := modelFromState(st)
 	if err != nil {
 		return nil, fmt.Errorf("maxent: restoring model: %w", err)
 	}
-	totalCells := 0
-	for _, fs := range st.Families {
-		size := 1
-		prev := -1
-		for _, p := range fs.Vars {
-			if p <= prev || p >= len(nm.cards) {
-				return nil, fmt.Errorf("maxent: restoring model: family members %v not ascending in range", fs.Vars)
-			}
-			prev = p
-			size *= nm.cards[p]
-		}
-		if size == 1 && len(fs.Vars) == 0 {
-			return nil, fmt.Errorf("maxent: restoring model: empty coefficient family")
-		}
-		if len(fs.Coeffs) != size {
-			return nil, fmt.Errorf("maxent: restoring model: family %v has %d coefficients, want %d",
-				fs.Vars, len(fs.Coeffs), size)
-		}
-		if err := checkCoeffs(fs.Coeffs); err != nil {
-			return nil, fmt.Errorf("maxent: restoring model: family %v: %w", fs.Vars, err)
-		}
-		vs := contingency.NewVarSet(fs.Vars...)
-		if _, dup := nm.families[vs]; dup {
-			return nil, fmt.Errorf("maxent: restoring model: duplicate coefficient family %v", vs)
-		}
-		nm.families[vs] = &familyTerm{vars: fs.Vars, coeffs: fs.Coeffs}
-		totalCells += size
-	}
-	nm.cons = make([]Constraint, 0, len(st.Constraints))
-	// Dedupe via per-family cell bitmaps instead of the string-keyed conIdx:
-	// building the index here costs a key() allocation per constraint on the
-	// cold-start path, and a restored model may never mutate. conIdx stays
-	// nil; ensureConIdx builds it lazily if a mutation ever needs it. The
-	// bitmap doubles as the family-coverage check.
-	seen := make(map[contingency.VarSet][]bool, len(nm.families))
-	cellsBuf := make([]bool, totalCells)
-	for _, c := range st.Constraints {
-		if err := c.validate(nm.cards); err != nil {
-			return nil, fmt.Errorf("maxent: restoring model: %w", err)
-		}
-		ft, ok := nm.families[c.Family]
-		if !ok {
-			return nil, fmt.Errorf("maxent: restoring model: constraint family %v has no coefficients", c.Family)
-		}
-		cells := seen[c.Family]
-		if cells == nil {
-			cells = cellsBuf[:len(ft.coeffs):len(ft.coeffs)]
-			cellsBuf = cellsBuf[len(ft.coeffs):]
-			seen[c.Family] = cells
-		}
-		off := ft.offset(nm.cards, c.Values)
-		if cells[off] {
-			return nil, fmt.Errorf("maxent: restoring model: duplicate constraint on %s", c.Label(nm.names))
-		}
-		cells[off] = true
-		nm.cons = append(nm.cons, c)
-	}
-	nm.conIdx = nil
-	if len(seen) != len(nm.families) {
-		return nil, fmt.Errorf("maxent: restoring model: %d coefficient families carry no constraints",
-			len(nm.families)-len(seen))
-	}
-	if !(st.A0 > 0) || math.IsInf(st.A0, 0) {
-		return nil, fmt.Errorf("maxent: restoring model: degenerate a0 %g", st.A0)
-	}
-	nm.a0 = st.A0
 	// The saved model had converged: start clean so incremental refits skip
 	// unmoved blocks, and seed the block-a0 cache they reuse.
 	nm.fitClean = true
-	nm.dirty = make(map[contingency.VarSet]bool)
 	if st.Factored {
 		nm.blockA0 = make(map[contingency.VarSet]float64, len(st.Blocks))
 		for _, bs := range st.Blocks {
@@ -188,6 +117,86 @@ func RestoreModel(st *ModelState) (*Model, error) {
 	if err := nm.restoreCompiled(st); err != nil {
 		return nil, err
 	}
+	return nm, nil
+}
+
+// modelFromState is the one validating constructor behind both model
+// decoders, the snapshot's RestoreModel and the JSON UnmarshalJSON. It
+// checks the state as strictly as the AddConstraint path would — dedupe,
+// range checks, ascending family members, exact and overflow-safe
+// coefficient sizes, family/constraint agreement, a usable a0 — but
+// bulk-constructs the model, taking ownership of the state's slices,
+// instead of building it one AddConstraint at a time: restore is the
+// serving cold-start hot path. The model it returns has no compiled
+// engine and is not marked fit-clean.
+func modelFromState(st *ModelState) (*Model, error) {
+	nm, err := NewModel(st.Names, st.Cards)
+	if err != nil {
+		return nil, err
+	}
+	totalCells := 0
+	for _, fs := range st.Families {
+		if len(fs.Vars) == 0 {
+			return nil, fmt.Errorf("empty coefficient family")
+		}
+		prev := -1
+		for _, p := range fs.Vars {
+			if p <= prev || p >= len(nm.cards) {
+				return nil, fmt.Errorf("family members %v not ascending in range", fs.Vars)
+			}
+			prev = p
+		}
+		if err := checkFamilySize(nm.cards, fs.Vars, len(fs.Coeffs)); err != nil {
+			return nil, err
+		}
+		if err := checkCoeffs(fs.Coeffs); err != nil {
+			return nil, fmt.Errorf("family %v: %w", fs.Vars, err)
+		}
+		vs := contingency.NewVarSet(fs.Vars...)
+		if _, dup := nm.families[vs]; dup {
+			return nil, fmt.Errorf("duplicate coefficient family %v", vs)
+		}
+		nm.families[vs] = &familyTerm{vars: fs.Vars, coeffs: fs.Coeffs}
+		totalCells += len(fs.Coeffs)
+	}
+	nm.cons = make([]Constraint, 0, len(st.Constraints))
+	// Dedupe via per-family cell bitmaps instead of the string-keyed conIdx:
+	// building the index here costs a key() allocation per constraint on the
+	// cold-start path, and a decoded model may never mutate. conIdx stays
+	// nil; ensureConIdx builds it lazily if a mutation ever needs it. The
+	// bitmap doubles as the family-coverage check.
+	seen := make(map[contingency.VarSet][]bool, len(nm.families))
+	cellsBuf := make([]bool, totalCells)
+	for _, c := range st.Constraints {
+		if err := c.validate(nm.cards); err != nil {
+			return nil, err
+		}
+		ft, ok := nm.families[c.Family]
+		if !ok {
+			return nil, fmt.Errorf("constraint family %v has no coefficients", c.Family)
+		}
+		cells := seen[c.Family]
+		if cells == nil {
+			cells = cellsBuf[:len(ft.coeffs):len(ft.coeffs)]
+			cellsBuf = cellsBuf[len(ft.coeffs):]
+			seen[c.Family] = cells
+		}
+		off := ft.offset(nm.cards, c.Values)
+		if cells[off] {
+			return nil, fmt.Errorf("duplicate constraint on %s", c.Label(nm.names))
+		}
+		cells[off] = true
+		nm.cons = append(nm.cons, c)
+	}
+	nm.conIdx = nil
+	if len(seen) != len(nm.families) {
+		return nil, fmt.Errorf("%d coefficient families carry no constraints",
+			len(nm.families)-len(seen))
+	}
+	if !(st.A0 > 0) || math.IsInf(st.A0, 0) {
+		return nil, fmt.Errorf("degenerate a0 %g", st.A0)
+	}
+	nm.a0 = st.A0
 	return nm, nil
 }
 

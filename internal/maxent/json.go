@@ -64,86 +64,60 @@ func sortedFamilies(fams map[contingency.VarSet]*familyTerm) []contingency.VarSe
 }
 
 // UnmarshalJSON decodes and validates a model. The receiver is overwritten.
-// Every constraint family must arrive with its coefficient array, and each
-// array's length is checked against the cardinalities before the family is
-// allocated, so a hostile document cannot make the decoder allocate more
-// coefficients than it carries.
+// The document goes through modelFromState, the validating constructor
+// the snapshot decoder uses, so both formats accept exactly the same
+// models; coefficients are taken from the document as they stand, never
+// allocated from its cardinalities. Unlike a snapshot, JSON carries no
+// compiled engine state: the engine is compiled on first use.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var w modelJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("maxent: decoding model: %w", err)
 	}
-	nm, err := NewModel(w.Names, w.Cards)
-	if err != nil {
-		return fmt.Errorf("maxent: decoding model: %w", err)
+	st := &ModelState{
+		Names:       w.Names,
+		Cards:       w.Cards,
+		A0:          w.A0,
+		Constraints: make([]Constraint, len(w.Constraints)),
+		Families:    make([]FamilyState, len(w.Families)),
 	}
-	r := len(nm.cards)
-	coeffs := make(map[contingency.VarSet][]float64, len(w.Families))
-	for _, fj := range w.Families {
-		if err := positionsInRange(fj.Vars, r); err != nil {
-			return fmt.Errorf("maxent: decoding model: coefficient family: %w", err)
-		}
-		vs := contingency.NewVarSet(fj.Vars...)
-		if _, dup := coeffs[vs]; dup {
-			return fmt.Errorf("maxent: decoding model: duplicate coefficient family %v", vs)
-		}
-		if err := checkCoeffs(fj.Coeffs); err != nil {
-			return fmt.Errorf("maxent: decoding model: family %v: %w", vs, err)
-		}
-		coeffs[vs] = fj.Coeffs
-	}
-	for _, cj := range w.Constraints {
+	// modelFromState rejects schemas over MaxVars, but only after the
+	// families are built, and NewVarSet panics past it.
+	r := min(len(w.Cards), contingency.MaxVars)
+	for i, cj := range w.Constraints {
 		if err := positionsInRange(cj.Family, r); err != nil {
 			return fmt.Errorf("maxent: decoding model: constraint family: %w", err)
 		}
-		c := Constraint{
+		st.Constraints[i] = Constraint{
 			Family: contingency.NewVarSet(cj.Family...),
 			Values: cj.Values,
 			Target: cj.Target,
 		}
-		fc, ok := coeffs[c.Family]
-		if !ok {
-			return fmt.Errorf("maxent: decoding model: constraint family %v has no coefficients", c.Family)
-		}
-		if err := checkFamilySize(nm.cards, c.Family, len(fc)); err != nil {
-			return fmt.Errorf("maxent: decoding model: %w", err)
-		}
-		if err := nm.AddConstraint(c); err != nil {
-			return fmt.Errorf("maxent: decoding model: %w", err)
-		}
 	}
-	// Overlay the persisted coefficient arrays onto the allocated families.
-	for _, fj := range w.Families {
-		vs := contingency.NewVarSet(fj.Vars...)
-		ft, ok := nm.families[vs]
-		if !ok {
-			// A family can exist without constraints only through
-			// corruption; reject.
-			return fmt.Errorf("maxent: decoding model: coefficient family %v has no constraints", vs)
-		}
-		copy(ft.coeffs, fj.Coeffs)
+	for i, fj := range w.Families {
+		st.Families[i] = FamilyState{Vars: fj.Vars, Coeffs: fj.Coeffs}
 	}
-	if w.A0 <= 0 {
-		return fmt.Errorf("maxent: decoding model: non-positive a0 %g", w.A0)
+	nm, err := modelFromState(st)
+	if err != nil {
+		return fmt.Errorf("maxent: decoding model: %w", err)
 	}
-	nm.a0 = w.A0
 	*m = *nm
 	return nil
 }
 
-// checkFamilySize verifies that family's coefficient table over cards has
-// exactly n cells, multiplying no further than n so a hostile cardinality
-// cannot overflow.
-func checkFamilySize(cards []int, family contingency.VarSet, n int) error {
+// checkFamilySize verifies that the coefficient table over the family
+// members vars has exactly n cells, multiplying no further than n so a
+// hostile cardinality cannot overflow.
+func checkFamilySize(cards []int, vars []int, n int) error {
 	size := 1
-	for _, p := range family.Members() {
+	for _, p := range vars {
 		if cards[p] > n/size {
-			return fmt.Errorf("family %v has %d coefficients, want more", family, n)
+			return fmt.Errorf("family %v has %d coefficients, want more", vars, n)
 		}
 		size *= cards[p]
 	}
 	if size != n {
-		return fmt.Errorf("family %v has %d coefficients, want %d", family, n, size)
+		return fmt.Errorf("family %v has %d coefficients, want %d", vars, n, size)
 	}
 	return nil
 }

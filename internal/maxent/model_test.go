@@ -3,6 +3,7 @@ package maxent
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"pka/internal/contingency"
@@ -354,11 +355,18 @@ func TestModelJSONRejectsCorrupt(t *testing.T) {
 		`{"names":["A"],"cards":[2],"a0":1,"constraints":[{"family":[0],"values":[0],"target":0.5}],"families":[]}`,
 		`{"names":["A"],"cards":[4000000000],"a0":1,"constraints":[{"family":[0],"values":[0],"target":0.5}],"families":[{"vars":[0],"coeffs":[1,1]}]}`,
 		`{"names":["A","B"],"cards":[4611686018427387905,4],"a0":1,"constraints":[{"family":[0,1],"values":[0,0],"target":0.5}],"families":[{"vars":[0,1],"coeffs":[1,1,1,1]}]}`,
+		// Family members out of order or repeated: the coefficients would
+		// be read as if the members ascended.
+		`{"names":["A","B"],"cards":[2,3],"a0":1,"constraints":[{"family":[0,1],"values":[0,0],"target":0.5}],"families":[{"vars":[1,0],"coeffs":[1,1,1,1,1,1]}]}`,
+		`{"names":["A","B"],"cards":[2,2],"a0":1,"constraints":[{"family":[0,1],"values":[0,0],"target":0.5}],"families":[{"vars":[0,0,1],"coeffs":[1,1,1,1]}]}`,
 		`garbage`,
+		// More attributes than MaxVars, with a constraint position past it.
+		`{"cards":[` + strings.Repeat("2,", contingency.MaxVars) + `2],"a0":1,` +
+			`"constraints":[{"family":[65536],"values":[0],"target":0.5}],"families":[]}`,
 	}
 	for _, c := range cases {
 		if err := json.Unmarshal([]byte(c), &m); err == nil {
-			t.Errorf("corrupt model accepted: %s", c)
+			t.Errorf("corrupt model accepted: %.300s", c)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 // Package memo is the serving-cache primitive: a sharded, byte-capacity-
-// bounded LRU whose entries are keyed (canonical key, model version).
+// bounded LRU whose entries are keyed (canonical key, model version). It
+// backs the two serving tiers only — the wire tier of `pka serve` and the
+// engine tier a model arms with EnableCache.
 //
 // The version is the invalidation mechanism. Every engine swap bumps the
 // model's monotonic version, so a cached answer is valid exactly when its
@@ -93,7 +95,7 @@ type Cache struct {
 
 // New returns a cache bounded to roughly capacityBytes across all shards
 // (each shard holds capacity/numShards). capacityBytes <= 0 means
-// unbounded — entries are only removed by version mismatch or Each.
+// unbounded — entries are only removed by version mismatch.
 func New(capacityBytes int64) *Cache {
 	c := &Cache{capacity: capacityBytes}
 	if capacityBytes > 0 {
@@ -191,41 +193,6 @@ func (c *Cache) Put(key []byte, version int64, value any, cost int64) {
 	s.mu.Unlock()
 }
 
-// Delete removes the entry for key if present, regardless of version.
-func (c *Cache) Delete(key []byte) {
-	if c == nil {
-		return
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if e, ok := s.m[string(key)]; ok {
-		s.remove(e)
-	}
-	s.mu.Unlock()
-}
-
-// Each visits every live entry; returning false from fn deletes that
-// entry (not counted as an eviction — the caller chose to drop it).
-// Visit order is unspecified. fn runs with the entry's shard locked, so
-// it must not call back into the cache.
-func (c *Cache) Each(fn func(key string, value any) bool) {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.root.next; e != &s.root; {
-			next := e.next
-			if !fn(e.key, e.value) {
-				s.remove(e)
-			}
-			e = next
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Stats sums the per-shard counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -244,12 +211,4 @@ func (c *Cache) Stats() Stats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// Capacity reports the configured byte budget (<= 0 means unbounded).
-func (c *Cache) Capacity() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.capacity
 }

@@ -109,41 +109,6 @@ func TestUnboundedCache(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c := New(1 << 20)
-	c.Put([]byte("k"), 1, "v", 1)
-	c.Delete([]byte("k"))
-	if _, ok := c.Get([]byte("k"), 1); ok {
-		t.Fatal("deleted entry still present")
-	}
-	c.Delete([]byte("missing")) // no-op, no panic
-}
-
-func TestEach(t *testing.T) {
-	c := New(1 << 20)
-	for i := 0; i < 10; i++ {
-		c.Put([]byte(fmt.Sprintf("k%d", i)), 1, i, 1)
-	}
-	seen := 0
-	c.Each(func(key string, v any) bool {
-		seen++
-		return v.(int)%2 == 0 // drop odd values
-	})
-	if seen != 10 {
-		t.Errorf("Each visited %d entries, want 10", seen)
-	}
-	st := c.Stats()
-	if st.Entries != 5 {
-		t.Errorf("entries after Each = %d, want 5", st.Entries)
-	}
-	if _, ok := c.Get([]byte("k3"), 1); ok {
-		t.Error("entry dropped by Each still present")
-	}
-	if _, ok := c.Get([]byte("k4"), 1); !ok {
-		t.Error("entry kept by Each is gone")
-	}
-}
-
 // TestNilCache: a nil *Cache is the disabled configuration — every method
 // is a safe no-op so call sites need no branching.
 func TestNilCache(t *testing.T) {
@@ -152,17 +117,12 @@ func TestNilCache(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put([]byte("k"), 1, "v", 1)
-	c.Delete([]byte("k"))
-	c.Each(func(string, any) bool { return true })
 	if st := c.Stats(); st != (Stats{}) {
 		t.Errorf("nil stats = %+v", st)
 	}
-	if c.Capacity() != 0 {
-		t.Error("nil capacity != 0")
-	}
 }
 
-// TestConcurrentAccess hammers Get/Put/Each/Stats from many goroutines;
+// TestConcurrentAccess hammers Get/Put/Stats from many goroutines;
 // run under -race this proves the shard locking covers every path.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(numShards * 512)
@@ -180,7 +140,6 @@ func TestConcurrentAccess(t *testing.T) {
 				}
 				c.Put(key, version, i, 16)
 				if i%100 == 0 {
-					c.Each(func(string, any) bool { return true })
 					_ = c.Stats()
 				}
 			}

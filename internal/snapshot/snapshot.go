@@ -223,7 +223,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 			}
 		case secCounts:
 			if s.Counts, err = contingency.DecodeCounts(body, version); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("snapshot: %w", err)
 			}
 		case secOptions:
 			if s.Options, err = decodeOptions(body, version); err != nil {
