@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"pka/internal/contingency"
-	"pka/internal/par"
 	"pka/internal/report"
 	"pka/internal/stats"
 )
@@ -34,8 +33,8 @@ type PairStats struct {
 	CramersV float64
 }
 
-// pairScratch is one scoring task's reusable float buffers, so a screen
-// allocates per row of pairs, not per pair.
+// pairScratch is a screen's reusable float buffers, so scoring allocates
+// once per screen, not once per pair.
 type pairScratch struct{ buf []float64 }
 
 // scorePair computes the association statistics of one pair from its
@@ -98,40 +97,35 @@ func scorePair(obs []int64, ci, cj, i, j int, n float64, sc *pairScratch) (PairS
 	}, nil
 }
 
-// scoreRows scores every pair i < j in lexicographic order. Each task owns
-// one row of pairs (all j for one i) and writes its own output slots, so
-// the result is bit-identical for any worker count. table returns pair
-// (i, j)'s row-major count table.
-func scoreRows(cards []int, total int64, workers int, table func(i, j int) ([]int64, error)) ([]PairStats, error) {
+// scoreRows scores every pair i < j in lexicographic order, reusing one
+// scratch buffer across the whole grid. table returns pair (i, j)'s
+// row-major count table.
+func scoreRows(cards []int, total int64, table func(i, j int) ([]int64, error)) ([]PairStats, error) {
 	r := len(cards)
 	n := float64(total)
-	out := make([]PairStats, r*(r-1)/2)
-	err := par.Do(r-1, workers, func(i int) error {
-		var sc pairScratch
-		k := i * (2*r - i - 1) / 2 // pairs in the rows before i
+	out := make([]PairStats, 0, r*(r-1)/2)
+	var sc pairScratch
+	for i := 0; i < r; i++ {
 		for j := i + 1; j < r; j++ {
 			obs, err := table(i, j)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if out[k], err = scorePair(obs, cards[i], cards[j], i, j, n, &sc); err != nil {
-				return err
+			ps, err := scorePair(obs, cards[i], cards[j], i, j, n, &sc)
+			if err != nil {
+				return nil, err
 			}
-			k++
+			out = append(out, ps)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
 // ScorePairs computes PairStats for every attribute pair of a dense or
 // sparse table, in lexicographic (I, J) order — the association screen's
-// view, which needs no ranking. Pairs are scored over the shared pool
-// (workers <= 0 GOMAXPROCS, 1 the sequential loop); results are
-// bit-identical across worker counts.
+// view, which needs no ranking. Pairs are scored serially; workers reaches
+// only the pair-count ledger build (Sparse.PairCounts: <= 0 GOMAXPROCS, 1
+// the sequential loop), whose counts are the same for any worker count.
 //
 // Each pair is read with Counts.Marginalize — a fresh marginal on a dense
 // table, the projection cache on a sparse one — except on sparse tables of
@@ -164,7 +158,7 @@ func ScorePairs(c contingency.Counts, workers int) ([]PairStats, error) {
 		}
 		table = func(i, j int) ([]int64, error) { return pc.Counts(i, j), nil }
 	}
-	return scoreRows(contingency.CardsOf(c), c.Total(), workers, table)
+	return scoreRows(contingency.CardsOf(c), c.Total(), table)
 }
 
 // sortByMI orders pair results by descending mutual information, stably
@@ -184,19 +178,10 @@ func sortByMI(out []PairStats) {
 }
 
 // Pairwise computes PairStats for every attribute pair, ordered by
-// descending mutual information. It fans the O(R²) pair grid out over
-// GOMAXPROCS workers; use PairwiseWorkers to pin the worker count.
+// descending mutual information: ScorePairs, then a stable sort, so ties
+// keep their lexicographic pair order.
 func Pairwise(t *contingency.Table) ([]PairStats, error) {
-	return PairwiseWorkers(t, 0)
-}
-
-// PairwiseWorkers is Pairwise with an explicit worker count: ScorePairs,
-// then a stable sort by descending mutual information — the output
-// (ordering included) is bit-identical to the sequential scan for any
-// worker count. workers <= 0 uses GOMAXPROCS, 1 forces the sequential
-// loop.
-func PairwiseWorkers(t *contingency.Table, workers int) ([]PairStats, error) {
-	return sortedPairs(ScorePairs(t, workers))
+	return sortedPairs(ScorePairs(t, 0))
 }
 
 // PairwiseSparse is Pairwise over a sparse table: pairs come from the
@@ -204,15 +189,17 @@ func PairwiseWorkers(t *contingency.Table, workers int) ([]PairStats, error) {
 // the cost is O(pairs × occupied cells) once and O(pairs) on later
 // screens, regardless of the joint-space size. This is the screening step
 // of the wide-schema workflow: survey all pairs sparsely, then project and
-// run discovery on the attribute subsets that light up. Pairs are scored
-// over GOMAXPROCS workers; use PairwiseSparseWorkers to pin the count.
+// run discovery on the attribute subsets that light up. The ledger is
+// counted over GOMAXPROCS workers; use PairwiseSparseWorkers to pin the
+// count.
 func PairwiseSparse(s *contingency.Sparse) ([]PairStats, error) {
 	return PairwiseSparseWorkers(s, 0)
 }
 
 // PairwiseSparseWorkers is PairwiseSparse with an explicit worker count
-// (<= 0 GOMAXPROCS, 1 the sequential loop); results are bit-identical
-// across worker counts. See ScorePairs for the concurrency contract.
+// for the ledger build (<= 0 GOMAXPROCS, 1 the sequential loop); results
+// are bit-identical across worker counts. See ScorePairs for the
+// concurrency contract.
 func PairwiseSparseWorkers(s *contingency.Sparse, workers int) ([]PairStats, error) {
 	return sortedPairs(ScorePairs(s, workers))
 }

@@ -56,51 +56,14 @@ func requireSamePairs(t *testing.T, want, got []PairStats, label string) {
 			math.Float64bits(w.PValue) == math.Float64bits(g.PValue) &&
 			math.Float64bits(w.CramersV) == math.Float64bits(g.CramersV)
 		if !same {
-			t.Fatalf("%s: pair slot %d differs:\nserial   %+v\nparallel %+v", label, k, w, g)
+			t.Fatalf("%s: pair slot %d differs:\nwant %+v\ngot  %+v", label, k, w, g)
 		}
 	}
 }
 
-// TestPairwiseParallelBitIdentical scores the dense pair grid serially and
-// with several worker counts: identical PairStats values in identical
-// order.
-func TestPairwiseParallelBitIdentical(t *testing.T) {
-	tab := memoTable(t)
-	// A larger dense table too: 8 ternary attributes with structure.
-	cards := []int{3, 3, 3, 3, 3, 3, 3, 3}
-	wide := contingency.MustNew(nil, cards)
-	rng := stats.NewRNG(5)
-	cell := make([]int, len(cards))
-	for n := 0; n < 5000; n++ {
-		for i := range cell {
-			cell[i] = rng.Intn(3)
-		}
-		if rng.Float64() < 0.5 {
-			cell[3] = cell[6]
-		}
-		if err := wide.Observe(cell...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, table := range map[string]*contingency.Table{"memo": tab, "wide": wide} {
-		serial, err := PairwiseWorkers(table, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 2, 3, 8} {
-			par, err := PairwiseWorkers(table, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSamePairs(t, serial, par, fmt.Sprintf("%s workers=%d", name, workers))
-		}
-	}
-}
-
-// TestPairwiseSparseParallelBitIdentical is the same contract over the
-// sparse screening path, exercised twice per worker count: once against a
-// cold projection cache (concurrent first touch) and once against the
-// warm cache.
+// TestPairwiseSparseParallelBitIdentical: the sparse screen is
+// bit-identical for any worker count, exercised twice per count: once
+// against a cold projection cache and once against the warm cache.
 func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
 	serial, err := PairwiseSparseWorkers(wideSparseTable(t, 24, 8000, 11), 1)
 	if err != nil {
@@ -125,7 +88,7 @@ func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
 // many whole-screen goroutines at once — the concurrent first-touch case
 // of the projection cache on a narrow schema, and of the lazily built
 // pair-count ledger on a wide one. Run under -race this is the guard the
-// parallel screen's safety claim rests on.
+// concurrent-screen safety claim rests on.
 func TestPairwiseSparseConcurrentScreens(t *testing.T) {
 	for _, attrs := range []int{20, 80} {
 		s := wideSparseTable(t, attrs, 4000, 23)
@@ -153,12 +116,12 @@ func TestPairwiseSparseConcurrentScreens(t *testing.T) {
 	}
 }
 
-// BenchmarkPairwiseSparseParallel screens a 24-attribute sparse table from
-// a cold projection cache per iteration — the discovery-time screening
-// workload — at several worker counts. Values are bit-identical across
-// counts; only wall time differs.
+// BenchmarkPairwiseSparseParallel screens an 80-attribute sparse table
+// with a cold pair-count ledger per iteration — the discovery-time
+// screening workload — at several worker counts, which reach the ledger
+// build. Values are bit-identical across counts; only wall time differs.
 func BenchmarkPairwiseSparseParallel(b *testing.B) {
-	master := wideSparseTable(b, 24, 20000, 7)
+	master := wideSparseTable(b, 80, 20000, 7)
 	for _, workers := range []int{1, 2, 4, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -170,8 +133,8 @@ func BenchmarkPairwiseSparseParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(pairs) != 276 {
-					b.Fatalf("%d pairs, want C(24,2)=276", len(pairs))
+				if len(pairs) != 3160 {
+					b.Fatalf("%d pairs, want C(80,2)=3160", len(pairs))
 				}
 			}
 		})

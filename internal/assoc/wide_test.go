@@ -44,7 +44,7 @@ func coupledSparse(t *testing.T, r, rows int, seed int64) *contingency.Sparse {
 // per-pair projection scoring bit for bit, on any worker count.
 func TestPairwiseSparseBulkMatchesProjection(t *testing.T) {
 	s := coupledSparse(t, bulkPairwiseMinR, 3000, 42)
-	want, err := sortedPairs(scoreRows(s.Cards(), s.Total(), 1, func(i, j int) ([]int64, error) {
+	want, err := sortedPairs(scoreRows(s.Cards(), s.Total(), func(i, j int) ([]int64, error) {
 		proj, err := s.Marginalize(contingency.NewVarSet(i, j))
 		if err != nil {
 			return nil, err

@@ -92,7 +92,8 @@ func (p *PairCounts) bytes() int64 {
 // for this call only. The build decodes the occupied cells once into
 // narrow columns and spreads the pairs over workers (Options.Workers
 // semantics); its integer adds make the result independent of the worker
-// count.
+// count. Measured on 2 CPUs, a one-worker build made acquire_wide
+// discovery 7% slower (op_p50_ms, 5 of 6 paired seeds; CHANGES.md).
 //
 // Safe for concurrent readers: racing first callers each count the same
 // ledger and the first publication wins, as for projections.

@@ -66,7 +66,7 @@ func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
 			return nil, err
 		}
 		if opts.ScreenCI {
-			if err := applyCIScreen(table, adj, opts.ScreenCIAlpha, opts.Workers, rep); err != nil {
+			if err := applyCIScreen(table, adj, opts.ScreenCIAlpha, rep); err != nil {
 				return nil, err
 			}
 		}

@@ -26,11 +26,11 @@ type Options struct {
 	// RecordScans stores every full scan's CellTest rows in the result —
 	// needed to regenerate Table 1; costs memory on large spaces.
 	RecordScans bool
-	// Workers fans the run's parallel stages out over a goroutine pool:
-	// candidate scoring (per-family scans), the pairwise association
-	// screen, and — unless Solve.Workers pins it separately — the factored
-	// solver's per-block fits. 0 uses GOMAXPROCS, 1 forces the sequential
-	// loops. Results are bit-identical either way.
+	// Workers fans the run's two parallel stages out over a goroutine
+	// pool: the per-family significance scans and, on wide sparse tables,
+	// the pair-count ledger build behind the association screen. 0 uses
+	// GOMAXPROCS, 1 forces the sequential loops. Results are bit-identical
+	// either way.
 	Workers int
 	// Seed constraints: cells (with their observed-frequency targets) that
 	// are "originally given as significant" per the memo. They are added
@@ -81,11 +81,6 @@ func (o Options) withDefaults(r int) (Options, error) {
 	}
 	if o.MML.PriorH2 == 0 {
 		o.MML.PriorH2 = mml.DefaultConfig().PriorH2
-	}
-	if o.Solve.Workers == 0 {
-		// The scan knob doubles as the solver knob unless pinned: one
-		// -workers flag tunes the whole discovery pipeline.
-		o.Solve.Workers = o.Workers
 	}
 	if o.MaxConstraints < 0 {
 		return o, fmt.Errorf("core: negative MaxConstraints %d", o.MaxConstraints)

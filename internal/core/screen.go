@@ -5,7 +5,6 @@ import (
 
 	"pka/internal/assoc"
 	"pka/internal/contingency"
-	"pka/internal/par"
 )
 
 // ScreenReport summarizes an association screen: how many attribute pairs
@@ -35,9 +34,9 @@ type ScreenReport struct {
 // (no ranking), and sparse tables serve them from caches that mutation
 // keeps current — the pair-count ledger on schemas of 65 or more
 // attributes — so a streaming re-screen never rescans the occupied cells.
-// workers fans the pair grid out over the shared pool (Options.Workers
-// semantics: 0 = GOMAXPROCS, 1 = serial); the screen is bit-identical for
-// any worker count.
+// Pairs are scored serially; workers reaches only the ledger build
+// (Options.Workers semantics: 0 = GOMAXPROCS, 1 = serial), and the screen
+// is bit-identical for any worker count.
 func buildScreen(table contingency.Counts, alpha float64, workers int) ([][]bool, *ScreenReport, error) {
 	pairs, err := assoc.ScorePairs(table, workers)
 	if err != nil {
@@ -67,11 +66,10 @@ func buildScreen(table contingency.Counts, alpha float64, workers int) ([][]bool
 // (i,j) that passed the marginal screen, every common neighbor k is tried
 // in ascending order as a separator via assoc's per-slice G² test, and the
 // edge is dropped at the first k whose test fails to reject independence
-// (p > alpha). Edges are tested concurrently over the shared pool, but
-// every decision reads the ORIGINAL adjacency and removals are applied
-// after the parallel pass — so the result is deterministic and
-// bit-identical for any worker count. alpha == 0 applies the 0.05 default.
-func applyCIScreen(table contingency.Counts, adj [][]bool, alpha float64, workers int, rep *ScreenReport) error {
+// (p > alpha). Every edge is tested against the ORIGINAL adjacency and the
+// drops are applied after the last test, so no decision depends on the
+// order edges are visited in. alpha == 0 applies the 0.05 default.
+func applyCIScreen(table contingency.Counts, adj [][]bool, alpha float64, rep *ScreenReport) error {
 	if alpha == 0 {
 		alpha = 0.05
 	}
@@ -100,33 +98,25 @@ func applyCIScreen(table contingency.Counts, adj [][]bool, alpha float64, worker
 	if err != nil {
 		return err
 	}
-	drop := make([]bool, len(edges))
-	tested := make([]int, len(edges))
-	if err := par.Do(len(edges), workers, func(e int) error {
-		i, j := edges[e].i, edges[e].j
+	var drops []edge
+	for _, e := range edges {
 		for k := 0; k < r; k++ {
-			if k == i || k == j || !adj[i][k] || !adj[j][k] {
+			if k == e.i || k == e.j || !adj[e.i][k] || !adj[e.j][k] {
 				continue
 			}
-			_, _, p := flat.CondG2(i, j, k)
-			tested[e]++
+			_, _, p := flat.CondG2(e.i, e.j, k)
+			rep.CITriplesTested++
 			if p > alpha {
-				drop[e] = true
+				drops = append(drops, e)
 				break
 			}
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
-	for e := range edges {
-		rep.CITriplesTested += tested[e]
-		if drop[e] {
-			adj[edges[e].i][edges[e].j] = false
-			adj[edges[e].j][edges[e].i] = false
-			rep.CIEdgesDropped++
-			rep.PairsKept--
-		}
+	for _, e := range drops {
+		adj[e.i][e.j] = false
+		adj[e.j][e.i] = false
+		rep.CIEdgesDropped++
+		rep.PairsKept--
 	}
 	return nil
 }

@@ -165,7 +165,7 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 			return nil, err
 		}
 		if opts.ScreenCI {
-			if err := applyCIScreen(table, adj, opts.ScreenCIAlpha, opts.Workers, rep); err != nil {
+			if err := applyCIScreen(table, adj, opts.ScreenCIAlpha, rep); err != nil {
 				return nil, err
 			}
 		}

@@ -152,30 +152,3 @@ func BenchmarkRefitWithExtraConstraint(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFitFactoredParallel solves a multi-block factored model with
-// the serial block loop and with the block solves fanned out over the
-// worker pool — the tentpole scaling measurement of the parallel solver.
-// 6 independent blocks of 5 ternary attributes (243 dense cells, 15
-// first-order + 4 order-2 constraints each) give every worker real
-// iterative work; results are bit-identical across worker counts, so the
-// sub-benchmarks differ only in wall time.
-func BenchmarkFitFactoredParallel(b *testing.B) {
-	cons, cards := wideBlockConstraints(b, 6, 5, 99)
-	master := modelFromConstraints(b, cards, cons)
-	for _, workers := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := master.Clone()
-				rep, err := m.Fit(SolveOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Converged || rep.BlocksFit != 6 {
-					b.Fatalf("fit report %+v", rep)
-				}
-			}
-		})
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"pka/internal/contingency"
-	"pka/internal/par"
 )
 
 // Wide attribute spaces cannot be fit or queried through dense joint
@@ -204,16 +203,6 @@ func (m *Model) subModels(blocks [][]int) ([]*Model, error) {
 // re-solves that block alone. An incremental refit that solved no block
 // and landed on a bitwise-unchanged a0 keeps the existing compiled
 // snapshot instead of recompiling every block's engine from scratch.
-//
-// Constraint blocks are independent by construction — no two blocks share
-// an attribute, a family, or a coefficient array — so SolveOptions.Workers
-// fans the per-block work (solves and skipped-block normalizer sums alike)
-// out over the shared pool. Each block writes only its own aliased
-// coefficient arrays and its own result slot, and the a0 product, the
-// worst-case sweep/residual aggregation, and the block counters are all
-// reduced in block order afterwards, so the fitted model and the report
-// are bit-identical to the sequential block loop regardless of how the
-// scheduler interleaves the workers.
 func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 	blocks := m.blocks()
 	sizes := make([]int, len(blocks))
@@ -233,72 +222,54 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 			}
 		}
 	}
-	// Build every sub-model up front: subModels reads the parent's shared
-	// maps, so construction stays on this goroutine, and only the disjoint
-	// per-block work runs on the pool.
 	subs, err := m.subModels(blocks)
-	if err != nil {
-		return nil, err
-	}
-	// blockOut is one block's contribution, collected per index slot and
-	// reduced in block order below.
-	type blockOut struct {
-		a0      float64
-		rep     *Report // nil when the block was skipped
-		skipped bool    // counted under Incremental only (historical contract)
-	}
-	outs := make([]blockOut, len(blocks))
-	err = par.Do(len(blocks), opts.Workers, func(bi int) error {
-		blk, sub := blocks[bi], subs[bi]
-		vs := contingency.NewVarSet(blk...)
-		switch {
-		case len(sub.cons) == 0:
-			// Unconstrained block: all coefficients are 1, the block sum
-			// is its cell count, and nothing needs solving.
-			outs[bi] = blockOut{a0: 1 / float64(sizes[bi]), skipped: opts.Incremental}
-		case skipClean && !blockDirty(blk, dirtyPos):
-			// Converged coefficients for unmoved targets: keep them. The
-			// block's a0 contribution from the last factored fit is reused
-			// bit-for-bit when cached; only a cache miss (e.g. a loaded
-			// model) pays the one-pass block sum for the normalizer.
-			if cached, ok := m.blockA0[vs]; ok {
-				outs[bi] = blockOut{a0: cached, skipped: true}
-			} else {
-				outs[bi] = blockOut{a0: 1 / sub.coefficientSum(), skipped: true}
-			}
-		default:
-			rep, err := sub.fitDenseCore(opts)
-			if err != nil {
-				return err
-			}
-			outs[bi] = blockOut{a0: sub.a0, rep: rep}
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
 	agg := &Report{Method: opts.Method, Converged: true}
 	a0 := 1.0
 	blockA0 := make(map[contingency.VarSet]float64, len(blocks))
-	for bi := range blocks {
-		o := outs[bi]
-		a0 *= o.a0 // float product is order-sensitive: always block order
-		blockA0[contingency.NewVarSet(blocks[bi]...)] = o.a0
-		if o.rep == nil {
-			if o.skipped {
+	for bi, blk := range blocks {
+		sub := subs[bi]
+		vs := contingency.NewVarSet(blk...)
+		var ba0 float64
+		switch {
+		case len(sub.cons) == 0:
+			// Unconstrained block: all coefficients are 1, the block sum
+			// is its cell count, and nothing needs solving. Counted as
+			// skipped under Incremental only (historical contract).
+			ba0 = 1 / float64(sizes[bi])
+			if opts.Incremental {
 				agg.BlocksSkipped++
 			}
-			continue
+		case skipClean && !blockDirty(blk, dirtyPos):
+			// Converged coefficients for unmoved targets: keep them. The
+			// block's a0 contribution from the last factored fit is reused
+			// bit-for-bit when cached; only a cache miss (e.g. a loaded
+			// model) pays the one-pass block sum for the normalizer.
+			if cached, ok := m.blockA0[vs]; ok {
+				ba0 = cached
+			} else {
+				ba0 = 1 / sub.coefficientSum()
+			}
+			agg.BlocksSkipped++
+		default:
+			rep, err := sub.fitDenseCore(opts)
+			if err != nil {
+				return nil, err
+			}
+			ba0 = sub.a0
+			agg.BlocksFit++
+			if rep.Sweeps > agg.Sweeps {
+				agg.Sweeps = rep.Sweeps
+			}
+			if rep.Residual > agg.Residual {
+				agg.Residual = rep.Residual
+			}
+			agg.Converged = agg.Converged && rep.Converged
 		}
-		agg.BlocksFit++
-		if o.rep.Sweeps > agg.Sweeps {
-			agg.Sweeps = o.rep.Sweeps
-		}
-		if o.rep.Residual > agg.Residual {
-			agg.Residual = o.rep.Residual
-		}
-		agg.Converged = agg.Converged && o.rep.Converged
+		a0 *= ba0 // float product is order-sensitive: always block order
+		blockA0[vs] = ba0
 	}
 	m.blockA0 = blockA0
 	if agg.BlocksFit == 0 && a0 == m.a0 && m.compiled.Load() != nil {

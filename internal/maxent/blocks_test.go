@@ -415,3 +415,174 @@ func TestMaxCellMatchesBruteForce(t *testing.T) {
 	}
 	t.Run("factored", func(t *testing.T) { check(t, cf) })
 }
+
+// wideBlockConstraints synthesizes a consistent constraint set over
+// nBlocks independent blocks of blockAttrs ternary attributes each:
+// first-order marginals for every value plus order-2 constraints chaining
+// each block's attributes to its first, all with empirical targets from
+// one seeded sample — so the set is always satisfiable. Returned in
+// deterministic insertion order (first-order by attribute, then order-2
+// by block).
+func wideBlockConstraints(tb testing.TB, nBlocks, blockAttrs int, seed int64) ([]Constraint, []int) {
+	tb.Helper()
+	r := nBlocks * blockAttrs
+	cards := make([]int, r)
+	for i := range cards {
+		cards[i] = 3
+	}
+	tab, err := contingency.NewSparse(nil, cards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cell := make([]int, r)
+	for n := 0; n < 4000; n++ {
+		for b := 0; b < nBlocks; b++ {
+			base := b * blockAttrs
+			cell[base] = rng.Intn(3)
+			for j := 1; j < blockAttrs; j++ {
+				// Correlated within the block, independent across blocks.
+				if rng.Float64() < 0.7 {
+					cell[base+j] = cell[base]
+				} else {
+					cell[base+j] = rng.Intn(3)
+				}
+			}
+		}
+		if err := tab.Observe(cell...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	total := float64(tab.Total())
+	var cons []Constraint
+	for axis := 0; axis < r; axis++ {
+		fam := contingency.NewVarSet(axis)
+		for v := 0; v < 3; v++ {
+			n, err := tab.MarginalCount(fam, []int{v})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cons = append(cons, Constraint{Family: fam, Values: []int{v}, Target: float64(n) / total})
+		}
+	}
+	for b := 0; b < nBlocks; b++ {
+		base := b * blockAttrs
+		for j := 1; j < blockAttrs; j++ {
+			fam := contingency.NewVarSet(base, base+j)
+			n, err := tab.MarginalCount(fam, []int{1, 1})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cons = append(cons, Constraint{Family: fam, Values: []int{1, 1}, Target: float64(n) / total})
+		}
+	}
+	return cons, cards
+}
+
+// modelFromConstraints builds an unfitted model with the constraints added
+// in the given order.
+func modelFromConstraints(tb testing.TB, cards []int, cons []Constraint) *Model {
+	tb.Helper()
+	m, err := NewModel(nil, cards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range cons {
+		if err := m.AddConstraint(c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m
+}
+
+// requireSameReport fails unless the scalar report fields match bitwise.
+func requireSameReport(t *testing.T, want, got *Report, label string) {
+	t.Helper()
+	if got.Method != want.Method || got.Sweeps != want.Sweeps ||
+		math.Float64bits(got.Residual) != math.Float64bits(want.Residual) ||
+		got.Converged != want.Converged ||
+		got.BlocksFit != want.BlocksFit || got.BlocksSkipped != want.BlocksSkipped {
+		t.Fatalf("%s: report %+v != want %+v", label, got, want)
+	}
+}
+
+// requireBitIdentical fails unless two models carry bitwise-equal a0 and
+// family coefficient arrays.
+func requireBitIdentical(t *testing.T, want, got *Model, label string) {
+	t.Helper()
+	if math.Float64bits(want.a0) != math.Float64bits(got.a0) {
+		t.Fatalf("%s: a0 %v (bits %x) != want %v (bits %x)",
+			label, got.a0, math.Float64bits(got.a0), want.a0, math.Float64bits(want.a0))
+	}
+	if len(want.families) != len(got.families) {
+		t.Fatalf("%s: %d families vs %d", label, len(got.families), len(want.families))
+	}
+	for vs, wf := range want.families {
+		gf, ok := got.families[vs]
+		if !ok {
+			t.Fatalf("%s: family %v missing", label, vs)
+		}
+		for i := range wf.coeffs {
+			if math.Float64bits(wf.coeffs[i]) != math.Float64bits(gf.coeffs[i]) {
+				t.Fatalf("%s: family %v coeff %d: %v != want %v",
+					label, vs, i, gf.coeffs[i], wf.coeffs[i])
+			}
+		}
+	}
+}
+
+// TestFitFactoredAllSkippedKeepsSnapshot: an incremental factored refit
+// that re-solves no block and reproduces a0 bitwise must keep the existing
+// compiled snapshot instead of recompiling every block engine.
+func TestFitFactoredAllSkippedKeepsSnapshot(t *testing.T) {
+	cons, cards := wideBlockConstraints(t, 8, 2, 13)
+	m := modelFromConstraints(t, cards, cons)
+	if rep, err := m.Fit(SolveOptions{}); err != nil || !rep.Converged {
+		t.Fatalf("initial fit: %v (%+v)", err, rep)
+	}
+	before := m.compiled.Load()
+	if before == nil {
+		t.Fatal("fit left no compiled snapshot")
+	}
+	// Drive fitFactored directly with a clean dirty map: the Fit entry
+	// point short-circuits this case, but fitFactored must still hold the
+	// keep-the-snapshot contract for it.
+	opts, err := SolveOptions{Incremental: true}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.fitFactored(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksFit != 0 {
+		t.Fatalf("all-clean refit re-solved %d blocks", rep.BlocksFit)
+	}
+	if got := m.compiled.Load(); got != before {
+		t.Fatal("all-skipped incremental refit recompiled the snapshot")
+	}
+}
+
+// TestFitFactoredParallelError: a block whose constraints cannot be
+// satisfied must fail the factored fit, and two fresh models must fail
+// with the same error.
+func TestFitFactoredParallelError(t *testing.T) {
+	cons, cards := wideBlockConstraints(t, 4, 2, 3)
+	build := func() *Model {
+		m := modelFromConstraints(t, cards, cons)
+		// An impossible target: probability 1 on one cell of block 1 while
+		// its complement keeps positive first-order targets.
+		if err := m.SetTarget(contingency.NewVarSet(2, 3), []int{1, 1}, 1); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	_, first := build().Fit(SolveOptions{})
+	if first == nil {
+		t.Fatal("fit accepted an impossible constraint")
+	}
+	_, second := build().Fit(SolveOptions{})
+	if second == nil || second.Error() != first.Error() {
+		t.Fatalf("second fit error %v != first %q", second, first)
+	}
+}

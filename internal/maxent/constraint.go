@@ -50,7 +50,8 @@ func (c Constraint) validate(cards []int) error {
 			i++
 		}
 	}
-	if c.Target < 0 || c.Target > 1 {
+	// Written so that NaN fails it too.
+	if !(c.Target >= 0 && c.Target <= 1) {
 		return fmt.Errorf("maxent: constraint target %g outside [0,1]", c.Target)
 	}
 	return nil

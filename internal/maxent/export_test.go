@@ -136,6 +136,15 @@ func TestRestoreModelValidation(t *testing.T) {
 		{"infinite coefficient", func(st *ModelState) {
 			st.Families[0].Coeffs[0] = math.Inf(1)
 		}, "want finite and non-negative"},
+		{"nan target", func(st *ModelState) {
+			st.Constraints[0].Target = math.NaN()
+		}, "outside [0,1]"},
+		{"+inf target", func(st *ModelState) {
+			st.Constraints[0].Target = math.Inf(1)
+		}, "outside [0,1]"},
+		{"-inf target", func(st *ModelState) {
+			st.Constraints[0].Target = math.Inf(-1)
+		}, "outside [0,1]"},
 		{"zero a0", func(st *ModelState) { st.A0 = 0 }, "degenerate a0"},
 		{"nan a0 rejected", func(st *ModelState) { st.A0 = math.NaN() }, "degenerate a0"},
 	}

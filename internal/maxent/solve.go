@@ -56,16 +56,6 @@ type SolveOptions struct {
 	// re-sweeping it, and a fully clean model skips the solve outright.
 	// Off, every block is re-solved — the historical behaviour.
 	Incremental bool
-	// Workers fans the factored solver's independent constraint blocks out
-	// over a goroutine pool: each block is solved densely over its own
-	// sub-space, and blocks share no coefficients, so they are the natural
-	// unit of parallel work. <= 0 uses GOMAXPROCS (matching every worker
-	// knob in this module), 1 forces the sequential block loop. The fitted
-	// coefficients, a0, and report are bit-identical either way — per-block
-	// results are collected into indexed slots and reduced in block order —
-	// so the knob trades only wall time. Dense (single-block) solves are
-	// unaffected.
-	Workers int
 }
 
 func (o SolveOptions) withDefaults() (SolveOptions, error) {

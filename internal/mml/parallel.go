@@ -14,7 +14,9 @@ import (
 // tests, so families are the natural unit of parallel work. Results are
 // identical for any worker count (same order, same values); only wall time
 // changes. workers <= 0 uses GOMAXPROCS; 1 runs the families sequentially
-// on the calling goroutine.
+// on the calling goroutine. Measured on 2 CPUs, one worker made
+// acquire_dense discovery 28% slower (op_p50_ms, 6 of 6 paired seeds;
+// CHANGES.md).
 //
 // Scoring is read-only on the tester, and the predictor must be safe for
 // concurrent use — compiled model engines are.

@@ -1,17 +1,18 @@
 // Package par is the shared worker pool of the acquisition pipeline's
-// parallel hot loops: bounded fan-out over an indexed task list with
+// parallel loops: bounded fan-out over an indexed task list with
 // deterministic result collection and first-error cancellation.
 //
-// The paper's procedure is embarrassingly parallel at every level —
-// pairwise association screening, per-family MML scans, the independent
-// constraint blocks of the maximum-entropy fit, and the queries of a
-// batch — and each of those loops shares the same shape:
-// n independent tasks, each writing its result into slot i of a
-// pre-allocated slice, reduced afterwards in index order. Do runs exactly
-// that shape. Because workers only ever write their own slot and the
-// caller reduces in index order, the observable result is bit-identical
-// to the sequential loop regardless of how the scheduler interleaves the
-// workers; only wall time changes.
+// Three loops use it: the per-family MML significance scan
+// (mml.ScanOrderParallel) and the pair-count ledger build behind the wide
+// association screen (contingency.Sparse.PairCounts), which on two CPUs
+// measurably slow discovery when run serially, and the queries of a batch
+// (query.AnswerBatch), whose measurement is cited at its doc comment.
+// Each shares the same shape: n independent tasks, each writing its
+// result into slot i of a pre-allocated slice, reduced afterwards in index
+// order. Do runs exactly that shape. Because workers only ever write their
+// own slot and the caller reduces in index order, the observable result is
+// bit-identical to the sequential loop regardless of how the scheduler
+// interleaves the workers; only wall time changes.
 package par
 
 import (

@@ -267,7 +267,9 @@ type kbProvider interface {
 // denominators, conditional-slice sweeps, MPE passes) is priced once
 // through the knowledge base's engine memo: the model's own when it has
 // one, otherwise a memo that lives for this batch. Other Querier
-// implementations are answered one query at a time, in order.
+// implementations are answered one query at a time, in order. Measured on
+// 2 CPUs, one worker answered serve_dense_zipf batches faster (batch_p50_ms
+// 0.45 against 0.52 ms, 9 of 10 paired seeds; CHANGES.md, ROADMAP.md).
 func AnswerBatch(q Querier, queries []Query) ([]Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("query: nil querier")

@@ -128,8 +128,13 @@ func twoAttrSchema() []byte {
 }
 
 // modelSection is a dense-mode model section over the given cards with one
-// family over {0, 1} and one constraint on it.
+// family over {0, 1} and one constraint on it, of target 0.5.
 func modelSection(cards []int, vars []int, coeffs []float64, values []int) []byte {
+	return modelSectionTarget(cards, vars, coeffs, values, 0.5)
+}
+
+// modelSectionTarget is modelSection with the constraint's target given.
+func modelSectionTarget(cards []int, vars []int, coeffs []float64, values []int, target float64) []byte {
 	var w wire.Writer
 	w.Int(len(cards))
 	for i := range cards {
@@ -140,7 +145,7 @@ func modelSection(cards []int, vars []int, coeffs []float64, values []int) []byt
 	w.Int(1)
 	w.Ints([]int{0, 1})
 	w.Ints(values)
-	w.Float64(0.5)
+	w.Float64(target)
 	w.Int(1)
 	w.Ints(vars)
 	w.Floats(coeffs)
@@ -153,6 +158,12 @@ func modelSection(cards []int, vars []int, coeffs []float64, values []int) []byt
 // far past them.
 func overflowModel() []byte {
 	return modelSection([]int{1<<62 + 1, 4}, []int{0, 1}, []float64{1, 1, 1, 1}, []int{1000, 3})
+}
+
+// nanTargetModel is a well-formed model section but for its constraint
+// target, which is NaN.
+func nanTargetModel() []byte {
+	return modelSectionTarget([]int{2, 2}, []int{0, 1}, []float64{1, 1, 1, 1}, []int{0, 0}, math.NaN())
 }
 
 // TestReadRejectsCorruptSections: structurally sound files — valid header,
@@ -168,6 +179,7 @@ func TestReadRejectsCorruptSections(t *testing.T) {
 		"negative coefficient":   modelSection([]int{2, 2}, []int{0, 1}, []float64{1, -1, 1, 1}, []int{0, 0}),
 		"value out of range":     modelSection([]int{2, 2}, []int{0, 1}, []float64{1, 1, 1, 1}, []int{0, 2}),
 		"NaN coefficient":        modelSection([]int{2, 2}, []int{0, 1}, []float64{1, math.NaN(), 1, 1}, []int{0, 0}),
+		"NaN target":             nanTargetModel(),
 	}
 	if _, err := Read(bytes.NewReader(seal(FormatVersion, map[byte][]byte{
 		secSchema: schema,
@@ -215,6 +227,7 @@ func FuzzSnapshotSections(f *testing.F) {
 		}
 	}
 	f.Add(false, twoAttrSchema(), overflowModel(), smallCounts(f, false), []byte(nil))
+	f.Add(false, twoAttrSchema(), nanTargetModel(), []byte(nil), []byte(nil))
 	f.Fuzz(func(t *testing.T, v1 bool, schema, model, counts, options []byte) {
 		version := uint16(FormatVersion)
 		if v1 {

@@ -125,11 +125,12 @@ type Options struct {
 	// selecting cells whose value is already determined by known
 	// marginals. Off by default; see mml.Config.IncludeForced.
 	IncludeForcedCells bool
-	// Workers controls discovery parallelism — the per-family significance
-	// scans, the pairwise association screen, and the factored solver's
-	// per-block fits all fan out over one goroutine pool. 0 uses
-	// GOMAXPROCS (the default: use the machine), 1 forces the sequential
-	// loops. Results are bit-identical either way; only wall time changes.
+	// Workers controls discovery parallelism at its two parallel sites:
+	// the per-family significance scans and, on wide sparse tables, the
+	// pair-count ledger build behind the association screen. The model
+	// keeps it, so every Update re-scan uses it too. 0 uses GOMAXPROCS
+	// (the default: use the machine), 1 forces the sequential loops.
+	// Results are bit-identical either way; only wall time changes.
 	Workers int
 	// ScreenPairs gates order >= 2 scans on a pairwise association survey:
 	// only families whose attribute pairs all pass the screen are priced.

@@ -7,9 +7,8 @@ import (
 	"pka/internal/paperdata"
 )
 
-// TestDiscoverNegativeWorkers: Options.Workers < 0 means GOMAXPROCS (the
-// pre-parallel-solver contract), flowing through the scan, the screen,
-// and the solver without error.
+// TestDiscoverNegativeWorkers: Options.Workers < 0 means GOMAXPROCS,
+// flowing through the scan and the screen without error.
 func TestDiscoverNegativeWorkers(t *testing.T) {
 	m, err := pka.Discover(paperdata.Records(), pka.Options{Workers: -1})
 	if err != nil {

@@ -46,12 +46,13 @@ func wideStreamRows(rng *rand.Rand, n int) []Record {
 	return rows
 }
 
-// TestParallelFitScreenServeRaceHammer is the tentpole's -race hammer: one
-// wide streaming model concurrently (a) folding in observation batches —
-// each Update runs the parallel association screen and the parallel
-// incremental factored refit — (b) serving HTTP batch queries, whose
-// queries fan out over the batch's workers, (c) answering direct AnswerBatch
-// calls, and (d) reading the discovery record (Screen, Findings, Fit).
+// TestParallelFitScreenServeRaceHammer is the -race hammer of a live
+// model: one wide streaming model concurrently (a) folding in observation
+// batches — each Update runs the association screen, the incremental
+// factored refit and the parallel significance re-scan — (b) serving HTTP
+// batch queries, whose queries fan out over the batch's workers, (c)
+// answering direct AnswerBatch calls, and (d) reading the discovery record
+// (Screen, Findings, Fit).
 // Every served probability must stay in range and no request may fail;
 // the race detector guards the rest.
 func TestParallelFitScreenServeRaceHammer(t *testing.T) {
