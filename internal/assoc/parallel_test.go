@@ -63,14 +63,20 @@ func requireSamePairs(t *testing.T, want, got []PairStats, label string) {
 
 // TestPairwiseSparseParallelBitIdentical: the sparse screen is
 // bit-identical for any worker count, exercised twice per count: once
-// against a cold projection cache and once against the warm cache.
+// against a cold pair-count ledger and once against the warm one. The
+// table has 80 attributes, above bulkPairwiseMinR, so the workers reach
+// the parallel ledger build (fillPairCounts).
 func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
-	serial, err := PairwiseSparseWorkers(wideSparseTable(t, 24, 8000, 11), 1)
+	const attrs = 80
+	if attrs < bulkPairwiseMinR {
+		t.Fatalf("%d attributes do not reach the pair-count ledger (%d)", attrs, bulkPairwiseMinR)
+	}
+	serial, err := PairwiseSparseWorkers(wideSparseTable(t, attrs, 8000, 11), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 8} {
-		s := wideSparseTable(t, 24, 8000, 11) // fresh table: cold cache
+		s := wideSparseTable(t, attrs, 8000, 11) // fresh table: cold ledger
 		cold, err := PairwiseSparseWorkers(s, workers)
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,8 @@ func sameOccupied(a, b []string) bool {
 // TestCountsContract loads the same counts into a dense Table and a Sparse
 // over small random schemas and holds both to every Counts operation:
 // equal marginal tables for every family up to order 3, the same occupied
-// cells in a repeatable order, and all-or-nothing ApplyBatch.
+// cells in a repeatable order, all-or-nothing ApplyBatch, and consistent
+// counts through a batch, its rollback and a rejected batch.
 func TestCountsContract(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -80,6 +81,45 @@ func TestCountsContract(t *testing.T) {
 			}
 			if _, err := sparse.PairCounts(1); err != nil {
 				t.Fatal(err)
+			}
+
+			// The rollback a failed model update performs: a random batch,
+			// its negation, then a batch rejected for driving a count
+			// negative. Every step must leave the counts consistent, and the
+			// last two the occupied cells exactly as they were.
+			batch := observations(randomRows(rng, cards, 1+rng.Intn(30)))
+			negation := slices.Clone(batch)
+			for i := range negation {
+				negation[i].Delta = -1
+			}
+			first := rows[0]
+			m, _ := dense.At(first...)
+			negative := append(observations(rows[:3]), CellDelta{Cell: first, Delta: -m - 7})
+			for _, c := range backends {
+				before := occupiedCells(t, c)
+				for _, step := range []struct {
+					name     string
+					batch    []CellDelta
+					reject   bool
+					restores bool // the walk must match the one before the batch
+				}{
+					{"batch", batch, false, false},
+					{"negation", negation, false, true},
+					{"negative count", negative, true, true},
+				} {
+					if err := c.ApplyBatch(step.batch); (err != nil) != step.reject {
+						t.Fatalf("%s: %T ApplyBatch error %v, want rejection %v", step.name, c, err, step.reject)
+					}
+					if err := c.CheckConsistency(); err != nil {
+						t.Fatalf("%s: %T: %v", step.name, c, err)
+					}
+					if step.restores && !slices.Equal(occupiedCells(t, c), before) {
+						t.Fatalf("%s: %T occupied cells differ from before the batch", step.name, c)
+					}
+				}
+			}
+			if err := sparse.VerifyProjections(); err != nil {
+				t.Fatalf("after rollback: %v", err)
 			}
 
 			occupied := rows[rng.Intn(len(rows))]

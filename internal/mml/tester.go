@@ -83,16 +83,18 @@ type Tester struct {
 	margs  map[contingency.VarSet]*contingency.Table
 }
 
-// NewTester validates inputs and builds a tester over the counts backend.
+// NewTester validates the configuration and builds a tester over the
+// counts backend. The caller vouches for consistent counts: NewTester does
+// not rerun table.CheckConsistency, which walks every occupied cell.
+// Counts that come from outside are checked where they enter — discovery
+// (core.DiscoverCounts) and snapshot restore — and ApplyBatch keeps them
+// consistent from there on, so an incremental Update does not walk them.
 func NewTester(table contingency.Counts, cfg Config) (*Tester, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if table.Total() == 0 {
 		return nil, fmt.Errorf("mml: empty contingency table")
-	}
-	if err := table.CheckConsistency(); err != nil {
-		return nil, fmt.Errorf("mml: %w", err)
 	}
 	return &Tester{
 		table:       table,

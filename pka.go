@@ -34,6 +34,7 @@ package pka
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"pka/internal/assoc"
@@ -164,14 +165,19 @@ type Options struct {
 // Update is the one mutation: it folds new observations into the retained
 // discovery counts, incrementally refits, and atomically swaps in the new
 // snapshot; queries in flight keep answering from the engine they started
-// with. Updates serialize among themselves but never block queries.
+// with. Updates serialize among themselves but never block queries. The
+// goodness of fit is derived lazily: Fit takes the same lock as Update,
+// computes it on the first call at a model version and keeps it.
 type Model struct {
 	queryCore
 	// mu serializes Update and guards the discovery record it replaces
 	// (result, fit, counts); the query path never takes it.
 	mu     sync.RWMutex
 	result *core.Result
-	fit    FitReport
+	// fit is the goodness of fit at the current model version: nil until
+	// the first Fit call fills it under mu's write lock (Update writes the
+	// counts it walks), and reset by every batch that refits.
+	fit *FitReport
 	// counts is the discovery table, retained for streaming updates; the
 	// Model owns it after Discover* returns — callers must not mutate it.
 	counts contingency.Counts
@@ -255,14 +261,14 @@ func discoverCounts(table contingency.Counts, schema *Schema, opts Options) (*Mo
 	if err != nil {
 		return nil, err
 	}
-	fit, err := core.GoodnessOfFit(table, res.Model)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{result: res, fit: fit, counts: table, opts: copts}
+	m := &Model{result: res, counts: table, opts: copts}
 	m.kbase.Store(kbase)
 	return m, nil
 }
+
+// newKB compiles the knowledge base an Update swaps in; tests replace it
+// to inject a failure after the counts have taken the batch.
+var newKB = kb.New
 
 // UpdateReport says what one streaming Update did: rows folded in,
 // constraints retargeted, new constraints discovered, whether a structural
@@ -306,6 +312,10 @@ func (m *Model) Update(rows []Record) (UpdateReport, error) {
 		return rep, fmt.Errorf("%w: %w", query.ErrRejectedRows, err)
 	}
 	out, err := core.Update(m.result, m.counts, deltas, m.opts)
+	var kbase *kb.KnowledgeBase
+	if err == nil && out.Refit {
+		kbase, err = newKB(m.Schema(), out.Result.Model)
+	}
 	if err != nil {
 		// Roll the counts back so the served model and its data bank stay
 		// in step; the batch is rejected as a unit.
@@ -331,16 +341,8 @@ func (m *Model) Update(rows []Record) (UpdateReport, error) {
 		rep.Version = m.version.Add(1)
 		return rep, nil
 	}
-	kbase, err := kb.New(m.Schema(), out.Result.Model)
-	if err != nil {
-		return rep, err
-	}
-	fit, err := core.GoodnessOfFit(m.counts, out.Result.Model)
-	if err != nil {
-		return rep, err
-	}
 	m.result = out.Result
-	m.fit = fit
+	m.fit = nil
 	if c := m.cache.Load(); c != nil {
 		kbase = kbase.WithCache(c, m.version.Load()+1)
 	}
@@ -444,11 +446,23 @@ func (m *Model) Summary() string {
 }
 
 // Fit returns the goodness-of-fit statistics of the model against the data
-// it was discovered from (refreshed by every streaming Update).
+// bank it was fitted to. The walk over the occupied cells is computed on
+// the first call after discovery, restore or a refitting batch, and kept
+// until the next refitting batch, so streaming Updates never pay for it.
+// The walk cannot fail on a Model that discovery or LoadModelSnapshot
+// built (both check the counts against the model first); if it ever did,
+// Fit returns the zero FitReport and caches nothing.
 func (m *Model) Fit() FitReport {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.fit
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fit == nil {
+		f, err := core.GoodnessOfFit(m.counts, m.result.Model)
+		if err != nil {
+			return FitReport{}
+		}
+		m.fit = &f
+	}
+	return *m.fit
 }
 
 // Load reads a knowledge base saved with Save. Loaded models answer
@@ -525,11 +539,17 @@ func LoadModelSnapshot(r io.Reader) (*Model, error) {
 	if s.Counts == nil {
 		return nil, fmt.Errorf("pka: snapshot carries no discovery counts (query-only); use LoadSnapshot")
 	}
-	kbase, err := kb.New(s.Schema, s.Model)
-	if err != nil {
-		return nil, err
+	if err := s.Counts.CheckConsistency(); err != nil {
+		return nil, fmt.Errorf("pka: snapshot counts: %w", err)
 	}
-	fit, err := core.GoodnessOfFit(s.Counts, s.Model)
+	if s.Counts.Total() == 0 {
+		return nil, fmt.Errorf("pka: snapshot carries empty discovery counts")
+	}
+	if cards := contingency.CardsOf(s.Counts); !slices.Equal(cards, s.Model.Cards()) {
+		return nil, fmt.Errorf("pka: snapshot counts have cardinalities %v, its model %v",
+			cards, s.Model.Cards())
+	}
+	kbase, err := kb.New(s.Schema, s.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +558,7 @@ func LoadModelSnapshot(r io.Reader) (*Model, error) {
 		opts = *s.Options
 	}
 	res := &core.Result{Model: s.Model, TotalSamples: s.Counts.Total()}
-	m := &Model{result: res, fit: fit, counts: s.Counts, opts: opts}
+	m := &Model{result: res, counts: s.Counts, opts: opts}
 	m.kbase.Store(kbase)
 	return m, nil
 }
