@@ -373,7 +373,8 @@ func runAppendixB(w io.Writer) error {
 	for _, v := range ev.FullJoint() {
 		brute += v
 	}
-	// Matrix-layer chain: Σ_i a_i Σ_j a_j Σ_k a_k a_ik (B commutes out).
+	// Grouped chain in the memo's X/Σ notation: Σ_i a_i Σ_j a_j Σ_k a_k a_ik
+	// (B commutes out).
 	chain := 0.0
 	for i := 0; i < 3; i++ {
 		inner := 0.0

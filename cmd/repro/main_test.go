@@ -27,8 +27,13 @@ func TestRunExtensionExperiments(t *testing.T) {
 	if err := run(&buf, "gof"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "independence (first order only)") {
-		t.Errorf("gof output:\n%s", buf.String())
+	for _, want := range []string{
+		"independence (first order only)  191.9  178.7",
+		"discovered (+3 constraints)        5.8    5.9   4     0.21",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("gof output missing %q:\n%s", want, buf.String())
+		}
 	}
 	buf.Reset()
 	if err := run(&buf, "assoc"); err != nil {

@@ -11,11 +11,10 @@ import (
 // sparse table from per-pair cached projections to the pair-count ledger
 // (Sparse.PairCounts). Below it (every schema the old single-word
 // representation could hold) the projection cache stays warm across
-// streaming re-screens, and the golden snapshots pin those cached pair
-// projections; above it, O(R²) separate cache entries each projected by
-// an O(occupied) scan would dominate, so one slab holds every pair,
-// counted from a single decode of the occupied cells and maintained in
-// place by every mutation.
+// streaming re-screens; above it, O(R²) separate cache entries each
+// projected by an O(occupied) scan would dominate, so one slab holds every
+// pair, counted from a single decode of the occupied cells and maintained
+// in place by every mutation.
 const bulkPairwiseMinR = 65
 
 // FlatCells is a contingency backend's occupied cells materialized once,

@@ -2,6 +2,7 @@ package contingency
 
 import (
 	"fmt"
+	"math"
 
 	"pka/internal/wire"
 )
@@ -88,7 +89,8 @@ func EncodeTable(w *wire.Writer, t *Table) {
 }
 
 // DecodeTable reads a dense table written by EncodeTable, revalidating the
-// shape and recomputing the total from the decoded counts.
+// shape and recomputing the total from the decoded counts, which must sum
+// within int64.
 func DecodeTable(r *wire.Reader) (*Table, error) {
 	names, cards := decodeShape(r)
 	if err := r.Err(); err != nil {
@@ -110,14 +112,14 @@ func DecodeTable(r *wire.Reader) (*Table, error) {
 	}
 	for i := range t.counts {
 		c := r.Uvarint()
+		if c > uint64(math.MaxInt64-t.total) {
+			return nil, fmt.Errorf("contingency: decoded counts overflow int64 total")
+		}
 		t.counts[i] = int64(c)
 		t.total += int64(c)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("contingency: decoding dense counts: %w", err)
-	}
-	if t.total < 0 {
-		return nil, fmt.Errorf("contingency: decoded counts overflow int64 total")
 	}
 	return t, nil
 }
@@ -163,10 +165,10 @@ func EncodeSparse(w *wire.Writer, s *Sparse) {
 
 // DecodeSparse reads a sparse table written by EncodeSparse (or, for
 // version 1, by the single-word writer). Every packed key is unpacked and
-// revalidated against the cardinalities, counts must be positive, and each
-// restored projection must be cacheable and account for the full total —
-// so a corrupt payload fails here rather than producing a silently
-// inconsistent table.
+// revalidated against the cardinalities, counts must be positive and sum
+// within int64, and each restored projection must be cacheable and equal
+// its rebuild from the decoded cells — so a corrupt payload fails here
+// rather than producing a silently inconsistent table.
 func DecodeSparse(r *wire.Reader, version int) (*Sparse, error) {
 	names, cards := decodeShape(r)
 	if err := r.Err(); err != nil {
@@ -196,7 +198,7 @@ func DecodeSparse(r *wire.Reader, version int) (*Sparse, error) {
 		for j := range words {
 			words[j] = r.Uint64()
 		}
-		c := int64(r.Uvarint())
+		c := r.Uvarint()
 		if r.Err() != nil {
 			break
 		}
@@ -213,11 +215,14 @@ func DecodeSparse(r *wire.Reader, version int) (*Sparse, error) {
 		if !slicesEqual(rewords, words) {
 			return nil, fmt.Errorf("contingency: sparse cell key %#x does not unpack to a valid cell", words)
 		}
-		if c <= 0 {
-			return nil, fmt.Errorf("contingency: sparse cell %v holds non-positive count %d", cell, c)
+		if c == 0 {
+			return nil, fmt.Errorf("contingency: sparse cell %v holds non-positive count 0", cell)
 		}
-		s.store.add(cell, c)
-		s.total += c
+		if c > uint64(math.MaxInt64-s.total) {
+			return nil, fmt.Errorf("contingency: decoded counts overflow int64 total")
+		}
+		s.store.add(cell, int64(c))
+		s.total += int64(c)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("contingency: decoding sparse cells: %w", err)
@@ -281,6 +286,11 @@ func DecodeSparse(r *wire.Reader, version int) (*Sparse, error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("contingency: decoding projection cache: %w", err)
+	}
+	// A projection is derived state: one that sums to the total but
+	// disagrees with the cells (or holds a count that wrapped) is corrupt.
+	if err := s.VerifyProjections(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

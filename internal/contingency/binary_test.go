@@ -2,7 +2,9 @@ package contingency
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -102,6 +104,32 @@ func TestSparseBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSparseOneWordLayout pins the bytes of a one-word sparse table:
+// shape, each cell as one packed word and its count in ascending key order,
+// then the cached projections. One-word schemas share the two-word key
+// codec, whose second word is zero, so keys, their order and these bytes
+// are those of the single-word packing.
+func TestEncodeSparseOneWordLayout(t *testing.T) {
+	s, err := NewSparse([]string{"A", "B"}, []int{3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range [][]int{{2, 1}, {0, 0}, {1, 1}, {2, 1}, {1, 0}} {
+		if err := s.Observe(cell...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Marginalize(NewVarSet(1)); err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Writer
+	EncodeSparse(&w, s)
+	const want = "0201410142020302040000000000000000010100000000000000010500000000000000010600000000000000020101010203"
+	if got := hex.EncodeToString(w.Bytes()); got != want {
+		t.Errorf("one-word sparse bytes\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDecodeSparseRejectsCorrupt drives structurally corrupt sparse
 // payloads through the decoder; each must fail loudly instead of
 // producing an inconsistent table.
@@ -164,6 +192,35 @@ func TestDecodeSparseRejectsCorrupt(t *testing.T) {
 			w.Uint64(0)
 			w.Uvarint(1)
 		}, "truncated"},
+		{"projection count wraps", func(w *wire.Writer) {
+			shape(w)
+			w.Int(1)
+			w.Uint64(0)
+			w.Uvarint(4)
+			w.Int(1)
+			w.Ints([]int{0})
+			w.Uvarint(math.MaxUint64) // reads as -1; -1 + 5 sums to the total
+			w.Uvarint(5)
+		}, "diverged"},
+		{"projection disagrees with cells", func(w *wire.Writer) {
+			shape(w)
+			w.Int(1)
+			w.Uint64(0)
+			w.Uvarint(4)
+			w.Int(1)
+			w.Ints([]int{0})
+			w.Uvarint(1) // sums to 4, but the one cell has A=0
+			w.Uvarint(3)
+		}, "diverged"},
+		{"cell total overflows", func(w *wire.Writer) {
+			shape(w)
+			w.Int(2)
+			w.Uint64(0)
+			w.Uvarint(math.MaxInt64)
+			w.Uint64(1)
+			w.Uvarint(math.MaxInt64)
+			w.Int(0)
+		}, "overflow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +231,27 @@ func TestDecodeSparseRejectsCorrupt(t *testing.T) {
 				t.Errorf("got %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeTableRejectsOverflow: dense counts whose sum passes int64 are
+// rejected, including a sum that wraps back to a positive total.
+func TestDecodeTableRejectsOverflow(t *testing.T) {
+	for name, counts := range map[string][]uint64{
+		"wraps negative":    {math.MaxInt64, 1, 0},
+		"wraps positive":    {math.MaxInt64, math.MaxInt64, 3},
+		"count above int64": {math.MaxUint64, 1, 1},
+	} {
+		var w wire.Writer
+		w.Int(1)
+		w.String("A")
+		w.Ints([]int{3})
+		for _, c := range counts {
+			w.Uvarint(c)
+		}
+		if _, err := DecodeTable(wire.NewReader(w.Bytes())); err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("%s: got %v, want an overflow error", name, err)
+		}
 	}
 }
 

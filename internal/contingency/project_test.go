@@ -6,8 +6,8 @@ import (
 )
 
 // memberCodecSchemas are cardinality mixes whose packed keys span one, two
-// and four 64-bit words — one schema per key codec (key64, key128,
-// keyWide). Cardinalities 3 and 5 leave unused code points in their bit
+// and four 64-bit words — both widths of the [2]uint64 codec (key128) and
+// the string codec (keyWide). Cardinalities 3 and 5 leave unused code points in their bit
 // fields, so a decode that reads the wrong field or mask shows up as a
 // count landing in the wrong cell.
 func memberCodecSchemas() []struct {

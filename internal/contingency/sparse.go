@@ -20,11 +20,10 @@ import (
 // table over any small attribute subset.
 //
 // Cell keys are packed bit fields over however many 64-bit words the
-// schema needs. Schemas that fit one word (Σ ceil(log2(card)) <= 64 — the
-// old hard cap) keep the original single-uint64 hash as a fast path;
-// two-word schemas use a fixed [2]uint64 key; anything wider packs the
-// words into a comparable string key. All three specializations sit behind
-// the same Counts contract, projection cache, and batch-mutation paths.
+// schema needs. Schemas of up to two words use a fixed [2]uint64 key;
+// anything wider packs the words into a comparable string key. Both
+// specializations sit behind the same Counts contract, projection cache,
+// and batch-mutation paths.
 type Sparse struct {
 	names []string
 	cards []int
@@ -108,9 +107,7 @@ func buildKeyLayout(cards []int) (fields []keyField, nwords int, err error) {
 
 // NewSparse creates an empty sparse table. Any schema width is accepted:
 // the packed cell key spans as many 64-bit words as Σ ceil(log2(card))
-// requires, with single-word schemas (the old 64-bit ceiling) served by
-// the original fast path. Only the MaxVars attribute-count sanity ceiling
-// applies.
+// requires. Only the MaxVars attribute-count sanity ceiling applies.
 func NewSparse(names []string, cards []int) (*Sparse, error) {
 	if len(cards) == 0 {
 		return nil, fmt.Errorf("contingency: sparse table needs at least one attribute")
@@ -132,12 +129,9 @@ func NewSparse(names []string, cards []int) (*Sparse, error) {
 		fields:   fields,
 		keyWords: nwords,
 	}
-	switch nwords {
-	case 1:
-		s.store = &cellMap[uint64, key64]{codec: key64{fields: fields}, m: make(map[uint64]int64)}
-	case 2:
+	if nwords <= 2 {
 		s.store = &cellMap[[2]uint64, key128]{codec: key128{fields: fields}, m: make(map[[2]uint64]int64)}
-	default:
+	} else {
 		s.store = &cellMap[string, keyWide]{codec: keyWide{fields: fields, nwords: nwords}, m: make(map[string]int64)}
 	}
 	if names == nil {
@@ -581,34 +575,9 @@ type keyCodec[K comparable] interface {
 	less(a, b K) bool
 }
 
-// key64 is the original single-word fast path.
-type key64 struct{ fields []keyField }
-
-func (c key64) pack(cell []int) uint64 {
-	var k uint64
-	for i, f := range c.fields {
-		k |= uint64(cell[i]) << f.shift
-	}
-	return k
-}
-
-func (c key64) unpack(k uint64, cell []int) {
-	for i, f := range c.fields {
-		cell[i] = int((k >> f.shift) & f.mask)
-	}
-}
-
-func (c key64) unpackMembers(k uint64, members, sub []int) {
-	for i, p := range members {
-		f := c.fields[p]
-		sub[i] = int((k >> f.shift) & f.mask)
-	}
-}
-
-func (key64) less(a, b uint64) bool { return a < b }
-
-// key128 covers schemas needing two words ([2]uint64 keys hash inline —
-// no allocation per cell).
+// key128 covers schemas needing one or two words ([2]uint64 keys hash
+// inline — no allocation per cell). A one-word schema leaves word 1 zero,
+// so its keys and their order are those of the packed word alone.
 type key128 struct{ fields []keyField }
 
 func (c key128) pack(cell []int) (k [2]uint64) {

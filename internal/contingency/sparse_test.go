@@ -232,7 +232,7 @@ func TestSparseKeyRoundTripProperty(t *testing.T) {
 }
 
 func TestNewSparseKeyWidthBoundary(t *testing.T) {
-	// Exactly 64 packed bits stays on the single-word fast path: 64 binary
+	// Exactly 64 packed bits stays a single-word key: 64 binary
 	// attributes...
 	exact := make([]int, 64)
 	for i := range exact {

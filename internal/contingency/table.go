@@ -203,10 +203,6 @@ func (t *Table) ApplyBatch(deltas []CellDelta) error {
 // iterate every cell in tight loops.
 func (t *Table) Counts() []int64 { return t.counts }
 
-// FlatIndex converts a full cell tuple to its row-major flat position,
-// validating range.
-func (t *Table) FlatIndex(cell []int) (int, error) { return t.offset(cell) }
-
 // Unflatten fills cell with the coordinates of flat position off.
 func (t *Table) Unflatten(off int, cell []int) error {
 	if off < 0 || off >= len(t.counts) {

@@ -125,7 +125,7 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		if err := tab.Unflatten(off, cell); err != nil {
 			t.Fatal(err)
 		}
-		back, err := tab.FlatIndex(cell)
+		back, err := tab.offset(cell)
 		if err != nil {
 			t.Fatal(err)
 		}

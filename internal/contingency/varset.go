@@ -121,10 +121,6 @@ func NewVarSet(positions ...int) VarSet {
 // v1 snapshots.
 func VarSetFromMask(mask uint64) VarSet { return VarSet{lo: mask} }
 
-// Mask64 returns the single-word bitmask when the set fits positions
-// 0..63; ok is false for wider sets.
-func (s VarSet) Mask64() (mask uint64, ok bool) { return s.lo, s.spill == "" }
-
 // Has reports whether position p is a member.
 func (s VarSet) Has(p int) bool {
 	if p < 0 {
@@ -184,34 +180,6 @@ func (s VarSet) Union(t VarSet) VarSet {
 	return varSetFromWords(words)
 }
 
-// Intersect returns s ∩ t.
-func (s VarSet) Intersect(t VarSet) VarSet {
-	if s.spill == "" || t.spill == "" {
-		return VarSet{lo: s.lo & t.lo}
-	}
-	n := s.NumWords()
-	if tn := t.NumWords(); tn < n {
-		n = tn
-	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = s.Word(i) & t.Word(i)
-	}
-	return varSetFromWords(words)
-}
-
-// Minus returns s \ t.
-func (s VarSet) Minus(t VarSet) VarSet {
-	if s.spill == "" {
-		return VarSet{lo: s.lo &^ t.lo}
-	}
-	words := s.appendWords(make([]uint64, 0, s.NumWords()))
-	for i := range words {
-		words[i] &^= t.Word(i)
-	}
-	return varSetFromWords(words)
-}
-
 // SubsetOf reports whether every member of s is in t.
 func (s VarSet) SubsetOf(t VarSet) bool {
 	if s.lo&^t.lo != 0 {
@@ -224,9 +192,6 @@ func (s VarSet) SubsetOf(t VarSet) bool {
 	}
 	return true
 }
-
-// ProperSubsetOf reports whether s ⊂ t strictly.
-func (s VarSet) ProperSubsetOf(t VarSet) bool { return s != t && s.SubsetOf(t) }
 
 // Len returns the number of members (the "order" of an attribute family).
 func (s VarSet) Len() int {

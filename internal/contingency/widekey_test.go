@@ -38,7 +38,7 @@ func FuzzPackUnpackRoundTrip(f *testing.F) {
 	f.Add(int64(1), 4)    // single word
 	f.Add(int64(2), 64)   // exactly the old ceiling
 	f.Add(int64(3), 65)   // first multi-word width
-	f.Add(int64(4), 130)  // [2]uint64 fast path and beyond
+	f.Add(int64(4), 130)  // past the [2]uint64 key
 	f.Add(int64(5), 520)  // wide string-key path
 	f.Add(int64(42), 200) // mixed cardinalities across many words
 	f.Fuzz(func(t *testing.T, seed int64, r int) {
@@ -132,8 +132,8 @@ func TestVarSetMatchesNarrowReference(t *testing.T) {
 	other, otherRef := VarSet{}, narrowRef(0)
 	check := func(step int) {
 		t.Helper()
-		if mask, ok := set.Mask64(); !ok || mask != uint64(ref) {
-			t.Fatalf("step %d: Mask64 = (%#x, %v), want (%#x, true)", step, mask, ok, uint64(ref))
+		if set != VarSetFromMask(uint64(ref)) {
+			t.Fatalf("step %d: set %v, want mask %#x", step, set, uint64(ref))
 		}
 		if set.Len() != ref.len() {
 			t.Fatalf("step %d: Len = %d, want %d", step, set.Len(), ref.len())
@@ -161,12 +161,6 @@ func TestVarSetMatchesNarrowReference(t *testing.T) {
 		// Algebra and order against the second set.
 		if got, want := set.Union(other), VarSetFromMask(uint64(ref|otherRef)); got != want {
 			t.Fatalf("step %d: Union = %v, want %v", step, got, want)
-		}
-		if got, want := set.Intersect(other), VarSetFromMask(uint64(ref&otherRef)); got != want {
-			t.Fatalf("step %d: Intersect = %v, want %v", step, got, want)
-		}
-		if got, want := set.Minus(other), VarSetFromMask(uint64(ref&^otherRef)); got != want {
-			t.Fatalf("step %d: Minus = %v, want %v", step, got, want)
 		}
 		if got, want := set.SubsetOf(other), ref&^otherRef == 0; got != want {
 			t.Fatalf("step %d: SubsetOf = %v, want %v", step, got, want)
@@ -198,8 +192,8 @@ func TestVarSetMatchesNarrowReference(t *testing.T) {
 func TestVarSetWideNarrowBoundary(t *testing.T) {
 	narrow := NewVarSet(3, 63)
 	wide := narrow.Add(64).Add(200)
-	if mask, ok := wide.Mask64(); ok {
-		t.Fatalf("wide set claims narrow mask %#x", mask)
+	if wide.NumWords() < 2 {
+		t.Fatalf("wide set spans %d word", wide.NumWords())
 	}
 	if !wide.Has(200) || !wide.Has(64) || !wide.Has(63) || !wide.Has(3) {
 		t.Fatal("wide set lost members")
@@ -214,10 +208,7 @@ func TestVarSetWideNarrowBoundary(t *testing.T) {
 	if narrow.Less(wide) != true || wide.Less(narrow) != false {
 		t.Fatal("multi-word order must place wider sets after narrow ones sharing low words")
 	}
-	// Union/Minus across the boundary.
-	if got := wide.Minus(narrow); got != NewVarSet(64, 200) {
-		t.Fatalf("wide \\ narrow = %v", got.Members())
-	}
+	// Union across the boundary.
 	if got := narrow.Union(NewVarSet(64, 200)); got != wide {
 		t.Fatalf("union does not rebuild the wide set: %v", got.Members())
 	}

@@ -29,10 +29,11 @@ type Fit struct {
 // higher-order constraints carry their own redundancies (e.g. implied
 // zeros), which makes the test conservative.
 //
-// Dense tables under a dense engine score against the materialized model
-// joint; otherwise (a wide sparse table, or a factored model) scoring runs
-// over the occupied cells only, using the algebraic identities G2 = 2 Σ_occ obs ln(obs/exp) and
-// X2 = Σ_occ obs²/exp − N, so no joint space is ever materialized.
+// Scoring runs over the backend's occupied cells only, pricing each
+// against the compiled model's cell probability and using the algebraic
+// identities G2 = 2 Σ_occ obs ln(obs/exp) and X2 = Σ_occ obs²/exp − N, so no
+// joint space is ever materialized. A model that rules out an occupied cell
+// scores G2 = X2 = +Inf and PValue 0.
 func GoodnessOfFit(table contingency.Counts, model *maxent.Model) (Fit, error) {
 	if table.Total() == 0 {
 		return Fit{}, fmt.Errorf("core: empty table")
@@ -44,48 +45,6 @@ func GoodnessOfFit(table contingency.Counts, model *maxent.Model) (Fit, error) {
 	if err != nil {
 		return Fit{}, err
 	}
-	// The dense full-joint walk needs both a dense table AND a dense
-	// engine: a wide (factored) model cannot materialize its joint even
-	// when the observations happen to be densely tabulated.
-	if dense, ok := table.(*contingency.Table); ok && !compiled.Factored() {
-		return goodnessOfFitDense(dense, model)
-	}
-	return goodnessOfFitOccupied(table, compiled, model)
-}
-
-// goodnessOfFitDense is the original full-joint scoring path.
-func goodnessOfFitDense(table *contingency.Table, model *maxent.Model) (Fit, error) {
-	joint, err := model.Joint()
-	if err != nil {
-		return Fit{}, err
-	}
-	if len(joint) != table.NumCells() {
-		return Fit{}, fmt.Errorf("core: model space %d cells, table %d", len(joint), table.NumCells())
-	}
-	n := float64(table.Total())
-	expected := make([]float64, len(joint))
-	for i, p := range joint {
-		expected[i] = p * n
-	}
-	obs := table.Counts()
-	g2, err := stats.GStat(obs, expected)
-	if err != nil {
-		return Fit{}, err
-	}
-	x2, err := stats.ChiSquareStat(obs, expected)
-	if err != nil {
-		return Fit{}, err
-	}
-	f := Fit{G2: g2, X2: x2, DF: residualDF(table.NumCells(), model), PValue: 1}
-	if f.DF > 0 {
-		f.PValue = stats.ChiSquareSF(g2, f.DF)
-	}
-	return f, nil
-}
-
-// goodnessOfFitOccupied scores over the backend's occupied cells only,
-// pricing each against the compiled model's cell probability.
-func goodnessOfFitOccupied(table contingency.Counts, compiled *maxent.Compiled, model *maxent.Model) (Fit, error) {
 	n := float64(table.Total())
 	var g2, x2 float64
 	var ruledOut bool

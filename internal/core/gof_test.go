@@ -194,3 +194,133 @@ func TestGoodnessOfFitDenseTableWideModel(t *testing.T) {
 		t.Errorf("DF = %d, want %d", fit.DF, want)
 	}
 }
+
+// jointFit is the full-joint oracle for GoodnessOfFit: G² and X² over every
+// cell of the model's materialized joint scaled by N, through stats.GStat
+// and stats.ChiSquareStat.
+func jointFit(t *testing.T, tab *contingency.Table, model *maxent.Model) (g2, x2 float64) {
+	t.Helper()
+	joint, err := model.Joint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(tab.Total())
+	expected := make([]float64, len(joint))
+	for i, p := range joint {
+		expected[i] = p * n
+	}
+	if g2, err = stats.GStat(tab.Counts(), expected); err != nil {
+		t.Fatal(err)
+	}
+	if x2, err = stats.ChiSquareStat(tab.Counts(), expected); err != nil {
+		t.Fatal(err)
+	}
+	return g2, x2
+}
+
+// golden7DenseTable is the dense workload of the root golden7 fixtures:
+// six ternary attributes, 4000 seeded rows, two planted couplings.
+func golden7DenseTable(t *testing.T) *contingency.Table {
+	t.Helper()
+	tab := contingency.MustNew(nil, []int{3, 3, 3, 3, 3, 3})
+	rng := rand.New(rand.NewSource(808))
+	rec := make([]int, 6)
+	for n := 0; n < 4000; n++ {
+		for i := range rec {
+			rec[i] = rng.Intn(3)
+		}
+		if rng.Float64() < 0.6 {
+			rec[1] = rec[0]
+		}
+		if rng.Float64() < 0.5 {
+			rec[4] = rec[3]
+		}
+		if err := tab.Observe(rec...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// TestGoodnessOfFitMatchesJointOracle: the occupied-cell walk agrees with
+// the full-joint statistics to 1e-9 relative, on the paper's table (both
+// the independence and the discovered model) and on the golden7 dense
+// workload discovered to order 3.
+func TestGoodnessOfFitMatchesJointOracle(t *testing.T) {
+	memo := memoTable(t)
+	indep, err := maxent.NewModel(memo.Names(), memo.Cards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := indep.AddFirstOrderConstraints(memo); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := indep.Fit(maxent.SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	paper, err := Discover(memo, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g7 := golden7DenseTable(t)
+	golden, err := Discover(g7, Options{MaxOrder: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		tab   *contingency.Table
+		model *maxent.Model
+	}{
+		{"paper independence", memo, indep},
+		{"paper discovered", memo, paper.Model},
+		{"golden7 dense", g7, golden.Model},
+	} {
+		fit, err := GoodnessOfFit(tc.tab, tc.model)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		g2, x2 := jointFit(t, tc.tab, tc.model)
+		if math.Abs(fit.G2-g2) > 1e-9*g2 || math.Abs(fit.X2-x2) > 1e-9*x2 {
+			t.Errorf("%s: G² %.12g X² %.12g, joint oracle G² %.12g X² %.12g", tc.name, fit.G2, fit.X2, g2, x2)
+		}
+	}
+}
+
+// TestGoodnessOfFitRuledOutCell: a model that gives an occupied cell of a
+// dense table zero probability scores +Inf with p = 0, as the joint oracle
+// does.
+func TestGoodnessOfFitRuledOutCell(t *testing.T) {
+	tab := contingency.MustNew(nil, []int{2, 2})
+	for cell, c := range map[[2]int]int64{{0, 0}: 5, {0, 1}: 20, {1, 0}: 30, {1, 1}: 45} {
+		if err := tab.Set(c, cell[0], cell[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model, err := maxent.NewModel(nil, tab.Cards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.AddFirstOrderConstraints(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.AddConstraint(maxent.Constraint{Family: contingency.NewVarSet(0, 1), Values: []int{0, 0}, Target: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := model.Fit(maxent.SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := model.CellProb([]int{0, 0}); err != nil || p != 0 {
+		t.Fatalf("cell (0,0) has probability %g (%v), want 0", p, err)
+	}
+	fit, err := GoodnessOfFit(tab, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(fit.G2, 1) || !math.IsInf(fit.X2, 1) || fit.PValue != 0 {
+		t.Errorf("fit %+v, want G² = X² = +Inf and p = 0", fit)
+	}
+	if g2, x2 := jointFit(t, tab, model); !math.IsInf(g2, 1) || !math.IsInf(x2, 1) {
+		t.Errorf("joint oracle G² %g X² %g, want +Inf", g2, x2)
+	}
+}

@@ -6,7 +6,9 @@
 // (mml.ScanOrderParallel) and the pair-count ledger build behind the wide
 // association screen (contingency.Sparse.PairCounts), which on two CPUs
 // measurably slow discovery when run serially, and the queries of a batch
-// (query.AnswerBatch), whose measurement is cited at its doc comment.
+// (query.AnswerBatch), which on two CPUs answers a batch that misses the
+// engine memo faster fanned out than in order (the measurement is cited at
+// its doc comment).
 // Each shares the same shape: n independent tasks, each writing its
 // result into slot i of a pre-allocated slice, reduced afterwards in index
 // order. Do runs exactly that shape. Because workers only ever write their

@@ -267,9 +267,16 @@ type kbProvider interface {
 // denominators, conditional-slice sweeps, MPE passes) is priced once
 // through the knowledge base's engine memo: the model's own when it has
 // one, otherwise a memo that lives for this batch. Other Querier
-// implementations are answered one query at a time, in order. Measured on
-// 2 CPUs, one worker answered serve_dense_zipf batches faster (batch_p50_ms
-// 0.45 against 0.52 ms, 9 of 10 paired seeds; CHANGES.md, ROADMAP.md).
+// implementations are answered one query at a time, in order.
+//
+// The fan-out stays because it pays on batches that miss the memo: on a
+// 2-CPU host, BenchmarkAnswerBatchParallel (128 queries, a fresh memo per
+// batch) took 0.90 ms/op at -cpu 2 against 1.47 ms/op for an in-order
+// loop, medians of 10 alternating runs each, the fan-out faster in 9 of
+// 10; at -cpu 1 the two were level (1.36 against 1.35 ms/op). Batches
+// served mostly from a warm memo gain nothing from it: serve_dense_zipf's
+// batch_p50_ms was 0.52 ms fanned out against 0.45 ms at one worker
+// (CHANGES.md).
 func AnswerBatch(q Querier, queries []Query) ([]Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("query: nil querier")

@@ -166,6 +166,26 @@ func nanTargetModel() []byte {
 	return modelSectionTarget([]int{2, 2}, []int{0, 1}, []float64{1, 1, 1, 1}, []int{0, 0}, math.NaN())
 }
 
+// wrappedProjectionCounts is a sparse counts section whose one cached
+// projection holds a count that reads as -1 beside 5: it sums to the
+// table's total of 4 but disagrees with the table's one cell.
+func wrappedProjectionCounts() []byte {
+	var w wire.Writer
+	w.Byte(2) // the sparse counts kind
+	w.Int(2)
+	w.String("A")
+	w.String("B")
+	w.Ints([]int{2, 2})
+	w.Int(1)
+	w.Uint64(0)
+	w.Uvarint(4)
+	w.Int(1)
+	w.Ints([]int{0})
+	w.Uvarint(math.MaxUint64)
+	w.Uvarint(5)
+	return w.Bytes()
+}
+
 // TestReadRejectsCorruptSections: structurally sound files — valid header,
 // valid checksum — whose section contents are hostile fail with an error,
 // never a panic and never a load.
@@ -228,6 +248,8 @@ func FuzzSnapshotSections(f *testing.F) {
 	}
 	f.Add(false, twoAttrSchema(), overflowModel(), smallCounts(f, false), []byte(nil))
 	f.Add(false, twoAttrSchema(), nanTargetModel(), []byte(nil), []byte(nil))
+	f.Add(false, twoAttrSchema(), modelSection([]int{2, 2}, []int{0, 1}, []float64{1, 1, 1, 1}, []int{0, 0}),
+		wrappedProjectionCounts(), []byte(nil))
 	f.Fuzz(func(t *testing.T, v1 bool, schema, model, counts, options []byte) {
 		version := uint16(FormatVersion)
 		if v1 {

@@ -27,18 +27,18 @@ func TestNewBinomialValidation(t *testing.T) {
 func TestBinomialMomentsMatchMemoTable1(t *testing.T) {
 	// Memo Table 1, row N^AB_11: N=3428, p=.048 -> mean 165, sd 12.5.
 	b := Binomial{N: 3428, P: 0.048}
-	if !AlmostEqual(b.Mean(), 164.5, 0.1) {
+	if !almostEqual(b.Mean(), 164.5, 0.1) {
 		t.Errorf("mean = %g, memo rounds to 165", b.Mean())
 	}
-	if !AlmostEqual(b.SD(), 12.5, 0.05) {
+	if !almostEqual(b.SD(), 12.5, 0.05) {
 		t.Errorf("sd = %g, memo says 12.5", b.SD())
 	}
 	// Row N^AC_11: p=.195 -> mean 668, sd 23.2.
 	b = Binomial{N: 3428, P: 0.195}
-	if !AlmostEqual(b.Mean(), 668.5, 0.1) {
+	if !almostEqual(b.Mean(), 668.5, 0.1) {
 		t.Errorf("mean = %g, memo says 668", b.Mean())
 	}
-	if !AlmostEqual(b.SD(), 23.2, 0.05) {
+	if !almostEqual(b.SD(), 23.2, 0.05) {
 		t.Errorf("sd = %g, memo says 23.2", b.SD())
 	}
 }
@@ -46,12 +46,12 @@ func TestBinomialMomentsMatchMemoTable1(t *testing.T) {
 func TestBinomialZScoreMatchesMemo(t *testing.T) {
 	// Memo Table 1: N^AB_11 observed 240 vs mean 165 -> 6.03 sd.
 	b := Binomial{N: 3428, P: 0.048}
-	if z := b.ZScore(240); !AlmostEqual(z, 6.03, 0.05) {
+	if z := b.ZScore(240); !almostEqual(z, 6.03, 0.05) {
 		t.Errorf("z(240) = %g, memo says 6.03", z)
 	}
 	// N^AC_11 observed 540 -> -5.54 sd.
 	b = Binomial{N: 3428, P: 0.195}
-	if z := b.ZScore(540); !AlmostEqual(z, -5.54, 0.05) {
+	if z := b.ZScore(540); !almostEqual(z, -5.54, 0.05) {
 		t.Errorf("z(540) = %g, memo says -5.54", z)
 	}
 }
@@ -66,7 +66,7 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 		for k := int64(0); k <= tc.n; k++ {
 			sum += b.PMF(k)
 		}
-		if !AlmostEqual(sum, 1, 1e-9) {
+		if !almostEqual(sum, 1, 1e-9) {
 			t.Errorf("pmf(N=%d,p=%g) sums to %g", tc.n, tc.p, sum)
 		}
 	}
@@ -118,7 +118,7 @@ func TestBinomialCDFMatchesDirectSum(t *testing.T) {
 				direct = 1
 			}
 			got := b.CDF(k)
-			if !AlmostEqual(got, direct, 1e-8) {
+			if !almostEqual(got, direct, 1e-8) {
 				t.Errorf("N=%d CDF(%d) = %.12f, direct sum %.12f", n, k, got, direct)
 			}
 		}
@@ -172,14 +172,14 @@ func TestTailProbBounds(t *testing.T) {
 func TestRegIncBetaKnownValues(t *testing.T) {
 	// I_x(1,1) = x (uniform CDF).
 	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := RegIncBeta(1, 1, x); !AlmostEqual(got, x, 1e-10) {
+		if got := RegIncBeta(1, 1, x); !almostEqual(got, x, 1e-10) {
 			t.Errorf("I_%g(1,1) = %g", x, got)
 		}
 	}
 	// I_x(2,2) = 3x² - 2x³.
 	for _, x := range []float64{0.25, 0.5, 0.75} {
 		want := 3*x*x - 2*x*x*x
-		if got := RegIncBeta(2, 2, x); !AlmostEqual(got, want, 1e-10) {
+		if got := RegIncBeta(2, 2, x); !almostEqual(got, want, 1e-10) {
 			t.Errorf("I_%g(2,2) = %g, want %g", x, got, want)
 		}
 	}

@@ -16,7 +16,7 @@ func TestChiSquareStatHandWorked(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 4.0/12 + 4.0/18 + 4.0/28 + 4.0/42
-	if !AlmostEqual(x2, want, 1e-12) {
+	if !almostEqual(x2, want, 1e-12) {
 		t.Errorf("X² = %g, want %g", x2, want)
 	}
 }
@@ -48,7 +48,7 @@ func TestGStatZeroWhenExact(t *testing.T) {
 	obs := []int64{10, 20, 30}
 	exp := []float64{10, 20, 30}
 	g, err := GStat(obs, exp)
-	if err != nil || !AlmostEqual(g, 0, 1e-12) {
+	if err != nil || !almostEqual(g, 0, 1e-12) {
 		t.Errorf("G² on exact fit = %g err %v", g, err)
 	}
 }
@@ -59,7 +59,7 @@ func TestGStatApproximatesChiSquareNearFit(t *testing.T) {
 	exp := []float64{100, 100, 100}
 	g, _ := GStat(obs, exp)
 	x2, _ := ChiSquareStat(obs, exp)
-	if !AlmostEqual(g, x2, 0.01) {
+	if !almostEqual(g, x2, 0.01) {
 		t.Errorf("G²=%g and X²=%g should nearly agree near the fit", g, x2)
 	}
 }
@@ -68,16 +68,16 @@ func TestChiSquareCDFKnownValues(t *testing.T) {
 	// k=2: CDF(x) = 1 - exp(-x/2).
 	for _, x := range []float64{0.5, 1, 2, 5} {
 		want := 1 - math.Exp(-x/2)
-		if got := ChiSquareCDF(x, 2); !AlmostEqual(got, want, 1e-10) {
+		if got := ChiSquareCDF(x, 2); !almostEqual(got, want, 1e-10) {
 			t.Errorf("ChiSquareCDF(%g, 2) = %g, want %g", x, got, want)
 		}
 	}
 	// Standard critical value: P(X > 3.841) = 0.05 for k=1.
-	if sf := ChiSquareSF(3.841, 1); !AlmostEqual(sf, 0.05, 5e-4) {
+	if sf := ChiSquareSF(3.841, 1); !almostEqual(sf, 0.05, 5e-4) {
 		t.Errorf("SF(3.841, 1) = %g, want ~0.05", sf)
 	}
 	// P(X > 5.991) = 0.05 for k=2.
-	if sf := ChiSquareSF(5.991, 2); !AlmostEqual(sf, 0.05, 5e-4) {
+	if sf := ChiSquareSF(5.991, 2); !almostEqual(sf, 0.05, 5e-4) {
 		t.Errorf("SF(5.991, 2) = %g, want ~0.05", sf)
 	}
 }
@@ -89,7 +89,7 @@ func TestChiSquareCDFBounds(t *testing.T) {
 	if ChiSquareCDF(1, 0) != 0 {
 		t.Error("CDF with k<=0 should be 0")
 	}
-	if got := ChiSquareCDF(1e6, 3); !AlmostEqual(got, 1, 1e-12) {
+	if got := ChiSquareCDF(1e6, 3); !almostEqual(got, 1, 1e-12) {
 		t.Errorf("CDF far right = %g, want 1", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestChiSquareCriticalRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("critical(%g, %d): %v", alpha, k, err)
 			}
-			if sf := ChiSquareSF(x, k); !AlmostEqual(sf, alpha, 1e-6) {
+			if sf := ChiSquareSF(x, k); !almostEqual(sf, alpha, 1e-6) {
 				t.Errorf("SF(critical(%g,%d)=%g) = %g", alpha, k, x, sf)
 			}
 		}
@@ -135,7 +135,7 @@ func TestRegLowerGammaKnownValues(t *testing.T) {
 	// P(1, x) = 1 - e^{-x}.
 	for _, x := range []float64{0.1, 1, 3, 10} {
 		want := 1 - math.Exp(-x)
-		if got := RegLowerGamma(1, x); !AlmostEqual(got, want, 1e-10) {
+		if got := RegLowerGamma(1, x); !almostEqual(got, want, 1e-10) {
 			t.Errorf("P(1,%g) = %g, want %g", x, got, want)
 		}
 	}

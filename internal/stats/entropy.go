@@ -19,16 +19,6 @@ func Entropy(p []float64) float64 {
 	return h
 }
 
-// MaxEntropy returns ln(k), the entropy of the uniform distribution over k
-// outcomes — the upper bound the maximum-entropy principle pushes toward in
-// the absence of constraints.
-func MaxEntropy(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return math.Log(float64(k))
-}
-
 // KLDivergence returns D(p ‖ q) = Σ p_i ln(p_i / q_i) in nats.
 // It returns +Inf when some p_i > 0 has q_i == 0 (absolute-continuity
 // violation) and an error when the slices differ in length.
@@ -51,24 +41,6 @@ func KLDivergence(p, q []float64) (float64, error) {
 		d = 0
 	}
 	return d, nil
-}
-
-// CrossEntropy returns -Σ p_i ln q_i in nats, +Inf when q lacks support.
-func CrossEntropy(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: cross-entropy length mismatch %d vs %d", len(p), len(q))
-	}
-	h := 0.0
-	for i, pi := range p {
-		if pi <= 0 {
-			continue
-		}
-		if q[i] <= 0 {
-			return math.Inf(1), nil
-		}
-		h -= pi * math.Log(q[i])
-	}
-	return h, nil
 }
 
 // MutualInformation returns I(X;Y) in nats for a joint distribution laid out
@@ -127,17 +99,4 @@ func Normalize(p []float64) (float64, error) {
 		p[i] /= sum
 	}
 	return sum, nil
-}
-
-// TotalVariation returns (1/2) Σ |p_i - q_i|, a bounded distance in [0,1]
-// used by the recovery benches to compare fitted and true joints.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: TV length mismatch %d vs %d", len(p), len(q))
-	}
-	s := 0.0
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s / 2, nil
 }

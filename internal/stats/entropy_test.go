@@ -13,11 +13,8 @@ func TestEntropyUniform(t *testing.T) {
 		for i := range p {
 			p[i] = 1 / float64(k)
 		}
-		if got := Entropy(p); !AlmostEqual(got, math.Log(float64(k)), 1e-12) {
+		if got := Entropy(p); !almostEqual(got, math.Log(float64(k)), 1e-12) {
 			t.Errorf("H(uniform %d) = %g, want ln %d = %g", k, got, k, math.Log(float64(k)))
-		}
-		if got := MaxEntropy(k); !AlmostEqual(got, math.Log(float64(k)), 0) {
-			t.Errorf("MaxEntropy(%d) = %g", k, got)
 		}
 	}
 }
@@ -28,9 +25,6 @@ func TestEntropyDegenerate(t *testing.T) {
 	}
 	if Entropy(nil) != 0 {
 		t.Error("empty distribution should have zero entropy")
-	}
-	if MaxEntropy(0) != 0 || MaxEntropy(-3) != 0 {
-		t.Error("MaxEntropy of non-positive k should be 0")
 	}
 }
 
@@ -77,7 +71,7 @@ func TestKLNonNegativeProperty(t *testing.T) {
 func TestKLSelfIsZero(t *testing.T) {
 	p := []float64{0.2, 0.3, 0.5}
 	d, err := KLDivergence(p, p)
-	if err != nil || !AlmostEqual(d, 0, 1e-14) {
+	if err != nil || !almostEqual(d, 0, 1e-14) {
 		t.Errorf("D(p||p) = %g, err %v", d, err)
 	}
 }
@@ -101,26 +95,6 @@ func TestKLLengthMismatch(t *testing.T) {
 	if _, err := KLDivergence([]float64{1}, []float64{0.5, 0.5}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := CrossEntropy([]float64{1}, []float64{0.5, 0.5}); err == nil {
-		t.Error("cross-entropy length mismatch accepted")
-	}
-}
-
-func TestCrossEntropyDecomposition(t *testing.T) {
-	// H(p, q) = H(p) + D(p||q).
-	p := []float64{0.1, 0.4, 0.5}
-	q := []float64{0.3, 0.3, 0.4}
-	ce, err := CrossEntropy(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kl, err := KLDivergence(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(ce, Entropy(p)+kl, 1e-12) {
-		t.Errorf("H(p,q)=%g != H(p)+D = %g", ce, Entropy(p)+kl)
-	}
 }
 
 func TestMutualInformationIndependent(t *testing.T) {
@@ -134,7 +108,7 @@ func TestMutualInformationIndependent(t *testing.T) {
 		}
 	}
 	mi, err := MutualInformation(joint, 2, 3)
-	if err != nil || !AlmostEqual(mi, 0, 1e-12) {
+	if err != nil || !almostEqual(mi, 0, 1e-12) {
 		t.Errorf("MI(independent) = %g err %v", mi, err)
 	}
 }
@@ -143,7 +117,7 @@ func TestMutualInformationPerfectlyCorrelated(t *testing.T) {
 	// X == Y uniform binary: MI = ln 2.
 	joint := []float64{0.5, 0, 0, 0.5}
 	mi, err := MutualInformation(joint, 2, 2)
-	if err != nil || !AlmostEqual(mi, math.Log(2), 1e-12) {
+	if err != nil || !almostEqual(mi, math.Log(2), 1e-12) {
 		t.Errorf("MI(copy) = %g err %v, want ln 2", mi, err)
 	}
 }
@@ -163,7 +137,7 @@ func TestNormalize(t *testing.T) {
 	if err != nil || sum != 10 {
 		t.Fatalf("Normalize sum = %g err %v", sum, err)
 	}
-	if !AlmostEqual(p[0], 0.2, 1e-15) || !AlmostEqual(p[2], 0.5, 1e-15) {
+	if !almostEqual(p[0], 0.2, 1e-15) || !almostEqual(p[2], 0.5, 1e-15) {
 		t.Errorf("normalized to %v", p)
 	}
 	if _, err := Normalize([]float64{0, 0}); err == nil {
@@ -174,19 +148,5 @@ func TestNormalize(t *testing.T) {
 	}
 	if _, err := Normalize([]float64{1, math.NaN()}); err == nil {
 		t.Error("NaN entry accepted")
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	tv, err := TotalVariation([]float64{1, 0}, []float64{0, 1})
-	if err != nil || !AlmostEqual(tv, 1, 1e-15) {
-		t.Errorf("TV of disjoint point masses = %g err %v, want 1", tv, err)
-	}
-	tv, err = TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5})
-	if err != nil || tv != 0 {
-		t.Errorf("TV(p,p) = %g", tv)
-	}
-	if _, err := TotalVariation([]float64{1}, []float64{1, 0}); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }

@@ -56,16 +56,6 @@ func LogChoose(n, k int64) float64 {
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }
 
-// Choose returns C(n, k) as a float64. It overflows gracefully to +Inf for
-// huge arguments rather than wrapping, since it exponentiates LogChoose.
-func Choose(n, k int64) float64 {
-	lc := LogChoose(n, k)
-	if math.IsInf(lc, -1) {
-		return 0
-	}
-	return math.Exp(lc)
-}
-
 // LogBeta returns ln B(a, b) = ln Γ(a) + ln Γ(b) - ln Γ(a+b) for a, b > 0.
 func LogBeta(a, b float64) float64 {
 	return LogGamma(a) + LogGamma(b) - LogGamma(a+b)

@@ -68,7 +68,7 @@ func TestCategoricalFrequencies(t *testing.T) {
 	}
 	for i, want := range []float64{0.1, 0.2, 0.7} {
 		got := float64(counts[i]) / n
-		if !AlmostEqual(got, want, 0.01) {
+		if !almostEqual(got, want, 0.01) {
 			t.Errorf("bucket %d frequency %g, want %g", i, got, want)
 		}
 	}
@@ -101,7 +101,7 @@ func TestCategoricalSamplerMatchesDirect(t *testing.T) {
 	}
 	for i, want := range w {
 		got := float64(counts[i]) / n
-		if !AlmostEqual(got, want, 0.01) {
+		if !almostEqual(got, want, 0.01) {
 			t.Errorf("sampler bucket %d frequency %g, want %g", i, got, want)
 		}
 	}
@@ -138,25 +138,5 @@ func TestMultinomialError(t *testing.T) {
 	g := NewRNG(11)
 	if _, err := g.Multinomial(10, []float64{0}); err == nil {
 		t.Error("bad weights accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.Median != 2.5 {
-		t.Errorf("summary = %+v", s)
-	}
-	s, err = Summarize([]float64{5})
-	if err != nil || s.Median != 5 || s.SD != 0 {
-		t.Errorf("singleton summary = %+v err %v", s, err)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if s.String() == "" {
-		t.Error("String should render something")
 	}
 }

@@ -3,12 +3,7 @@
 // formula (Eq. 12) is summed over attribute values — the normalizing constant
 // 1/a0 (Eq. 89) and predicted marginal probabilities (Eq. 109).
 //
-// Three layers are provided:
-//
-//   - Matrix, with the memo's term-by-term multiplication operator X (Eq. 90)
-//     and index summation Σ (Eq. 91) — a faithful, teachable rendition of the
-//     appendix's notation, exercised only by this package's tests (the repro
-//     binary evaluates Appendix B through Term and NewEvaluator).
+// Two layers are provided:
 //
 //   - Evaluator, the general R-attribute recursion S_n = Σ_{n+1} (Q_{n+1} X
 //     S_{n+1}) (Eq. 105): variables are eliminated from the highest position

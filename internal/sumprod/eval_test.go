@@ -192,59 +192,10 @@ func TestNoTermsSumsCellCount(t *testing.T) {
 	}
 }
 
-func TestMatrixOperators(t *testing.T) {
-	// The memo's Eq. 90: [1 3; 2 4] X [a b; c d] = [a 3b; 2c 4d].
-	a, err := FromRows([][]float64{{1, 3}, {2, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromRows([][]float64{{5, 6}, {7, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := TermByTerm(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{5, 18}, {14, 32}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if x.At(i, j) != want[i][j] {
-				t.Errorf("X(%d,%d) = %g, want %g", i, j, x.At(i, j), want[i][j])
-			}
-		}
-	}
-	// Eq. 91: Σ_j of a 2x2 gives column sums per row.
-	s := SumCols(a)
-	if s.Rows != 2 || s.Cols != 1 || s.At(0, 0) != 4 || s.At(1, 0) != 6 {
-		t.Errorf("SumCols = %+v", s)
-	}
-	if SumAll(a) != 10 {
-		t.Errorf("SumAll = %g", SumAll(a))
-	}
-}
-
-func TestMatrixErrors(t *testing.T) {
-	if _, err := NewMatrix(0, 2); err == nil {
-		t.Error("zero rows accepted")
-	}
-	if _, err := FromRows(nil); err == nil {
-		t.Error("empty FromRows accepted")
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows accepted")
-	}
-	a, _ := FromRows([][]float64{{1, 2}})
-	b, _ := FromRows([][]float64{{1}, {2}})
-	if _, err := TermByTerm(a, b); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
 func TestAppendixBChainEvaluation(t *testing.T) {
-	// Reproduce Eq. 89's grouped evaluation with the Matrix layer for the
-	// memo's 3×2×2 example using pairwise AB and BC terms, and check it
-	// against the Evaluator.
+	// Reproduce Eq. 89's grouped evaluation by hand for the memo's 3×2×2
+	// example using pairwise AB and BC terms, and check it against the
+	// Evaluator.
 	cards := []int{3, 2, 2}
 	aA := []float64{0.38, 0.33, 0.29}
 	aB := []float64{0.13, 0.87}
@@ -262,7 +213,7 @@ func TestAppendixBChainEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Matrix-layer chain: Σ_i a_i Σ_j a_j a_ij Σ_k a_k a_jk.
+	// Grouped chain: Σ_i a_i Σ_j a_j a_ij Σ_k a_k a_jk.
 	// Inner: for each j, inner_j = Σ_k a_k * a_jk.
 	inner := make([]float64, 2)
 	for j := 0; j < 2; j++ {

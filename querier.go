@@ -59,9 +59,11 @@ func Answer(q Querier, qu Query) (QueryResult, error) { return query.Answer(q, q
 // model, concurrently over GOMAXPROCS workers, pricing the engine work
 // they share (evidence denominators, conditional-slice sweeps, MPE
 // passes) once through the engine-tier memo: the model's own when
-// EnableCache armed it, otherwise one that lives for the batch. Every
-// result is bit-identical to per-query Answer; a failed query carries its
-// message in QueryResult.Error without sinking the batch.
+// EnableCache armed it, otherwise one that lives for the batch. The
+// fan-out pays on batches that miss that memo (query.AnswerBatch cites the
+// measurement). Every result is bit-identical to per-query Answer; a
+// failed query carries its message in QueryResult.Error without sinking
+// the batch.
 func AnswerBatch(q Querier, queries []Query) ([]QueryResult, error) {
 	return query.AnswerBatch(q, queries)
 }
