@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the memo (one bench per
-// experiment id in DESIGN.md) plus the scaling and ablation experiments
-// X1-X6. Custom metrics (constraints found, KL to truth, parameter counts)
+// experiment) plus the scaling and ablation experiments X1, X2 and X4-X6.
+// There is no X3 solver ablation: Fit runs only the memo's Gauss–Seidel
+// procedure. Custom metrics (constraints found, KL to truth, parameter counts)
 // are attached with b.ReportMetric so `go test -bench=.` reproduces the
 // qualitative shape of each result, not just its wall time.
 package pka_test
@@ -320,45 +321,6 @@ func BenchmarkScaling_Attributes(b *testing.B) {
 				}
 				if i == 0 {
 					b.ReportMetric(float64(len(res.Findings)), "findings")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_SolverGSvsIPF (X3): sequential (Gauss–Seidel) versus
-// simultaneous damped (Jacobi) iterative scaling on the memo's Table 2
-// problem. Sweep counts are the headline metric.
-func BenchmarkAblation_SolverGSvsIPF(b *testing.B) {
-	tab := paperdata.Table()
-	fam, values, target := paperdata.Table2Constraint()
-	build := func() *maxent.Model {
-		m, err := maxent.NewModel(tab.Names(), tab.Cards())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.AddFirstOrderConstraints(tab); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.AddConstraint(maxent.Constraint{Family: fam, Values: values, Target: target}); err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	for _, method := range []maxent.Method{maxent.GaussSeidel, maxent.Jacobi} {
-		b.Run(method.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := build()
-				rep, err := m.Fit(maxent.SolveOptions{Method: method, MaxSweeps: 100000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Converged {
-					b.Fatal("did not converge")
-				}
-				if i == 0 {
-					b.ReportMetric(float64(rep.Sweeps), "sweeps")
 				}
 			}
 		})

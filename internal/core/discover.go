@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pka/internal/contingency"
 	"pka/internal/maxent"
@@ -34,12 +34,9 @@ func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
 	if table.R() < 2 {
 		return nil, fmt.Errorf("core: discovery needs at least 2 attributes, table has %d", table.R())
 	}
-	opts, err := opts.withDefaults(table.R())
+	opts, err := opts.withDefaults(table)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Solve.Tol == 0 {
-		opts.Solve.Tol = countScaleTol(table.Total())
 	}
 
 	// Figure 3, first box: the model starts from the first-order marginals.
@@ -70,28 +67,11 @@ func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
 				return nil, err
 			}
 		}
-		seedFams := make([]contingency.VarSet, 0, len(opts.Seed))
-		for _, c := range opts.Seed {
-			seedFams = append(seedFams, c.Family)
-		}
 		r := table.R()
 		tester.RestrictFamilies(func(order int) []contingency.VarSet {
-			return screenedFamilies(r, order, adj, seedFams)
+			return screenedFamilies(r, order, adj, nil)
 		})
 		res.Screen = rep
-	}
-
-	// Seed constraints ("originally given as significant").
-	for _, c := range opts.Seed {
-		if c.Order() < 2 {
-			return nil, fmt.Errorf("core: seed constraint %v must be order >= 2", c.Family)
-		}
-		if err := model.AddConstraint(c); err != nil {
-			return nil, err
-		}
-		if err := tester.MarkSignificant(c.Family, c.Values); err != nil {
-			return nil, err
-		}
 	}
 
 	rep, err := model.Fit(opts.Solve)
@@ -103,24 +83,13 @@ func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
 			rep.Residual, rep.Sweeps)
 	}
 
-	// accepted tracks the promoted cells per family (seeds included) for
-	// the implied-zero check below.
-	accepted := make(map[contingency.VarSet][]acceptedCell)
-	for _, c := range opts.Seed {
-		n, err := table.MarginalCount(c.Family, c.Values)
-		if err != nil {
-			return nil, err
-		}
-		accepted[c.Family] = append(accepted[c.Family], acceptedCell{values: c.Values, count: n})
-	}
-
 	st := &scanState{
 		table:    table,
 		model:    model,
 		tester:   tester,
 		opts:     opts,
 		res:      res,
-		accepted: accepted,
+		accepted: make(map[contingency.VarSet][]acceptedCell),
 	}
 	if err := st.run(); err != nil {
 		return nil, err
@@ -187,12 +156,11 @@ func (st *scanState) run() error {
 			}
 			st.accepted[ct.Family] = append(st.accepted[ct.Family],
 				acceptedCell{values: ct.Values, count: ct.Observed})
-			// When the accepted cells exhaust one of the family's known
-			// marginals, the remaining sibling cells under that marginal
-			// are exactly zero. Pin them with zero-target constraints:
-			// otherwise the maximum-entropy solution lies on the boundary
-			// of the exponential family and iterative scaling converges
-			// only sublinearly.
+			// Cells the accepted cells and the first-order margins force
+			// to zero are pinned with zero-target constraints: otherwise
+			// the maximum-entropy solution lies on the boundary of the
+			// exponential family and iterative scaling converges only
+			// sublinearly.
 			implied, err := impliedZeros(st.table, st.model, ct.Family, st.accepted[ct.Family])
 			if err != nil {
 				return err
@@ -252,80 +220,119 @@ func countScaleTol(total int64) float64 {
 	return tol
 }
 
-// impliedZeros finds sibling cells of the family that are exactly zero by
-// arithmetic: for each first-order marginal of the just-extended family, if
-// the accepted cells consume the whole marginal count, every unconstrained
-// sibling cell agreeing on that marginal has observed count zero and gets a
-// zero-target constraint.
+// impliedZeros finds the family's unconstrained cells that the accepted
+// cells force to zero by arithmetic, and returns a zero-target constraint
+// for each.
+//
+// Fixing one member to one value selects a first-order line of the family;
+// its cells sum to that value's marginal count. Starting from the accepted
+// cells and the cells already pinned, determined cells propagate along the
+// lines until nothing changes: a line whose remainder is 0 zeroes all of
+// its undetermined cells, and a line with one undetermined cell determines
+// that cell. Zero lines are drained before any single-cell line is used,
+// so a margin the accepted cells exhaust yields its siblings first. A cell
+// that comes out as 0 is pinned unless a zero first-order margin already
+// zeroes it. Lines are visited member by member and value by value, and a
+// line's cells in row-major order: constraint order feeds block
+// construction and therefore the fit, so it must not depend on map order.
 func impliedZeros(table contingency.Counts, model *maxent.Model, family contingency.VarSet, cells []acceptedCell) ([]maxent.Constraint, error) {
 	members := family.Members()
-	var out []maxent.Constraint
-	for mi, pos := range members {
-		// Group the accepted cells by their value on this member.
-		sums := make(map[int]int64)
-		for _, c := range cells {
-			sums[c.values[mi]] += c.count
-		}
-		// Constraint order feeds block construction and therefore the
-		// fit: visit member values in sorted order, never map order.
-		vals := make([]int, 0, len(sums))
-		for val := range sums {
-			vals = append(vals, val)
-		}
-		sort.Ints(vals)
-		for _, val := range vals {
-			sum := sums[val]
-			margin, err := table.MarginalCount(contingency.NewVarSet(pos), []int{val})
-			if err != nil {
-				return nil, err
-			}
-			if sum != margin {
-				continue
-			}
-			// Margin exhausted: every other cell of the family with this
-			// member value is zero.
-			siblings := enumerateFamilyCells(table, members, mi, val)
-			for _, sib := range siblings {
-				if model.HasConstraint(family, sib) {
-					continue
-				}
-				out = append(out, maxent.Constraint{
-					Family: family,
-					Values: append([]int(nil), sib...),
-					Target: 0,
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
-// enumerateFamilyCells lists the family's value tuples whose mi-th member is
-// pinned to val.
-func enumerateFamilyCells(table contingency.Counts, members []int, mi, val int) [][]int {
-	var out [][]int
-	values := make([]int, len(members))
-	values[mi] = val
-	for {
-		cp := append([]int(nil), values...)
-		out = append(out, cp)
-		// Odometer over all members except mi.
-		i := len(members) - 1
-		for i >= 0 {
-			if i == mi {
-				i--
-				continue
-			}
-			values[i]++
-			if values[i] < table.Card(members[i]) {
+	// grid lists the family's cells in row-major order, last member
+	// fastest; known[i] is grid[i]'s count, or -1 while undetermined.
+	var grid [][]int
+	for v := make([]int, len(members)); ; {
+		grid = append(grid, append([]int(nil), v...))
+		i := len(v) - 1
+		for ; i >= 0; i-- {
+			if v[i]++; v[i] < table.Card(members[i]) {
 				break
 			}
-			values[i] = 0
-			i--
+			v[i] = 0
 		}
 		if i < 0 {
 			break
 		}
 	}
-	return out
+	known := make([]int64, len(grid))
+	for i, v := range grid {
+		known[i] = -1
+		if !model.HasConstraint(family, v) {
+			continue
+		}
+		known[i] = 0 // an earlier pin, unless it is an accepted cell
+		for _, c := range cells {
+			if slices.Equal(c.values, v) {
+				known[i] = c.count
+			}
+		}
+	}
+	margins := make([][]int64, len(members))
+	for mi, pos := range members {
+		margins[mi] = make([]int64, table.Card(pos))
+		for v := range margins[mi] {
+			n, err := table.MarginalCount(contingency.NewVarSet(pos), []int{v})
+			if err != nil {
+				return nil, err
+			}
+			margins[mi][v] = n
+		}
+	}
+	// sweep applies the zero rule, and the single-cell rule when single is
+	// set, to every line once; it reports whether any cell was determined.
+	var zeroed []int
+	sweep := func(single bool) (bool, error) {
+		progress := false
+		for mi := range members {
+			for val, rem := range margins[mi] {
+				open, last := 0, -1
+				for i, n := range known {
+					switch {
+					case grid[i][mi] != val:
+					case n < 0:
+						open, last = open+1, i
+					default:
+						rem -= n
+					}
+				}
+				switch {
+				case open == 0:
+				case rem < 0:
+					return false, fmt.Errorf("core: accepted cells of %v exceed a first-order margin", family)
+				case rem == 0:
+					for i, n := range known {
+						if n < 0 && grid[i][mi] == val {
+							known[i] = 0
+							zeroed = append(zeroed, i)
+						}
+					}
+					progress = true
+				case single && open == 1:
+					known[last] = rem
+					progress = true
+				}
+			}
+		}
+		return progress, nil
+	}
+	for single := false; ; {
+		progress, err := sweep(single)
+		if err != nil {
+			return nil, err
+		}
+		if single && !progress {
+			break
+		}
+		single = !progress
+	}
+	var out []maxent.Constraint
+cell:
+	for _, i := range zeroed {
+		for mi, val := range grid[i] {
+			if margins[mi][val] == 0 {
+				continue cell
+			}
+		}
+		out = append(out, maxent.Constraint{Family: family, Values: grid[i], Target: 0})
+	}
+	return out, nil
 }

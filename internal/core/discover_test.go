@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -271,32 +273,6 @@ func TestDiscoverMaxConstraintsCap(t *testing.T) {
 	}
 }
 
-func TestDiscoverSeedConstraints(t *testing.T) {
-	// Seeding N^AB_11 reproduces the "originally given as significant"
-	// path: the seeded cell is never re-discovered.
-	tab := memoTable(t)
-	seed := maxent.Constraint{
-		Family: contingency.NewVarSet(0, 1),
-		Values: []int{0, 0},
-		Target: 240.0 / 3428,
-	}
-	res, err := Discover(tab, Options{Seed: []maxent.Constraint{seed}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range res.Findings {
-		if f.Test.Family == seed.Family &&
-			f.Test.Values[0] == 0 && f.Test.Values[1] == 0 {
-			t.Error("seeded cell re-discovered")
-		}
-	}
-	// Seeds of order < 2 are rejected.
-	bad := maxent.Constraint{Family: contingency.NewVarSet(0), Values: []int{0}, Target: 0.3}
-	if _, err := Discover(tab, Options{Seed: []maxent.Constraint{bad}}); err == nil {
-		t.Error("first-order seed accepted")
-	}
-}
-
 func TestDiscoverDeterministic(t *testing.T) {
 	a, err := Discover(memoTable(t), Options{})
 	if err != nil {
@@ -407,5 +383,99 @@ func TestDiscoverSparseTable(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("joint sums to %g", sum)
+	}
+}
+
+// dupColumnRows draws n rows over r binary attributes in which attribute
+// 1 duplicates attribute 0 and the rest are independent coin flips.
+func dupColumnRows(n, r int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]int, n)
+	for i := range rows {
+		row := make([]int, r)
+		for j := range row {
+			row[j] = rng.Intn(2)
+		}
+		row[1] = row[0]
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestDiscoverDuplicatedColumnConverges: when one binary column duplicates
+// another, accepting one empty off-diagonal cell forces the other to zero
+// through the diagonal, a cell no first-order margin exhausts. Unless both
+// are pinned, iterative scaling creeps toward that boundary and the refit
+// fails to converge once N is a few hundred. Dense and sparse three-
+// attribute tables and a factored 22-attribute model must all discover,
+// give both off-diagonal cells probability 0, and pass the residual
+// certificate.
+func TestDiscoverDuplicatedColumnConverges(t *testing.T) {
+	cases := []struct {
+		name   string
+		r      int
+		sparse bool
+		opts   Options
+	}{
+		{"dense", 3, false, Options{}},
+		{"sparse", 3, true, Options{}},
+		{"factored", 22, true, Options{MaxOrder: 2}},
+	}
+	for _, n := range []int{120, 600, 3000} {
+		for _, tc := range cases {
+			label := fmt.Sprintf("%s N=%d", tc.name, n)
+			cards := make([]int, tc.r)
+			for i := range cards {
+				cards[i] = 2
+			}
+			rows := dupColumnRows(n, tc.r, int64(n))
+			var table contingency.Counts
+			if tc.sparse {
+				s, err := contingency.NewSparse(nil, cards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ObserveBatch(rows); err != nil {
+					t.Fatal(err)
+				}
+				table = s
+			} else {
+				d := contingency.MustNew(nil, cards)
+				if err := d.ObserveBatch(rows); err != nil {
+					t.Fatal(err)
+				}
+				table = d
+			}
+			res, err := DiscoverCounts(table, tc.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			c, err := res.Model.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Factored() != (tc.r == 22) {
+				t.Fatalf("%s: compiled engine factored=%v", label, c.Factored())
+			}
+			for _, off := range [][]int{{0, 1}, {1, 0}} {
+				if !res.Model.HasConstraint(contingency.NewVarSet(0, 1), off) {
+					t.Errorf("%s: off-diagonal cell %v not pinned", label, off)
+				}
+				p, err := res.Model.Prob(contingency.NewVarSet(0, 1), off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p != 0 {
+					t.Errorf("%s: P(A=%d, B=%d) = %g, want 0", label, off[0], off[1], p)
+				}
+			}
+			resid, err := res.Model.Residual()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tol := countScaleTol(int64(n)); resid > tol {
+				t.Errorf("%s: residual %g above tolerance %g", label, resid, tol)
+			}
+		}
 	}
 }

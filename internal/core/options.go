@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pka/internal/contingency"
 	"pka/internal/maxent"
 	"pka/internal/mml"
 )
@@ -18,7 +19,8 @@ type Options struct {
 	// MML configures the significance test (prior, forced-cell policy).
 	// The zero value is patched to mml.DefaultConfig().
 	MML mml.Config
-	// Solve configures the per-refit maxent solver.
+	// Solve configures the per-refit maxent solver. A zero Tol means
+	// countScaleTol at the table's sample size.
 	Solve maxent.SolveOptions
 	// MaxConstraints aborts a runaway run after this many accepted
 	// higher-order constraints; 0 means no cap.
@@ -32,10 +34,6 @@ type Options struct {
 	// GOMAXPROCS, 1 forces the sequential loops. Results are bit-identical
 	// either way.
 	Workers int
-	// Seed constraints: cells (with their observed-frequency targets) that
-	// are "originally given as significant" per the memo. They are added
-	// to the model and the significance bookkeeping before scanning.
-	Seed []maxent.Constraint
 	// ScreenPairs enables association-based candidate screening: before
 	// scanning, every attribute pair's association is surveyed (one dense
 	// 2-D projection per pair), and order >= 2 scans visit only families
@@ -69,7 +67,10 @@ type Options struct {
 	predictor func(m *maxent.Model) mml.Predictor
 }
 
-func (o Options) withDefaults(r int) (Options, error) {
+// withDefaults fills in the defaults for a run over table and validates
+// the result.
+func (o Options) withDefaults(table contingency.Counts) (Options, error) {
+	r := table.R()
 	if o.MaxOrder == 0 {
 		o.MaxOrder = r
 	}
@@ -78,6 +79,9 @@ func (o Options) withDefaults(r int) (Options, error) {
 	}
 	if o.MaxOrder < 2 || o.MaxOrder > r {
 		return o, fmt.Errorf("core: MaxOrder %d outside [2,%d]", o.MaxOrder, r)
+	}
+	if o.Solve.Tol == 0 {
+		o.Solve.Tol = countScaleTol(table.Total())
 	}
 	if o.MML.PriorH2 == 0 {
 		o.MML.PriorH2 = mml.DefaultConfig().PriorH2

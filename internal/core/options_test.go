@@ -3,34 +3,8 @@ package core
 import (
 	"testing"
 
-	"pka/internal/maxent"
 	"pka/internal/mml"
 )
-
-func TestDiscoverWithJacobiSolver(t *testing.T) {
-	// The solver choice flows through Options.Solve and reaches the same
-	// findings (the selection sequence depends only on fitted predictions,
-	// which are solver-independent at convergence).
-	tab := memoTable(t)
-	gs, err := Discover(tab, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jc, err := Discover(tab, Options{
-		Solve: maxent.SolveOptions{Method: maxent.Jacobi, MaxSweeps: 200000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs.Findings) != len(jc.Findings) {
-		t.Fatalf("GS found %d, Jacobi %d", len(gs.Findings), len(jc.Findings))
-	}
-	for i := range gs.Findings {
-		if gs.Findings[i].Test.Family != jc.Findings[i].Test.Family {
-			t.Errorf("finding %d differs between solvers", i)
-		}
-	}
-}
 
 func TestDiscoverWithStricterPrior(t *testing.T) {
 	// A higher p(H2') makes significance easier (m2 shrinks), so findings
@@ -106,17 +80,18 @@ func TestDiscoverParallelMatchesSequential(t *testing.T) {
 }
 
 func TestOptionsDefaultsValidation(t *testing.T) {
-	if _, err := (Options{MaxOrder: 1}).withDefaults(3); err == nil {
+	tab := memoTable(t) // R = 3, N = 3428
+	if _, err := (Options{MaxOrder: 1}).withDefaults(tab); err == nil {
 		t.Error("MaxOrder 1 accepted")
 	}
-	if _, err := (Options{MaxOrder: 4}).withDefaults(3); err == nil {
+	if _, err := (Options{MaxOrder: 4}).withDefaults(tab); err == nil {
 		t.Error("MaxOrder above R accepted")
 	}
-	o, err := (Options{}).withDefaults(3)
+	o, err := (Options{}).withDefaults(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxOrder != 3 || o.MML.PriorH2 != 0.5 {
+	if o.MaxOrder != 3 || o.MML.PriorH2 != 0.5 || o.Solve.Tol != 0.01/3428 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

@@ -21,7 +21,8 @@ type Finding struct {
 	// Constraint is what was added to the model (target = observed/N).
 	Constraint maxent.Constraint
 	// ImpliedZeros lists zero-target constraints added alongside this
-	// finding because it exhausted a marginal (see impliedZeros).
+	// finding because, with the first-order margins, it forces those
+	// cells to zero (see impliedZeros).
 	ImpliedZeros []maxent.Constraint
 	// FitSweeps is how many solver sweeps the refit took (Table 2's scale).
 	FitSweeps int

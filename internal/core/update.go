@@ -69,14 +69,15 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 	if table.Total() == 0 {
 		return nil, fmt.Errorf("core: empty contingency table after delta")
 	}
-	opts, err := opts.withDefaults(table.R())
+	opts, err := opts.withDefaults(table)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Solve.Tol == 0 {
-		opts.Solve.Tol = countScaleTol(table.Total())
-	}
-	opts.Solve.Incremental = true
+	// The warm refit and the incremental scan keep the converged blocks
+	// nothing moved; a fallback rediscovery runs with opts as given, so
+	// it is the same scratch run DiscoverCounts would make.
+	inc := opts
+	inc.Solve.Incremental = true
 
 	net, err := aggregateDeltas(deltas, contingency.CardsOf(table))
 	if err != nil {
@@ -120,7 +121,7 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 
 	// Warm refit from the previous coefficient vector: the factored solver
 	// re-solves only blocks whose families were retargeted.
-	rep, err := model.Fit(opts.Solve)
+	rep, err := model.Fit(inc.Solve)
 	if err != nil || !rep.Converged {
 		return rediscover(table, opts)
 	}
@@ -190,7 +191,7 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 		table:    table,
 		model:    model,
 		tester:   tester,
-		opts:     opts,
+		opts:     inc,
 		res:      res,
 		accepted: accepted,
 		step:     len(prev.Findings),

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,61 +165,76 @@ func TestUpdateNoOpDeltaKeepsResult(t *testing.T) {
 
 // TestUpdateImpliedZeroGainingSupportRediscovers: observing a cell the
 // model pinned to zero is a structural change; Update must fall back to a
-// full rediscovery and end up equivalent to scratch.
+// full rediscovery that writes the same model bytes as a scratch run. The
+// factored case checks that the fallback re-solves every block, as
+// scratch discovery does, rather than keeping blocks an incremental refit
+// would call clean.
 func TestUpdateImpliedZeroGainingSupportRediscovers(t *testing.T) {
-	// Two perfectly correlated binary attributes: discovery pins the
-	// off-diagonal cells to zero.
-	tab, err := contingency.NewSparse(nil, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		rows [][]int
+		opts Options
+	}{
+		// Two perfectly correlated binary attributes.
+		{"dense", func() [][]int {
+			var rows [][]int
+			for i := 0; i < 120; i++ {
+				rows = append(rows, []int{i % 2, i % 2})
+			}
+			return rows
+		}(), Options{}},
+		// 22 binary attributes, the first two perfectly correlated.
+		{"factored", dupColumnRows(200, 22, 7), Options{MaxOrder: 2}},
 	}
-	var rows [][]int
-	for i := 0; i < 120; i++ {
-		rows = append(rows, []int{i % 2, i % 2})
-	}
-	if err := tab.ObserveBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	res, err := DiscoverCounts(tab, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros := 0
-	for _, c := range res.Model.Constraints() {
-		if c.Target == 0 {
-			zeros++
+	for _, tc := range cases {
+		r := len(tc.rows[0])
+		cards := make([]int, r)
+		for i := range cards {
+			cards[i] = 2
 		}
-	}
-	if zeros == 0 {
-		t.Fatal("setup: expected implied-zero constraints on perfectly correlated data")
-	}
+		tab, err := contingency.NewSparse(nil, cards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.ObserveBatch(tc.rows); err != nil {
+			t.Fatal(err)
+		}
+		res, err := DiscoverCounts(tab, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Discovery pins the off-diagonal cells of (0,1) to zero.
+		if !res.Model.HasConstraint(contingency.NewVarSet(0, 1), []int{0, 1}) {
+			t.Fatalf("%s setup: cell (0,1) not pinned to zero", tc.name)
+		}
 
-	delta := [][]int{{0, 1}}
-	if err := tab.ObserveBatch(delta); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Update(res, tab, asDeltas(delta), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Rediscovered {
-		t.Error("implied-zero cell gaining support must force rediscovery")
-	}
-	scratch, err := DiscoverCounts(tab, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ju, err := out.Result.Model.Joint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := scratch.Model.Joint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ju {
-		if ju[i] != js[i] {
-			t.Errorf("rediscovered joint cell %d = %g, scratch %g", i, ju[i], js[i])
+		delta := [][]int{make([]int, r)}
+		delta[0][1] = 1
+		if err := tab.ObserveBatch(delta); err != nil {
+			t.Fatal(err)
+		}
+		out, err := Update(res, tab, asDeltas(delta), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Rediscovered {
+			t.Errorf("%s: implied-zero cell gaining support must force rediscovery", tc.name)
+		}
+		scratch, err := DiscoverCounts(tab, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(out.Result.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(scratch.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: rediscovered model JSON (%d bytes) differs from scratch (%d bytes)",
+				tc.name, len(got), len(want))
 		}
 	}
 }

@@ -91,4 +91,7 @@ func TestLogLossInfOnZeroSupport(t *testing.T) {
 	if !math.IsInf(loss, 1) {
 		t.Errorf("loss = %g, want +Inf", loss)
 	}
+	if ref := jointLogLoss(t, k, held); !math.IsInf(ref, 1) {
+		t.Errorf("joint reference loss = %g, want +Inf", ref)
+	}
 }

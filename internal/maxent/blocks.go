@@ -226,7 +226,7 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := &Report{Method: opts.Method, Converged: true}
+	agg := &Report{Converged: true}
 	a0 := 1.0
 	blockA0 := make(map[contingency.VarSet]float64, len(blocks))
 	for bi, blk := range blocks {

@@ -498,7 +498,7 @@ func modelFromConstraints(tb testing.TB, cards []int, cons []Constraint) *Model 
 // requireSameReport fails unless the scalar report fields match bitwise.
 func requireSameReport(t *testing.T, want, got *Report, label string) {
 	t.Helper()
-	if got.Method != want.Method || got.Sweeps != want.Sweeps ||
+	if got.Sweeps != want.Sweeps ||
 		math.Float64bits(got.Residual) != math.Float64bits(want.Residual) ||
 		got.Converged != want.Converged ||
 		got.BlocksFit != want.BlocksFit || got.BlocksSkipped != want.BlocksSkipped {

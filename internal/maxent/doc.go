@@ -12,18 +12,14 @@
 // its target, which by the memo's Lagrange-multiplier derivation (Eqs. 8-13)
 // is exactly the maximum-entropy distribution subject to those constraints.
 //
-// Two solvers are provided:
+// Fit runs one solver, Gauss–Seidel iterative scaling (the memo's Figure 4
+// procedure, generalized): constraints are visited in sequence and each
+// update is an exact binary-partition IPF step — the matched cells are
+// scaled by target/predicted and the complement by
+// (1-target)/(1-predicted), which in product form is a single odds-ratio
+// coefficient update.
 //
-//   - Gauss–Seidel iterative scaling (the memo's Figure 4 procedure,
-//     generalized): constraints are visited in sequence and each update is
-//     an exact binary-partition IPF step — the matched cells are scaled by
-//     target/predicted and the complement by (1-target)/(1-predicted), which
-//     in product form is a single odds-ratio coefficient update.
-//
-//   - Jacobi iterative scaling: all updates are computed from the same
-//     snapshot and applied together with damping. Kept as the ablation
-//     baseline for experiment X3; it needs more sweeps, as the bench shows.
-//
-// Solvers record per-sweep coefficient trajectories, which is how the repro
-// binary regenerates the memo's Table 2.
+// With RecordTrace set, the solver records per-sweep coefficient
+// trajectories, which is how the repro binary regenerates the memo's
+// Table 2.
 package maxent

@@ -177,7 +177,7 @@ func TestFactoredFitMatchesPerBlockReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := &Report{Method: opts.Method, Converged: true}
+	want := &Report{Converged: true}
 	a0 := 1.0
 	for _, blk := range ref.blocks() {
 		sub, err := referenceSubModel(ref, blk)

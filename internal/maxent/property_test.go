@@ -130,25 +130,23 @@ func TestFitEntropyDecreasesWithConstraints(t *testing.T) {
 	}
 }
 
-// TestJacobiMatchesGaussSeidelProperty: whenever the damped Jacobi solver
-// converges, it reaches the same unique maximum-entropy solution as
-// Gauss–Seidel. The property is conditional by necessity — damped Jacobi
-// can genuinely diverge on near-degenerate random instances (overshooting
-// until one cell holds all the mass; that fragility is exactly why the
-// memo's Figure 4 procedure is the default and Jacobi only the X3
-// ablation baseline) — so divergent draws are vacuous rather than
-// failures, and the generator seed is pinned so every run checks the same
-// instances.
-func TestJacobiMatchesGaussSeidelProperty(t *testing.T) {
-	jacobiConverged := 0
-	f := func(raw [8]uint8, pick uint8) bool {
-		tab := contingency.MustNew(nil, []int{2, 2, 2})
-		cell := make([]int, 3)
-		for off := 0; off < 8; off++ {
-			tab.Unflatten(off, cell)
-			tab.Set(int64(raw[off]%40)+2, cell...)
+// TestFitResidualCertificateProperty fits random 2x2x2 tables (every
+// cell count >= 2) to their first-order margins plus one AB cell, on the
+// dense and the factored path, and requires each fit to converge and to
+// pass the recomputed-residual certificate. The generator seed is pinned
+// so every run checks the same instances.
+func TestFitResidualCertificateProperty(t *testing.T) {
+	for _, factored := range []bool{false, true} {
+		if factored {
+			forceFactored(t, 4)
 		}
-		build := func() *Model {
+		f := func(raw [8]uint8, pick uint8) bool {
+			tab := contingency.MustNew(nil, []int{2, 2, 2})
+			cell := make([]int, 3)
+			for off := 0; off < 8; off++ {
+				tab.Unflatten(off, cell)
+				tab.Set(int64(raw[off]%40)+2, cell...)
+			}
 			m, _ := NewModel(nil, tab.Cards())
 			m.AddFirstOrderConstraints(tab)
 			values := []int{int(pick) % 2, int(pick/2) % 2}
@@ -158,35 +156,21 @@ func TestJacobiMatchesGaussSeidelProperty(t *testing.T) {
 				Values: values,
 				Target: float64(obs) / float64(tab.Total()),
 			})
-			return m
-		}
-		gs := build()
-		if rep, err := gs.Fit(SolveOptions{Tol: 1e-10}); err != nil || !rep.Converged {
-			// Every cell holds count >= 2, so the exact-update solver must
-			// converge; failure here is a real bug.
-			return false
-		}
-		jc := build()
-		if rep, err := jc.Fit(SolveOptions{Method: Jacobi, Tol: 1e-10, MaxSweeps: 200000}); err != nil || !rep.Converged {
-			return true // Jacobi divergence: the property is vacuous
-		}
-		jacobiConverged++
-		a, _ := gs.Joint()
-		b, _ := jc.Joint()
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-7 {
+			if rep, err := m.Fit(SolveOptions{Tol: 1e-10}); err != nil || !rep.Converged {
+				// Every cell holds count >= 2, so the solver must converge.
 				return false
 			}
+			c, err := m.Compile()
+			if err != nil || c.Factored() != factored {
+				return false
+			}
+			r, err := m.Residual()
+			return err == nil && r <= 1e-10
 		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(11))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-	// The conditional property must not be vacuous across the board.
-	if jacobiConverged < 10 {
-		t.Errorf("Jacobi converged on only %d of 25 pinned instances", jacobiConverged)
+		cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(11))}
+		if err := quick.Check(f, cfg); err != nil {
+			t.Errorf("factored=%v: %v", factored, err)
+		}
 	}
 }
 

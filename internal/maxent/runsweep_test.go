@@ -124,59 +124,15 @@ func (s *refState) sweepGaussSeidel() (float64, error) {
 	return maxResid, nil
 }
 
-func (s *refState) sweepJacobi(damping float64) (float64, error) {
-	type upd struct {
-		ci   int
-		odds float64
-	}
-	maxResid := 0.0
-	var updates []upd
-	for _, ci := range s.order {
-		c := s.m.cons[ci]
-		var matchSum float64
-		for _, off := range s.match[ci] {
-			matchSum += s.w[off]
-		}
-		q := matchSum / s.sumW
-		if d := math.Abs(q - c.Target); d > maxResid {
-			maxResid = d
-		}
-		f, g, err := updateFactors(q, c, s.m.names)
-		if err != nil {
-			return 0, err
-		}
-		if f == 1 && g == 1 {
-			continue
-		}
-		if f == 0 {
-			updates = append(updates, upd{ci: ci, odds: 0})
-			continue
-		}
-		updates = append(updates, upd{ci: ci, odds: math.Pow(f/g, damping)})
-	}
-	for _, u := range updates {
-		*s.coeff(s.m.cons[u.ci]) *= u.odds
-		for _, off := range s.match[u.ci] {
-			s.w[off] *= u.odds
-		}
-	}
-	s.recomputeSum()
-	return maxResid, nil
-}
-
 // refFit is fitDenseCore's sweep loop over the reference state; opts must
 // already carry its defaults.
 func refFit(m *Model, opts SolveOptions) (*Report, error) {
 	var err error
 	s := newRefState(m)
-	rep := &Report{Method: opts.Method}
+	rep := &Report{}
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		var resid float64
-		if opts.Method == Jacobi {
-			resid, err = s.sweepJacobi(opts.Damping)
-		} else {
-			resid, err = s.sweepGaussSeidel()
-		}
+		resid, err = s.sweepGaussSeidel()
 		if err != nil {
 			return nil, err
 		}
@@ -290,43 +246,35 @@ func randomDenseModel(t *testing.T, rng *rand.Rand) *Model {
 }
 
 // TestRunSweepsMatchPerOffsetReference fits random dense models with the
-// run-length solver and with the per-offset reference, Gauss–Seidel and
-// Jacobi, and requires bit-identical coefficients, a0 and report.
+// run-length solver and with the per-offset reference, and requires
+// bit-identical coefficients, a0 and report.
 func TestRunSweepsMatchPerOffsetReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	methods := []SolveOptions{
-		{Method: GaussSeidel, MaxSweeps: 300},
-		{Method: Jacobi, MaxSweeps: 60, Damping: 0.2},
+	opts, err := SolveOptions{MaxSweeps: 300}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	fits := map[Method]int{}
+	fits := 0
 	for trial := 0; trial < 12; trial++ {
 		base := randomDenseModel(t, rng)
-		for _, opts := range methods {
-			label := fmt.Sprintf("trial %d cards %v %v", trial, base.cards, opts.Method)
-			got, want := base.Clone(), base.Clone()
-			o, err := opts.withDefaults()
-			if err != nil {
+		label := fmt.Sprintf("trial %d cards %v", trial, base.cards)
+		got, want := base.Clone(), base.Clone()
+		if !sameFit(t, got, want, opts, label) {
+			continue
+		}
+		fits++
+		// A refit after a retarget starts from the fitted coefficients,
+		// so the initial weights are no longer all ones.
+		last := got.cons[len(got.cons)-1]
+		for _, m := range []*Model{got, want} {
+			if err := m.SetTarget(last.Family, last.Values, last.Target*0.9); err != nil {
 				t.Fatal(err)
 			}
-			if !sameFit(t, got, want, o, label) {
-				continue
-			}
-			fits[opts.Method]++
-			// A refit after a retarget starts from the fitted coefficients,
-			// so the initial weights are no longer all ones.
-			last := got.cons[len(got.cons)-1]
-			for _, m := range []*Model{got, want} {
-				if err := m.SetTarget(last.Family, last.Values, last.Target*0.9); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sameFit(t, got, want, o, label+" refit")
 		}
+		sameFit(t, got, want, opts, label+" refit")
 	}
-	for _, opts := range methods {
-		if fits[opts.Method] < 6 {
-			t.Errorf("only %d of 12 %v fits ran without error", fits[opts.Method], opts.Method)
-		}
+	if fits < 6 {
+		t.Errorf("only %d of 12 fits ran without error", fits)
 	}
 }
 

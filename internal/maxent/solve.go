@@ -8,44 +8,16 @@ import (
 	"pka/internal/contingency"
 )
 
-// Method selects the fitting algorithm.
-type Method int
-
-const (
-	// GaussSeidel visits constraints sequentially, each update an exact
-	// binary-partition IPF step — the memo's Figure 4 procedure.
-	GaussSeidel Method = iota
-	// Jacobi computes all updates from one snapshot and applies them
-	// together with damping. The ablation baseline of experiment X3.
-	Jacobi
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case GaussSeidel:
-		return "gauss-seidel"
-	case Jacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
-// SolveOptions tunes Fit. The zero value asks for defaults (Gauss–Seidel,
-// tolerance 1e-9, 10000 sweeps, no trace).
+// SolveOptions tunes Fit, which always runs the memo's Gauss–Seidel
+// iterative scaling (Figure 4). The zero value asks for defaults
+// (tolerance 1e-9, 10000 sweeps, no trace).
 type SolveOptions struct {
-	// Method selects the solver; default GaussSeidel.
-	Method Method
 	// Tol is the convergence threshold on max |predicted - target|.
 	// Default 1e-9.
 	Tol float64
 	// MaxSweeps bounds the number of passes over the constraints.
 	// Default 10000.
 	MaxSweeps int
-	// Damping (Jacobi only) exponentiates each multiplicative update;
-	// default 0.5. Must be in (0, 1].
-	Damping float64
 	// RecordTrace stores per-sweep snapshots of all constraint
 	// coefficients in the report — the memo's Table 2.
 	RecordTrace bool
@@ -71,18 +43,11 @@ func (o SolveOptions) withDefaults() (SolveOptions, error) {
 	if o.MaxSweeps < 0 {
 		return o, fmt.Errorf("maxent: negative sweep limit %d", o.MaxSweeps)
 	}
-	if o.Damping == 0 {
-		o.Damping = 0.5
-	}
-	if o.Damping < 0 || o.Damping > 1 {
-		return o, fmt.Errorf("maxent: damping %g outside (0,1]", o.Damping)
-	}
 	return o, nil
 }
 
 // Report describes a Fit run.
 type Report struct {
-	Method    Method
 	Sweeps    int
 	Residual  float64 // final max |predicted - target|
 	Converged bool
@@ -128,7 +93,7 @@ func (m *Model) Fit(opts SolveOptions) (*Report, error) {
 		if _, err := m.Compile(); err != nil {
 			return nil, err
 		}
-		return &Report{Method: opts.Method, Converged: true}, nil
+		return &Report{Converged: true}, nil
 	}
 	rep, err := m.fitDispatch(opts)
 	// Converged fits reset the dirty bookkeeping: the current coefficients
@@ -187,23 +152,14 @@ func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
 	m.compiled.Store(nil) // coefficients are about to move; drop the snapshot
 	m.blockA0 = nil       // a dense solve moves coefficients outside the block bookkeeping
 	s := newSolverState(m)
-	rep := &Report{Method: opts.Method}
+	rep := &Report{}
 	if opts.RecordTrace {
 		rep.Labels = m.ConstraintLabels()
 	}
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
-		var resid float64
-		var serr error
-		switch opts.Method {
-		case GaussSeidel:
-			resid, serr = s.sweepGaussSeidel()
-		case Jacobi:
-			resid, serr = s.sweepJacobi(opts.Damping)
-		default:
-			return nil, fmt.Errorf("maxent: unknown method %v", opts.Method)
-		}
-		if serr != nil {
-			return nil, serr
+		resid, err := s.sweepGaussSeidel()
+		if err != nil {
+			return nil, err
 		}
 		rep.Sweeps = sweep
 		rep.Residual = resid
@@ -430,49 +386,6 @@ func (s *solverState) sweepGaussSeidel() (float64, error) {
 		s.sumW += newMatch - matchSum
 	}
 	// Guard against incremental drift across many sweeps.
-	s.recomputeSum()
-	return maxResid, nil
-}
-
-// sweepJacobi computes all factors from the current snapshot, then applies
-// them damped. Returns the max pre-update residual.
-func (s *solverState) sweepJacobi(damping float64) (float64, error) {
-	type upd struct {
-		ci   int
-		odds float64
-	}
-	maxResid := 0.0
-	updates := make([]upd, 0, len(s.m.cons))
-	for _, ci := range s.order {
-		c := s.m.cons[ci]
-		matchSum := s.matchSum(ci)
-		q := matchSum / s.sumW
-		if d := math.Abs(q - c.Target); d > maxResid {
-			maxResid = d
-		}
-		f, g, err := updateFactors(q, c, s.m.names)
-		if err != nil {
-			return 0, err
-		}
-		if f == 1 && g == 1 {
-			continue
-		}
-		if f == 0 {
-			updates = append(updates, upd{ci: ci, odds: 0})
-			continue
-		}
-		updates = append(updates, upd{ci: ci, odds: math.Pow(f/g, damping)})
-	}
-	for _, u := range updates {
-		mr := &s.runs[u.ci]
-		*mr.coeff *= u.odds
-		for _, st := range mr.starts {
-			run := s.w[st : st+mr.n]
-			for k := range run {
-				run[k] *= u.odds
-			}
-		}
-	}
 	s.recomputeSum()
 	return maxResid, nil
 }

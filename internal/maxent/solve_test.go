@@ -1,8 +1,8 @@
 package maxent
 
 import (
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"pka/internal/contingency"
@@ -13,7 +13,7 @@ func TestSolveOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Tol != 1e-9 || o.MaxSweeps != 10000 || o.Damping != 0.5 {
+	if o.Tol != 1e-9 || o.MaxSweeps != 10000 {
 		t.Errorf("defaults = %+v", o)
 	}
 	if _, err := (SolveOptions{Tol: -1}).withDefaults(); err == nil {
@@ -21,18 +21,6 @@ func TestSolveOptionsDefaults(t *testing.T) {
 	}
 	if _, err := (SolveOptions{MaxSweeps: -1}).withDefaults(); err == nil {
 		t.Error("negative sweeps accepted")
-	}
-	if _, err := (SolveOptions{Damping: 2}).withDefaults(); err == nil {
-		t.Error("damping > 1 accepted")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	if GaussSeidel.String() != "gauss-seidel" || Jacobi.String() != "jacobi" {
-		t.Error("method names wrong")
-	}
-	if !strings.Contains(Method(9).String(), "9") {
-		t.Error("unknown method should include its number")
 	}
 }
 
@@ -140,8 +128,30 @@ func TestTable2ConditionalIndependencePreserved(t *testing.T) {
 	}
 }
 
-func TestJacobiReachesSameSolution(t *testing.T) {
-	build := func() *Model {
+// requireCertified fails unless the constraint residual recomputed from
+// the compiled engine (not the solver's running sums) is within tol.
+// Together with the product form Fit maintains, that certifies the unique
+// maximum-entropy solution.
+func requireCertified(t *testing.T, m *Model, tol float64, label string) {
+	t.Helper()
+	r, err := m.Residual()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if r > tol {
+		t.Fatalf("%s: residual %g above tolerance %g", label, r, tol)
+	}
+}
+
+// TestFitResidualCertificate fits the memo's first-order model plus the
+// AC cell N^AC_12 on the dense and the factored path and certifies each
+// solution by its recomputed residual.
+func TestFitResidualCertificate(t *testing.T) {
+	for _, factored := range []bool{false, true} {
+		label := fmt.Sprintf("factored=%v", factored)
+		if factored {
+			forceFactored(t, 6) // 12 cells; blocks AC (6 cells) and B (2)
+		}
 		m := firstOrderModel(t)
 		if err := m.AddConstraint(Constraint{
 			Family: contingency.NewVarSet(0, 2),
@@ -150,57 +160,21 @@ func TestJacobiReachesSameSolution(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return m
-	}
-	gs := build()
-	if _, err := gs.Fit(SolveOptions{Method: GaussSeidel}); err != nil {
-		t.Fatal(err)
-	}
-	jc := build()
-	repJ, err := jc.Fit(SolveOptions{Method: Jacobi, MaxSweeps: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repJ.Converged {
-		t.Fatalf("jacobi did not converge: residual %g", repJ.Residual)
-	}
-	jg, _ := gs.Joint()
-	jj, err := jc.Joint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jg {
-		if math.Abs(jg[i]-jj[i]) > 1e-6 {
-			t.Fatalf("cell %d: GS %.9f vs Jacobi %.9f", i, jg[i], jj[i])
+		rep, err := m.Fit(SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The maximum-entropy solution is unique, so both must agree.
-}
-
-func TestJacobiSlowerThanGaussSeidel(t *testing.T) {
-	// The documented ablation claim: Jacobi needs more sweeps.
-	build := func() *Model {
-		m := firstOrderModel(t)
-		m.AddConstraint(Constraint{
-			Family: contingency.NewVarSet(0, 2),
-			Values: []int{0, 1},
-			Target: 750.0 / 3428,
-		})
-		return m
-	}
-	gs := build()
-	repG, err := gs.Fit(SolveOptions{Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jc := build()
-	repJ, err := jc.Fit(SolveOptions{Method: Jacobi, Tol: 1e-9, MaxSweeps: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repJ.Sweeps <= repG.Sweeps {
-		t.Errorf("expected Jacobi (%d sweeps) to need more sweeps than Gauss-Seidel (%d)",
-			repJ.Sweeps, repG.Sweeps)
+		if !rep.Converged {
+			t.Fatalf("%s: did not converge: residual %g", label, rep.Residual)
+		}
+		c, err := m.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Factored() != factored {
+			t.Fatalf("%s: compiled engine factored=%v", label, c.Factored())
+		}
+		requireCertified(t, m, 1e-9, label)
 	}
 }
 
@@ -340,12 +314,5 @@ func TestRefitAfterAddingConstraintStartsWarm(t *testing.T) {
 	}
 	if rep.Sweeps != 1 {
 		t.Errorf("warm refit took %d sweeps, want 1", rep.Sweeps)
-	}
-}
-
-func TestFitUnknownMethod(t *testing.T) {
-	m := firstOrderModel(t)
-	if _, err := m.Fit(SolveOptions{Method: Method(42)}); err == nil {
-		t.Error("unknown method accepted")
 	}
 }

@@ -57,41 +57,50 @@ func TestPutOverwrites(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: inserting past one shard's budget evicts from the cold
-// end, never the hot end. All keys here land in a single shard only by
-// coincidence of hashing, so instead the test gives the cache a budget
-// small enough that per-shard pressure is inevitable, then checks the
-// recently-touched key survives while total bytes respect the budget.
+// TestLRUEviction: inserting past the budget evicts from the cold end,
+// never the hot end, and keeps the total within the budget.
 func TestLRUEviction(t *testing.T) {
-	const cap = numShards * (entryOverhead + 8 + 4 + 2) * 3 // room for ~3 entries per shard
+	const entryBytes = entryOverhead + 8 + 4 // cost 8, four-byte keys
+	const cap = 3 * entryBytes
 	c := New(cap)
-	c.Put([]byte("hot"), 1, "v", 8)
+	c.Put([]byte("hot0"), 1, "v", 8)
 	for i := 0; i < 256; i++ {
-		c.Get([]byte("hot"), 1) // keep it at the front of its shard
+		c.Get([]byte("hot0"), 1) // keep it at the front
 		c.Put([]byte(fmt.Sprintf("k%03d", i)), 1, "v", 8)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions under pressure")
+	if st.Entries != 3 || st.Bytes != cap || st.Evictions != 254 {
+		t.Fatalf("stats = %+v, want 3 entries, %d bytes, 254 evictions", st, cap)
 	}
-	if st.Bytes > cap {
-		t.Errorf("bytes %d exceed capacity %d", st.Bytes, cap)
+	for _, k := range []string{"hot0", "k254", "k255"} {
+		if _, ok := c.Get([]byte(k), 1); !ok {
+			t.Errorf("%s was evicted; the cold end should go first", k)
+		}
 	}
-	if _, ok := c.Get([]byte("hot"), 1); !ok {
-		t.Error("recently-touched entry was evicted while cold entries churned")
+	if _, ok := c.Get([]byte("k253"), 1); ok {
+		t.Error("k253 survived; it was the coldest entry")
 	}
 }
 
-// TestOversizedValueSkipped: a value that alone exceeds one shard's budget
-// is not cached — it would evict everything and still not fit.
+// TestOversizedValueSkipped: a value that alone exceeds the budget is not
+// cached — it would evict everything and still not fit. A value that
+// fills the budget exactly is cached.
 func TestOversizedValueSkipped(t *testing.T) {
-	c := New(numShards * 128)
+	const cap = 1024
+	c := New(cap)
 	c.Put([]byte("big"), 1, "v", 1<<20)
 	if _, ok := c.Get([]byte("big"), 1); ok {
 		t.Fatal("oversized value was cached")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Errorf("entries = %d, want 0", st.Entries)
+	}
+	c.Put([]byte("fits"), 1, "v", cap-4-entryOverhead)
+	if _, ok := c.Get([]byte("fits"), 1); !ok {
+		t.Fatal("value filling the budget exactly was not cached")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != cap {
+		t.Errorf("stats = %+v, want 1 entry of %d bytes", st, cap)
 	}
 }
 
@@ -122,10 +131,13 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers Get/Put/Stats from many goroutines;
-// run under -race this proves the shard locking covers every path.
+// TestConcurrentAccess hammers Get/Put/Stats from many goroutines under a
+// budget of a few entries, so evictions race with hits; run under -race
+// this proves the mutex covers every path. Afterwards the counters must
+// still add up.
 func TestConcurrentAccess(t *testing.T) {
-	c := New(numShards * 512)
+	const cap = 512
+	c := New(cap)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -146,4 +158,21 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	st := c.Stats()
+	if st.Hits+st.Misses != 8*500 {
+		t.Errorf("hits %d + misses %d, want %d probes", st.Hits, st.Misses, 8*500)
+	}
+	if st.Evictions == 0 || st.Bytes > cap {
+		t.Errorf("stats = %+v: want evictions and at most %d bytes", st, cap)
+	}
+	var bytes, n int64
+	for e := c.root.next; e != &c.root; e = e.next {
+		bytes, n = bytes+e.cost, n+1
+		if c.m[e.key] != e {
+			t.Fatalf("list entry %q missing from the map", e.key)
+		}
+	}
+	if bytes != st.Bytes || n != st.Entries || int64(len(c.m)) != n {
+		t.Errorf("list holds %d entries of %d bytes, map %d, stats %+v", n, bytes, len(c.m), st)
+	}
 }
