@@ -130,7 +130,7 @@ func cmdDiscover(w io.Writer, args []string) error {
 	screenCI := fs.Bool("screen-ci", false, "refine -screen with conditional-independence triple tests (prunes pairs a common neighbor explains)")
 	screenCIAlpha := fs.Float64("screen-ci-alpha", 0, "p-value above which a conditional test counts as independent for -screen-ci (0 = 0.05)")
 	maxConstraints := fs.Int("max-constraints", 0, "stop after accepting this many order >= 2 constraints (0 = no cap)")
-	workers := fs.Int("workers", 0, "worker goroutines for the significance scans and the pair-count ledger (0 = all cores, 1 = serial)")
+	workers := fs.Int("workers", 0, "worker goroutines for the significance scans (0 = all cores, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -51,7 +51,7 @@ func cmdServe(w io.Writer, args []string) error {
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "max queries per batch request (0 = default)")
 	fs.IntVar(&cfg.maxObserve, "max-observe", 0, "max rows per observe request (0 = default)")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 32<<20, "serving-cache capacity in bytes per tier (0 disables, negative unbounded)")
-	fs.IntVar(&cfg.workers, "workers", 0, "with -data: worker goroutines for the significance scans and the pair-count ledger, at startup discovery and on every /v1/observe refit (0 = all cores, 1 = serial)")
+	fs.IntVar(&cfg.workers, "workers", 0, "with -data: worker goroutines for the significance scans, at startup discovery and on every /v1/observe refit (0 = all cores, 1 = serial)")
 	fs.IntVar(&cfg.maxCard, "max-card", 64, "with -data: reject CSV columns with more distinct values than this")
 	fs.IntVar(&cfg.maxOrder, "max-order", 0, "with -data: highest attribute-family order to scan (0 = all)")
 	fs.BoolVar(&cfg.sparse, "sparse", false, "with -data: wide-schema mode (sparse tabulation, factored engine)")

@@ -123,9 +123,7 @@ func scoreRows(cards []int, total int64, table func(i, j int) ([]int64, error)) 
 
 // ScorePairs computes PairStats for every attribute pair of a dense or
 // sparse table, in lexicographic (I, J) order — the association screen's
-// view, which needs no ranking. Pairs are scored serially; workers reaches
-// only the pair-count ledger build (Sparse.PairCounts: <= 0 GOMAXPROCS, 1
-// the sequential loop), whose counts are the same for any worker count.
+// view, which needs no ranking. Pairs are scored serially.
 //
 // Each pair is read with Counts.Marginalize — a fresh marginal on a dense
 // table, the projection cache on a sparse one — except on sparse tables of
@@ -137,7 +135,7 @@ func scoreRows(cards []int, total int64, table func(i, j int) ([]int64, error)) 
 // Concurrency: both caches publish under the table's internal lock, so
 // any number of concurrent screens of one table is safe; table mutation
 // must still not overlap screening (the sparse mutation contract).
-func ScorePairs(c contingency.Counts, workers int) ([]PairStats, error) {
+func ScorePairs(c contingency.Counts) ([]PairStats, error) {
 	if c.Total() == 0 {
 		return nil, fmt.Errorf("assoc: empty table")
 	}
@@ -152,7 +150,7 @@ func ScorePairs(c contingency.Counts, workers int) ([]PairStats, error) {
 		return pair.Counts(), nil
 	}
 	if s, ok := c.(*contingency.Sparse); ok && s.R() >= bulkPairwiseMinR {
-		pc, err := s.PairCounts(workers)
+		pc, err := s.PairCounts()
 		if err != nil {
 			return nil, err
 		}
@@ -181,27 +179,25 @@ func sortByMI(out []PairStats) {
 // descending mutual information: ScorePairs, then a stable sort, so ties
 // keep their lexicographic pair order.
 func Pairwise(t *contingency.Table) ([]PairStats, error) {
-	return sortedPairs(ScorePairs(t, 0))
+	return sortedPairs(ScorePairs(t))
 }
 
 // PairwiseSparse is Pairwise over a sparse table: pairs come from the
 // table's projection cache or, on wide schemas, its pair-count ledger, so
-// the cost is O(pairs × occupied cells) once and O(pairs) on later
-// screens, regardless of the joint-space size. This is the screening step
-// of the wide-schema workflow: survey all pairs sparsely, then project and
-// run discovery on the attribute subsets that light up. The ledger is
-// counted over GOMAXPROCS workers; use PairwiseSparseWorkers to pin the
-// count.
+// the cells are counted once (PairCounts prices the ledger build) and a
+// later screen costs O(pairs), regardless of the joint-space size. This
+// is the screening step of the wide-schema workflow: survey all pairs
+// sparsely, then project and run discovery on the attribute subsets that
+// light up. See ScorePairs for the concurrency contract.
 func PairwiseSparse(s *contingency.Sparse) ([]PairStats, error) {
-	return PairwiseSparseWorkers(s, 0)
+	return sortedPairs(ScorePairs(s))
 }
 
-// PairwiseSparseWorkers is PairwiseSparse with an explicit worker count
-// for the ledger build (<= 0 GOMAXPROCS, 1 the sequential loop); results
-// are bit-identical across worker counts. See ScorePairs for the
-// concurrency contract.
-func PairwiseSparseWorkers(s *contingency.Sparse, workers int) ([]PairStats, error) {
-	return sortedPairs(ScorePairs(s, workers))
+// PairwiseSparseWorkers is PairwiseSparse. The worker count changes
+// nothing: the ledger is counted serially. It is kept for existing
+// callers; new code calls PairwiseSparse.
+func PairwiseSparseWorkers(s *contingency.Sparse, _ int) ([]PairStats, error) {
+	return PairwiseSparse(s)
 }
 
 // sortedPairs ranks a ScorePairs result for the report API.

@@ -61,32 +61,32 @@ func requireSamePairs(t *testing.T, want, got []PairStats, label string) {
 	}
 }
 
-// TestPairwiseSparseParallelBitIdentical: the sparse screen is
-// bit-identical for any worker count, exercised twice per count: once
-// against a cold pair-count ledger and once against the warm one. The
-// table has 80 attributes, above bulkPairwiseMinR, so the workers reach
-// the parallel ledger build (fillPairCounts).
-func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
+// TestPairwiseSparseColdWarmCloneIdentical: the sparse screen is
+// bit-identical whether it counts a cold pair-count ledger, reads the warm
+// one, or counts a clone's own. The table has 80 attributes, above
+// bulkPairwiseMinR, so every screen reads the ledger.
+func TestPairwiseSparseColdWarmCloneIdentical(t *testing.T) {
 	const attrs = 80
 	if attrs < bulkPairwiseMinR {
 		t.Fatalf("%d attributes do not reach the pair-count ledger (%d)", attrs, bulkPairwiseMinR)
 	}
-	serial, err := PairwiseSparseWorkers(wideSparseTable(t, attrs, 8000, 11), 1)
+	s := wideSparseTable(t, attrs, 8000, 11)
+	cold, err := PairwiseSparse(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		s := wideSparseTable(t, attrs, 8000, 11) // fresh table: cold ledger
-		cold, err := PairwiseSparseWorkers(s, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSamePairs(t, serial, cold, fmt.Sprintf("cold workers=%d", workers))
-		warm, err := PairwiseSparseWorkers(s, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSamePairs(t, serial, warm, fmt.Sprintf("warm workers=%d", workers))
+	warm, err := PairwiseSparse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePairs(t, cold, warm, "warm")
+	clone, err := PairwiseSparse(s.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePairs(t, cold, clone, "clone")
+	if s.PairCountBuilds() != 1 {
+		t.Fatalf("ledger built %d times over two screens, want once", s.PairCountBuilds())
 	}
 }
 
@@ -98,7 +98,7 @@ func TestPairwiseSparseParallelBitIdentical(t *testing.T) {
 func TestPairwiseSparseConcurrentScreens(t *testing.T) {
 	for _, attrs := range []int{20, 80} {
 		s := wideSparseTable(t, attrs, 4000, 23)
-		serial, err := PairwiseSparseWorkers(s.Clone(), 1)
+		serial, err := PairwiseSparse(s.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestPairwiseSparseConcurrentScreens(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				results[g], errs[g] = PairwiseSparseWorkers(s, 2)
+				results[g], errs[g] = PairwiseSparse(s)
 			}(g)
 		}
 		wg.Wait()
@@ -122,27 +122,22 @@ func TestPairwiseSparseConcurrentScreens(t *testing.T) {
 	}
 }
 
-// BenchmarkPairwiseSparseParallel screens an 80-attribute sparse table
-// with a cold pair-count ledger per iteration — the discovery-time
-// screening workload — at several worker counts, which reach the ledger
-// build. Values are bit-identical across counts; only wall time differs.
-func BenchmarkPairwiseSparseParallel(b *testing.B) {
+// BenchmarkPairwiseSparse screens an 80-attribute sparse table with a
+// cold pair-count ledger per iteration: the discovery-time screening
+// workload, ledger build and pair scoring together.
+func BenchmarkPairwiseSparse(b *testing.B) {
 	master := wideSparseTable(b, 80, 20000, 7)
-	for _, workers := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := master.Clone()
-				b.StartTimer()
-				pairs, err := PairwiseSparseWorkers(s, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pairs) != 3160 {
-					b.Fatalf("%d pairs, want C(80,2)=3160", len(pairs))
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := master.Clone()
+		b.StartTimer()
+		pairs, err := PairwiseSparse(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(pairs) != 3160 {
+			b.Fatalf("%d pairs, want C(80,2)=3160", len(pairs))
+		}
 	}
 }

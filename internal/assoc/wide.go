@@ -13,7 +13,7 @@ import (
 // representation could hold) the projection cache stays warm across
 // streaming re-screens; above it, O(R²) separate cache entries each
 // projected by an O(occupied) scan would dominate, so one slab holds every
-// pair, counted from a single decode of the occupied cells and maintained
+// pair, counted from a single pass over the occupied cells and maintained
 // in place by every mutation.
 const bulkPairwiseMinR = 65
 

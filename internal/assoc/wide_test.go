@@ -3,6 +3,7 @@ package assoc
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pka/internal/contingency"
@@ -41,7 +42,7 @@ func coupledSparse(t *testing.T, r, rows int, seed int64) *contingency.Sparse {
 
 // TestPairwiseSparseBulkMatchesProjection pins the wide-path contract: on a
 // table wide enough for the ledger, ScorePairs must reproduce the
-// per-pair projection scoring bit for bit, on any worker count.
+// per-pair projection scoring bit for bit.
 func TestPairwiseSparseBulkMatchesProjection(t *testing.T) {
 	s := coupledSparse(t, bulkPairwiseMinR, 3000, 42)
 	want, err := sortedPairs(scoreRows(s.Cards(), s.Total(), func(i, j int) ([]int64, error) {
@@ -54,22 +55,40 @@ func TestPairwiseSparseBulkMatchesProjection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("projection path: %v", err)
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := PairwiseSparseWorkers(s, workers)
-		if err != nil {
-			t.Fatalf("bulk path (workers=%d): %v", workers, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bulk path returned %d pairs, want %d", len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Errorf("workers=%d pair %d: bulk %+v != projection %+v", workers, k, got[k], want[k])
-			}
+	got, err := PairwiseSparse(s)
+	if err != nil {
+		t.Fatalf("bulk path: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("bulk path returned %d pairs, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("pair %d: bulk %+v != projection %+v", k, got[k], want[k])
 		}
 	}
 	if s.PairCountBuilds() != 1 {
 		t.Errorf("ledger built %d times, want 1", s.PairCountBuilds())
+	}
+}
+
+// TestScorePairsLedgerSizeError: on a schema whose pair-count ledger would
+// pass the dense cell limit, the screen returns the ledger's size error.
+func TestScorePairsLedgerSizeError(t *testing.T) {
+	cards := make([]int, bulkPairwiseMinR)
+	for i := range cards {
+		cards[i] = 2
+	}
+	cards[0], cards[1], cards[2] = 1<<15, 1<<15, 1<<15
+	s, err := contingency.NewSparse(nil, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe(make([]int, len(cards))...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ScorePairs(s); err == nil || !strings.Contains(err.Error(), "would exceed") {
+		t.Fatalf("ScorePairs: err %v, want the ledger's size error", err)
 	}
 }
 
@@ -98,9 +117,9 @@ func TestPairwiseSparseWideDispatch(t *testing.T) {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	pairs, err := PairwiseSparseWorkers(s, 0)
+	pairs, err := PairwiseSparse(s)
 	if err != nil {
-		t.Fatalf("PairwiseSparseWorkers: %v", err)
+		t.Fatalf("PairwiseSparse: %v", err)
 	}
 	if want := r * (r - 1) / 2; len(pairs) != want {
 		t.Fatalf("got %d pairs, want %d", len(pairs), want)
@@ -232,36 +251,34 @@ func mixedSparse(t *testing.T, r, rows int, seed int64) *contingency.Sparse {
 // TestLedgerPairStatsMatchProjection pins the wide screen to an
 // independent reference: every pair scored from the pair-count ledger,
 // before and after streaming mutation, must equal Project + scorePair on
-// that pair bit for bit, for any worker count.
+// that pair bit for bit.
 func TestLedgerPairStatsMatchProjection(t *testing.T) {
 	for _, r := range []int{65, 80, 130} {
 		s := mixedSparse(t, r, 1500, int64(r))
 		rng := rand.New(rand.NewSource(int64(r) + 1))
 		for round := 0; round < 3; round++ {
-			for _, workers := range []int{1, 3} {
-				got, err := ScorePairs(s, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := float64(s.Total())
-				var sc pairScratch
-				k := 0
-				for i := 0; i < r; i++ {
-					for j := i + 1; j < r; j++ {
-						proj, err := s.Project(contingency.NewVarSet(i, j))
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := scorePair(proj.Counts(), s.Card(i), s.Card(j), i, j, n, &sc)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !samePair(got[k], want) {
-							t.Fatalf("R=%d round %d workers=%d pair (%d,%d): ledger %+v, projection %+v",
-								r, round, workers, i, j, got[k], want)
-						}
-						k++
+			got, err := ScorePairs(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := float64(s.Total())
+			var sc pairScratch
+			k := 0
+			for i := 0; i < r; i++ {
+				for j := i + 1; j < r; j++ {
+					proj, err := s.Project(contingency.NewVarSet(i, j))
+					if err != nil {
+						t.Fatal(err)
 					}
+					want, err := scorePair(proj.Counts(), s.Card(i), s.Card(j), i, j, n, &sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !samePair(got[k], want) {
+						t.Fatalf("R=%d round %d pair (%d,%d): ledger %+v, projection %+v",
+							r, round, i, j, got[k], want)
+					}
+					k++
 				}
 			}
 			// Grow the table; the cached ledger must follow.

@@ -188,3 +188,53 @@ func BenchmarkSparseMarginalCountCached(b *testing.B) {
 		}
 	}
 }
+
+// plantedPairsSparse builds a binary sparse table of rows samples over
+// attrs attributes in adjacent planted pairs: the second of each pair
+// copies the first with probability 0.8, as in the wide benchmark banks.
+func plantedPairsSparse(b *testing.B, attrs, rows int) *Sparse {
+	b.Helper()
+	cards := make([]int, attrs)
+	for i := range cards {
+		cards[i] = 2
+	}
+	s, err := NewSparse(nil, cards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cell := make([]int, attrs)
+	for n := 0; n < rows; n++ {
+		for i := 0; i < attrs; i += 2 {
+			cell[i] = rng.Intn(2)
+			cell[i+1] = rng.Intn(2)
+			if rng.Float64() < 0.8 {
+				cell[i+1] = cell[i]
+			}
+		}
+		if err := s.Observe(cell...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkPairCountsBuild counts a cold pair-count ledger per iteration
+// at the shapes of the two wide benchmark banks: acquire_wide's 260
+// binary attributes over 1,200 rows and ingest_wide80's 80 over 8,000.
+func BenchmarkPairCountsBuild(b *testing.B) {
+	for _, shape := range []struct {
+		name        string
+		attrs, rows int
+	}{{"R=260/N=1200", 260, 1200}, {"R=80/N=8000", 80, 8000}} {
+		s := plantedPairsSparse(b, shape.attrs, shape.rows)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.buildPairCounts(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -79,7 +79,7 @@ func TestCountsContract(t *testing.T) {
 			if !sameOccupied(occupiedCells(t, dense), occupiedCells(t, sparse)) {
 				t.Fatal("EachCell: dense and sparse occupied cells differ")
 			}
-			if _, err := sparse.PairCounts(1); err != nil {
+			if _, err := sparse.PairCounts(); err != nil {
 				t.Fatal(err)
 			}
 

@@ -3,8 +3,11 @@ package contingency
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"pka/internal/wire"
@@ -73,7 +76,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 			if err := s.ObserveBatch(randomRows(rng, cards, 150)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.PairCounts(2); err != nil {
+			if _, err := s.PairCounts(); err != nil {
 				t.Fatal(err)
 			}
 			// A cached family projection rides along: both caches are
@@ -156,7 +159,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 				}
 				verify(fmt.Sprintf("step %d", step))
 			}
-			p, err := s.PairCounts(1)
+			p, err := s.PairCounts()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +174,7 @@ func TestPairCountsMaintainedUnderMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			verify("after mutating the clone")
-			cp, err := c.PairCounts(3)
+			cp, err := c.PairCounts()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +203,7 @@ func TestPairCountsBudget(t *testing.T) {
 	}
 	over := s.Clone()
 	for call := 1; call <= 2; call++ {
-		if _, err := s.PairCounts(0); err != nil {
+		if _, err := s.PairCounts(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +214,7 @@ func TestPairCountsBudget(t *testing.T) {
 
 	const ceiling = 4 << 10
 	for call := 1; call <= 2; call++ {
-		p, err := over.pairCounts(2, ceiling)
+		p, err := over.pairCounts(ceiling)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +231,10 @@ func TestPairCountsBudget(t *testing.T) {
 	}
 }
 
-// TestPairCountsWorkerCountsAgree: the build's integer adds make the ledger
-// identical for any worker count, including wide-cardinality columns.
-func TestPairCountsWorkerCountsAgree(t *testing.T) {
+// TestPairCountsColdWarmCloneAgree: a cold build, the kept ledger a
+// second call returns, and a clone's own cold build are one ledger, equal
+// to per-pair projections, on a schema with wide-cardinality columns.
+func TestPairCountsColdWarmCloneAgree(t *testing.T) {
 	cards := []int{2, 300, 3, 1, 5, 2, 257}
 	rng := rand.New(rand.NewSource(9))
 	s, err := NewSparse(nil, cards)
@@ -240,19 +244,160 @@ func TestPairCountsWorkerCountsAgree(t *testing.T) {
 	if err := s.ObserveBatch(randomRows(rng, cards, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.buildPairCounts(1)
+	cold, err := s.buildPairCounts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLedgerAgainstProject(t, s, want)
-	for _, workers := range []int{0, 2, 5} {
-		got, err := s.buildPairCounts(workers)
+	checkLedgerAgainstProject(t, s, cold)
+	for _, label := range []string{"first call", "warm call"} {
+		got, err := s.PairCounts()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.counts, want.counts) {
-			t.Fatalf("workers=%d: ledger differs from the serial build", workers)
+		if !slices.Equal(got.counts, cold.counts) {
+			t.Fatalf("%s: ledger differs from the cold build", label)
 		}
+	}
+	if s.PairCountBuilds() != 1 {
+		t.Fatalf("%d builds over two calls, want 1", s.PairCountBuilds())
+	}
+	clone, err := s.Clone().PairCounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(clone.counts, cold.counts) {
+		t.Fatal("the clone's ledger differs from the original's")
+	}
+}
+
+// distinctCells returns n distinct random cells of the schema.
+func distinctCells(rng *rand.Rand, cards []int, n int) [][]int {
+	seen := make(map[string]bool, n)
+	var out [][]int
+	for len(out) < n {
+		cell := randomRows(rng, cards, 1)[0]
+		if key := fmt.Sprint(cell); !seen[key] {
+			seen[key] = true
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
+// TestPairCountsBitsetExact checks the build against per-pair projections
+// over every mix that changes how fillPairCounts counts: cell counts of 1
+// (one plane, skipped), of 2-5 and of 2^40 (several planes); cardinalities
+// from 1 to 300, so pairs land on both sides of maxPopcountCost, 9×9
+// exactly on it; and occupied-cell counts around a bitset word's length,
+// so the tail word is partial, full, or holds one cell. Add and ApplyBatch
+// then mutate the kept ledger in place, and it must still equal a rebuild
+// and the projections.
+func TestPairCountsBitsetExact(t *testing.T) {
+	schemas := map[string][]int{
+		"mixed":  {2, 300, 3, 1, 9, 2, 257, 9, 3},
+		"binary": {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+	}
+	countModes := map[string]func(rng *rand.Rand, k int) int64{
+		"ones":  func(*rand.Rand, int) int64 { return 1 },
+		"small": func(rng *rand.Rand, _ int) int64 { return 2 + rng.Int63n(4) },
+		"huge": func(rng *rand.Rand, k int) int64 {
+			if k%3 == 0 {
+				return 1 << 40
+			}
+			return 1 + rng.Int63n(5)
+		},
+	}
+	var popcounted, scattered int
+	for schemaName, cards := range schemas {
+		for mode, count := range countModes {
+			for _, occupied := range []int{1, 63, 64, 65, 1200} {
+				t.Run(fmt.Sprintf("%s/%s/occupied=%d", schemaName, mode, occupied), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(occupied)))
+					s, err := NewSparse(nil, cards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var maxCount int64
+					for k, cell := range distinctCells(rng, cards, occupied) {
+						c := count(rng, k)
+						maxCount = max(maxCount, c)
+						if err := s.Add(c, cell...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if s.Occupied() != occupied {
+						t.Fatalf("%d occupied cells, want %d", s.Occupied(), occupied)
+					}
+					planes := bits.Len64(uint64(maxCount))
+					for i := range cards {
+						for j := i + 1; j < len(cards); j++ {
+							if countsByPopcount(cards[i], cards[j], planes) {
+								popcounted++
+							} else {
+								scattered++
+							}
+						}
+					}
+					p, err := s.PairCounts()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkLedgerAgainstProject(t, s, p)
+
+					if err := s.Add(1<<40, randomRows(rng, cards, 1)[0]...); err != nil {
+						t.Fatal(err)
+					}
+					var deltas []CellDelta
+					s.EachCell(func(cell []int, c int64) {
+						if len(deltas) < 5 {
+							deltas = append(deltas, CellDelta{Cell: slices.Clone(cell), Delta: -c})
+						}
+					})
+					for _, row := range randomRows(rng, cards, 7) {
+						deltas = append(deltas, CellDelta{Cell: row, Delta: 3})
+					}
+					if err := s.ApplyBatch(deltas); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.VerifyProjections(); err != nil {
+						t.Fatal(err)
+					}
+					if s.PairCountBuilds() != 1 {
+						t.Fatalf("ledger built %d times, want once", s.PairCountBuilds())
+					}
+					checkLedgerAgainstProject(t, s, p)
+				})
+			}
+		}
+	}
+	if popcounted == 0 || scattered == 0 {
+		t.Fatalf("%d pairs counted by popcount and %d scattered; want both sides covered", popcounted, scattered)
+	}
+}
+
+// TestPairCountsSizeGuard: a schema whose ledger would pass maxDenseCells
+// gets the size error back before the slab is allocated.
+func TestPairCountsSizeGuard(t *testing.T) {
+	cards := []int{1 << 15, 1 << 15, 1 << 15} // 3·2^30 pair cells
+	s, err := NewSparse(nil, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = s.PairCounts()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "would exceed") {
+		t.Fatalf("PairCounts over the cell limit: err %v, want the size error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("the refused build allocated %d bytes", grew)
+	}
+	if s.cachedPairCounts() != nil || s.PairCountBuilds() != 0 {
+		t.Fatal("a refused ledger was kept or counted as built")
 	}
 }
 
@@ -273,7 +418,7 @@ func TestPairCountsNotSnapshotted(t *testing.T) {
 	}
 	var before, after wire.Writer
 	EncodeSparse(&before, s)
-	if _, err := s.PairCounts(0); err != nil {
+	if _, err := s.PairCounts(); err != nil {
 		t.Fatal(err)
 	}
 	EncodeSparse(&after, s)

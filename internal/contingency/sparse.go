@@ -525,11 +525,13 @@ func (s *Sparse) CheckConsistency() error {
 // VerifyProjections checks the streaming-ingest invariant: every cached
 // marginal projection and the cached pair-count ledger — maintained in
 // place by the mutation paths — must be bit-identical to a rebuild from
-// the occupied cells. It costs O((cached families + pairs) × occupied);
-// tests and debugging call it, hot paths call CheckConsistency.
+// the occupied cells. Each cached family costs one O(occupied) projection
+// and the ledger one build (PairCounts: O(R × occupied) plus, per pair,
+// popcounts over occupied/64 words or one pass over the cells); tests and
+// debugging call it, hot paths call CheckConsistency.
 func (s *Sparse) VerifyProjections() error {
 	if p := s.cachedPairCounts(); p != nil {
-		rebuilt, err := s.buildPairCounts(1)
+		rebuilt, err := s.buildPairCounts()
 		if err != nil {
 			return fmt.Errorf("contingency: rebuilding pair-count ledger: %w", err)
 		}

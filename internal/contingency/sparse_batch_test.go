@@ -351,7 +351,7 @@ func TestRetainedTablesStayCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := s.PairCounts(1)
+	ledger, err := s.PairCounts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestRetainedTablesStayCurrent(t *testing.T) {
 		if !marg.Equal(fresh) {
 			t.Fatalf("%s: retained Marginalize table diverged from Project", round)
 		}
-		rebuilt, err := s.buildPairCounts(1)
+		rebuilt, err := s.buildPairCounts()
 		if err != nil {
 			t.Fatal(err)
 		}

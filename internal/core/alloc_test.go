@@ -67,12 +67,12 @@ func TestWarmScreenAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildScreen(table, 0, 1); err != nil {
+	if _, _, err := buildScreen(table, 0); err != nil {
 		t.Fatal(err)
 	}
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := buildScreen(table, 0, 1); err != nil && runErr == nil {
+		if _, _, err := buildScreen(table, 0); err != nil && runErr == nil {
 			runErr = err
 		}
 	})

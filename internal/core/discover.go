@@ -58,7 +58,7 @@ func DiscoverCounts(table contingency.Counts, opts Options) (*Result, error) {
 	// Association screen: bound the order >= 2 candidate universe to
 	// families whose attribute pairs all pass the pairwise survey.
 	if opts.ScreenPairs {
-		adj, rep, err := buildScreen(table, opts.ScreenAlpha, opts.Workers)
+		adj, rep, err := buildScreen(table, opts.ScreenAlpha)
 		if err != nil {
 			return nil, err
 		}

@@ -28,11 +28,10 @@ type Options struct {
 	// RecordScans stores every full scan's CellTest rows in the result —
 	// needed to regenerate Table 1; costs memory on large spaces.
 	RecordScans bool
-	// Workers fans the run's two parallel stages out over a goroutine
-	// pool: the per-family significance scans and, on wide sparse tables,
-	// the pair-count ledger build behind the association screen. 0 uses
-	// GOMAXPROCS, 1 forces the sequential loops. Results are bit-identical
-	// either way.
+	// Workers fans the run's one parallel stage, the per-family
+	// significance scans, out over a goroutine pool; the association
+	// screen runs serially. 0 uses GOMAXPROCS, 1 forces the sequential
+	// loop. Results are bit-identical either way.
 	Workers int
 	// ScreenPairs enables association-based candidate screening: before
 	// scanning, every attribute pair's association is surveyed (one dense

@@ -34,11 +34,9 @@ type ScreenReport struct {
 // (no ranking), and sparse tables serve them from caches that mutation
 // keeps current — the pair-count ledger on schemas of 65 or more
 // attributes — so a streaming re-screen never rescans the occupied cells.
-// Pairs are scored serially; workers reaches only the ledger build
-// (Options.Workers semantics: 0 = GOMAXPROCS, 1 = serial), and the screen
-// is bit-identical for any worker count.
-func buildScreen(table contingency.Counts, alpha float64, workers int) ([][]bool, *ScreenReport, error) {
-	pairs, err := assoc.ScorePairs(table, workers)
+// The screen runs serially.
+func buildScreen(table contingency.Counts, alpha float64) ([][]bool, *ScreenReport, error) {
+	pairs, err := assoc.ScorePairs(table)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: pair screen: %w", err)
 	}

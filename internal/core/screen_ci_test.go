@@ -40,7 +40,7 @@ func ciChainTable(t *testing.T, rows int, seed int64) *contingency.Sparse {
 // one.
 func TestApplyCIScreenDropsMediatedEdge(t *testing.T) {
 	table := ciChainTable(t, 4000, 5)
-	adj, rep, err := buildScreen(table, 0, 1)
+	adj, rep, err := buildScreen(table, 0)
 	if err != nil {
 		t.Fatalf("buildScreen: %v", err)
 	}

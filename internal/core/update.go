@@ -161,7 +161,7 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 	}
 	if opts.ScreenPairs {
 		var rep *ScreenReport
-		adj, rep, err = buildScreen(table, opts.ScreenAlpha, opts.Workers)
+		adj, rep, err = buildScreen(table, opts.ScreenAlpha)
 		if err != nil {
 			return nil, err
 		}

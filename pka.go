@@ -126,10 +126,10 @@ type Options struct {
 	// selecting cells whose value is already determined by known
 	// marginals. Off by default; see mml.Config.IncludeForced.
 	IncludeForcedCells bool
-	// Workers controls discovery parallelism at its two parallel sites:
-	// the per-family significance scans and, on wide sparse tables, the
-	// pair-count ledger build behind the association screen. The model
-	// keeps it, so every Update re-scan uses it too. 0 uses GOMAXPROCS
+	// Workers controls discovery parallelism at its one parallel site,
+	// the per-family significance scans; everything else in discovery,
+	// the association screen included, runs serially. The model keeps
+	// it, so every Update re-scan uses it too. 0 uses GOMAXPROCS
 	// (the default: use the machine), 1 forces the sequential loops.
 	// Results are bit-identical either way; only wall time changes.
 	Workers int
