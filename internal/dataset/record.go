@@ -99,39 +99,6 @@ func (d *Dataset) Tabulate() (*contingency.Table, error) {
 	return t, nil
 }
 
-// TabulateSubset counts the records into a table over only the named
-// attributes (projection happens before counting, so memory stays
-// proportional to the projected space).
-func (d *Dataset) TabulateSubset(names []string) (*contingency.Table, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("dataset: TabulateSubset needs at least one attribute")
-	}
-	pos := make([]int, len(names))
-	cards := make([]int, len(names))
-	for i, n := range names {
-		p, err := d.schema.Position(n)
-		if err != nil {
-			return nil, err
-		}
-		pos[i] = p
-		cards[i] = d.schema.Attr(p).Card()
-	}
-	t, err := contingency.New(names, cards)
-	if err != nil {
-		return nil, err
-	}
-	cell := make([]int, len(pos))
-	for _, r := range d.records {
-		for i, p := range pos {
-			cell[i] = r[p]
-		}
-		if err := t.Observe(cell...); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // Counts returns, per attribute, the value frequency vector — a quick
 // integrity view used by ingest diagnostics.
 func (d *Dataset) Counts() [][]int64 {

@@ -1,11 +1,6 @@
 package dataset
 
-import (
-	"testing"
-	"testing/quick"
-
-	"pka/internal/contingency"
-)
+import "testing"
 
 func TestAppendValidation(t *testing.T) {
 	d := NewDataset(memoSchema(t))
@@ -104,45 +99,6 @@ func TestTabulateMatchesManualCount(t *testing.T) {
 	}
 }
 
-func TestTabulateSubsetMatchesMarginalization(t *testing.T) {
-	// Tabulating a projection must equal marginalizing the full table —
-	// the commuting square of Appendix A and Eqs. 1-5.
-	d := NewDataset(memoSchema(t))
-	rows := []Record{
-		{0, 0, 0}, {1, 1, 1}, {2, 0, 1}, {1, 1, 0}, {1, 1, 1}, {0, 1, 1},
-	}
-	for _, r := range rows {
-		if err := d.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, err := d.Tabulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := d.TabulateSubset([]string{"SMOKING", "FAMILY HISTORY"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	marg, err := full.Marginalize(contingency.NewVarSet(0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sub.Equal(marg) {
-		t.Error("TabulateSubset != Marginalize of full table")
-	}
-}
-
-func TestTabulateSubsetErrors(t *testing.T) {
-	d := NewDataset(memoSchema(t))
-	if _, err := d.TabulateSubset(nil); err == nil {
-		t.Error("empty subset accepted")
-	}
-	if _, err := d.TabulateSubset([]string{"nope"}); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-}
-
 func TestCountsPerAttribute(t *testing.T) {
 	d := NewDataset(memoSchema(t))
 	d.Append(Record{0, 0, 0})
@@ -154,43 +110,5 @@ func TestCountsPerAttribute(t *testing.T) {
 	}
 	if counts[1][1] != 2 {
 		t.Errorf("attr 1 counts = %v", counts[1])
-	}
-}
-
-func TestTabulateSubsetCommutesProperty(t *testing.T) {
-	// For random small datasets the subset-tabulation/marginalization square
-	// commutes for every pair of attributes.
-	f := func(raw []uint8) bool {
-		s := MustSchema([]Attribute{
-			{Name: "X", Values: []string{"a", "b"}},
-			{Name: "Y", Values: []string{"a", "b", "c"}},
-			{Name: "Z", Values: []string{"a", "b"}},
-		})
-		d := NewDataset(s)
-		for _, r := range raw {
-			rec := Record{int(r) % 2, int(r/2) % 3, int(r/6) % 2}
-			if err := d.Append(rec); err != nil {
-				return false
-			}
-		}
-		if d.Len() == 0 {
-			return true
-		}
-		full, err := d.Tabulate()
-		if err != nil {
-			return false
-		}
-		sub, err := d.TabulateSubset([]string{"X", "Z"})
-		if err != nil {
-			return false
-		}
-		marg, err := full.Marginalize(contingency.NewVarSet(0, 2))
-		if err != nil {
-			return false
-		}
-		return sub.Equal(marg)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -152,3 +152,88 @@ func BenchmarkRefitWithExtraConstraint(b *testing.B) {
 		}
 	}
 }
+
+// wideBlockModel builds a fitted factored model at the block shape of the
+// screened wide discovery: 260 binary attributes in 130 candidate pairs
+// (2i, 2i+1), first-order constraints on every attribute and one accepted
+// cell on each of the first 32 pairs — 32 pair blocks and 196 singleton
+// blocks. It returns the model and the 130 candidate pair families.
+func wideBlockModel(b *testing.B) (*Model, []contingency.VarSet) {
+	b.Helper()
+	const pairs, coupled = 130, 32
+	cards := make([]int, 2*pairs)
+	for i := range cards {
+		cards[i] = 2
+	}
+	m, err := NewModel(nil, cards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fams := make([]contingency.VarSet, pairs)
+	for i := range fams {
+		pa := 0.30 + 0.04*float64(i%10)
+		pb := 0.35 + 0.03*float64(i%8)
+		for k, p := range []float64{pa, pb} {
+			for v, target := range []float64{1 - p, p} {
+				if err := m.AddConstraint(Constraint{
+					Family: contingency.NewVarSet(2*i + k),
+					Values: []int{v},
+					Target: target,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		fams[i] = contingency.NewVarSet(2*i, 2*i+1)
+		if i < coupled {
+			if err := m.AddConstraint(Constraint{Family: fams[i], Values: []int{1, 1}, Target: 1.5 * pa * pb}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if _, err := m.Fit(SolveOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	c, err := m.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !c.Factored() || c.NumBlocks() != 2*pairs-coupled {
+		b.Fatalf("factored %v with %d blocks, want %d blocks", c.Factored(), c.NumBlocks(), 2*pairs-coupled)
+	}
+	return m, fams
+}
+
+// BenchmarkFactoredMarginal prices one candidate pair family per op, as a
+// significance scan does, cycling through the 130 pairs of the wide block
+// shape: a third of them fall in a coupled block, the rest span two
+// singleton blocks.
+func BenchmarkFactoredMarginal(b *testing.B) {
+	m, fams := wideBlockModel(b)
+	c, err := m.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Marginal(fams[i%len(fams)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileFactored compiles the wide block shape's factored
+// snapshot from its fitted coefficients — the compile every factored refit
+// ends with.
+func BenchmarkCompileFactored(b *testing.B) {
+	m, _ := wideBlockModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.compiled.Store(nil)
+		if _, err := m.Compile(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

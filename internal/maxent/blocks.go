@@ -133,7 +133,8 @@ func (m *Model) blocks() [][]int {
 // attribute order. Families and constraints are bucketed by block in one
 // pass each — O(families + constraints), not O(blocks × (families +
 // constraints)) — and every block keeps the parent's constraint order.
-func (m *Model) subModels(blocks [][]int) ([]*Model, error) {
+// fams is m.sortedFamilyTerms().
+func (m *Model) subModels(blocks [][]int, fams []*familyTerm) ([]*Model, error) {
 	// blockOf and local map each attribute to its block and its index
 	// within that block.
 	blockOf := make([]int, len(m.cards))
@@ -153,13 +154,13 @@ func (m *Model) subModels(blocks [][]int) ([]*Model, error) {
 		}
 		subs[bi] = sub
 	}
-	for _, vs := range sortedFamilies(m.families) {
-		ft := m.families[vs]
+	for _, ft := range fams {
 		bi := blockOf[ft.vars[0]]
 		lv := make([]int, len(ft.vars))
 		for i, p := range ft.vars {
 			if blockOf[p] != bi {
-				return nil, fmt.Errorf("maxent: family %v straddles blocks", vs)
+				return nil, fmt.Errorf("maxent: family %v straddles blocks",
+					contingency.NewVarSet(ft.vars...))
 			}
 			lv[i] = local[p]
 		}
@@ -193,6 +194,9 @@ func (m *Model) subModels(blocks [][]int) ([]*Model, error) {
 // sub-models costs one pass over the families and one over the
 // constraints (subModels), not a scan of both per block — on a wide
 // discovery the model splits into hundreds of mostly singleton blocks.
+// The decomposition and the sorted family list are computed once per fit
+// and shared by subModels and the snapshot compile (compileFactored), which
+// buckets the families by block in one pass as well.
 //
 // Under SolveOptions.Incremental, blocks none of whose families were
 // touched since the last converged fit (the model's dirty bookkeeping)
@@ -222,7 +226,8 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 			}
 		}
 	}
-	subs, err := m.subModels(blocks)
+	fams := m.sortedFamilyTerms()
+	subs, err := m.subModels(blocks, fams)
 	if err != nil {
 		return nil, err
 	}
@@ -279,10 +284,12 @@ func (m *Model) fitFactored(opts SolveOptions) (*Report, error) {
 		return agg, nil
 	}
 	m.a0 = a0
-	m.compiled.Store(nil)
-	if _, err := m.Compile(); err != nil {
+	c, err := m.compileFactored(blocks, fams, nil)
+	if err != nil {
+		m.compiled.Store(nil)
 		return nil, err
 	}
+	m.compiled.Store(c)
 	return agg, nil
 }
 

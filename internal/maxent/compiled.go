@@ -17,16 +17,23 @@ import (
 // Model method evaluated on the snapshot's coefficients.
 //
 // Snapshots come in two modes. Joint spaces up to denseModelCells compile
-// one global engine (eng), exactly as before. Wider models compile in
-// factored mode: one engine per constraint block (see blocks.go), with
-// probabilities combined as products of per-block sums — no dense joint
-// structure is ever allocated.
+// one global engine (eng). Wider models compile in factored mode: one
+// engine per constraint block (see blocks.go), with probabilities combined
+// as products of per-block sums — no dense joint structure is ever
+// allocated. A factored snapshot indexes the attribute space once, by
+// blockOf and localOf, so a query finds the blocks its attributes and pins
+// touch without probing every block: it runs an engine only on those
+// blocks and multiplies in every other block's cached sum.
 type Compiled struct {
 	names  []string
 	cards  []int
 	a0     float64
 	eng    *sumprod.Compiled // dense mode; nil in factored mode
-	blocks []*compiledBlock  // factored mode; nil in dense mode
+	blocks []compiledBlock   // factored mode; nil in dense mode
+	// blockOf and localOf are the factored attribute index: attribute p is
+	// blocks[blockOf[p]].vars[localOf[p]].
+	blockOf []int
+	localOf []int
 	// blockScratch pools a cell buffer sized to the widest block for the
 	// factored per-cell paths (CellProb is called once per occupied cell
 	// by goodness-of-fit and log-loss scoring).
@@ -34,11 +41,11 @@ type Compiled struct {
 }
 
 // compiledBlock is one constraint block's sub-engine: a dense sum-product
-// engine over the block's attributes, addressed by block-local positions.
+// engine over the block's attributes, addressed by block-local positions
+// (the snapshot's localOf).
 type compiledBlock struct {
 	vars  []int // global attribute positions, ascending
 	cards []int // cardinalities of vars
-	local []int // local index per global position; -1 when not a member
 	eng   *sumprod.Compiled
 	sum   float64 // cached unnormalized block sum Σ Π coeffs
 }
@@ -56,42 +63,36 @@ func (m *Model) Compile() (*Compiled, error) {
 	if c := m.compiled.Load(); c != nil {
 		return c, nil
 	}
-	c := &Compiled{
-		names: append([]string(nil), m.names...),
-		cards: append([]int(nil), m.cards...),
-		a0:    m.a0,
-	}
-	cells := m.NumCells()
-	blocks, blockErr := []*compiledBlock(nil), error(nil)
-	if cells > denseModelCells {
-		blocks, blockErr = m.compileBlocks()
-		if blockErr != nil && !(errors.Is(blockErr, errBlockTooDense) && cells <= maxDenseCells) {
-			return nil, blockErr
+	if cells := m.NumCells(); cells > denseModelCells {
+		c, err := m.compileFactored(m.blocks(), m.sortedFamilyTerms(), nil)
+		if err == nil {
+			m.compiled.Store(c)
+			return c, nil
+		}
+		if !(errors.Is(err, errBlockTooDense) && cells <= maxDenseCells) {
+			return nil, err
 		}
 		// A too-dense block under the absolute ceiling falls through to
 		// the dense engine, mirroring Fit's fallback.
 	}
-	if blocks != nil {
-		c.blocks = blocks
-		maxW := 0
-		for _, b := range blocks {
-			if len(b.vars) > maxW {
-				maxW = len(b.vars)
-			}
-		}
-		c.blockScratch.New = func() any {
-			s := make([]int, maxW)
-			return &s
-		}
-	} else {
-		eng, err := sumprod.Compile(m.cards, m.terms())
-		if err != nil {
-			return nil, err
-		}
-		c.eng = eng
+	eng, err := sumprod.Compile(m.cards, m.terms())
+	if err != nil {
+		return nil, err
 	}
+	c := m.newCompiled()
+	c.eng = eng
 	m.compiled.Store(c)
 	return c, nil
+}
+
+// newCompiled starts a snapshot of the model's schema and a0, with no
+// engine yet.
+func (m *Model) newCompiled() *Compiled {
+	return &Compiled{
+		names: append([]string(nil), m.names...),
+		cards: append([]int(nil), m.cards...),
+		a0:    m.a0,
+	}
 }
 
 // Factored reports whether the snapshot runs in factored (block-decomposed)
@@ -109,114 +110,107 @@ func (c *Compiled) BlockVars(i int) []int {
 	return append([]int(nil), c.blocks[i].vars...)
 }
 
-// compileBlocks builds one sub-engine per constraint block of the model.
-func (m *Model) compileBlocks() ([]*compiledBlock, error) {
-	var out []*compiledBlock
-	fams := m.sortedFamilyTerms()
-	var ar blockArena
-	for _, blk := range m.blocks() {
-		b, err := m.buildBlock(blk, fams, &ar)
+// compileFactored builds a factored snapshot over a decomposition of the
+// model: blocks is m.blocks() and fams is m.sortedFamilyTerms(), both for
+// the current families — fitFactored computes them once per fit and
+// shares them with subModels. Each block's cached sum is its engine's
+// Sum(), unless sums is non-nil: the snapshot restore path passes the
+// stored sums, so the restored engine reproduces the saved one bit for
+// bit. Block vars alias blocks, which the caller must not modify.
+//
+// The attribute index, the block cardinalities and the families'
+// block-local member lists are carved from one exactly sized buffer, and
+// the sorted families are bucketed by block in one counting pass, so the
+// work outside the engines is O(R + families) with a fixed handful of
+// allocations. This runs at every factored refit and on the
+// snapshot-restore cold-start path, where a few allocations per block
+// would dominate the profile.
+func (m *Model) compileFactored(blocks [][]int, fams []*familyTerm, sums []float64) (*Compiled, error) {
+	maxW := 0
+	for _, blk := range blocks {
+		if _, err := m.blockDenseSize(blk); err != nil {
+			return nil, err
+		}
+		maxW = max(maxW, len(blk))
+	}
+	r, nb := len(m.cards), len(blocks)
+	nv := 0
+	for _, ft := range fams {
+		nv += len(ft.vars)
+	}
+	buf := make([]int, 3*r+nb+1+nv)
+	carve := func(n int) []int {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	c := m.newCompiled()
+	c.blockOf, c.localOf = carve(r), carve(r)
+	c.blocks = make([]compiledBlock, nb)
+	for bi, blk := range blocks {
+		b := &c.blocks[bi]
+		b.vars, b.cards = blk, carve(len(blk))
+		for i, p := range blk {
+			c.blockOf[p], c.localOf[p] = bi, i
+			b.cards[i] = m.cards[p]
+		}
+	}
+	// Counting sort of the families by block: start[bi] is where block
+	// bi's terms begin, and each block keeps the sorted family order.
+	start := carve(nb + 1)
+	for _, ft := range fams {
+		start[c.blockOf[ft.vars[0]]+1]++
+	}
+	for bi := 1; bi <= nb; bi++ {
+		start[bi] += start[bi-1]
+	}
+	terms := make([]sumprod.Term, len(fams))
+	for _, ft := range fams {
+		bi := c.blockOf[ft.vars[0]]
+		lv := carve(len(ft.vars))
+		for i, p := range ft.vars {
+			if c.blockOf[p] != bi {
+				return nil, fmt.Errorf("maxent: family %v straddles blocks",
+					contingency.NewVarSet(ft.vars...))
+			}
+			lv[i] = c.localOf[p]
+		}
+		terms[start[bi]] = sumprod.Term{Vars: lv, Coeffs: ft.coeffs}
+		start[bi]++
+	}
+	// Each start[bi] now holds its block's end, which is the next block's
+	// start: shift back.
+	copy(start[1:], start[:nb])
+	start[0] = 0
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
+		eng, err := sumprod.Compile(b.cards, terms[start[bi]:start[bi+1]])
 		if err != nil {
 			return nil, err
 		}
-		b.sum = b.eng.Sum()
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-// blockArena carves the per-block int buffers of one compilation out of
-// chunked backing arrays — a model decomposes into many small blocks, and
-// block compilation runs on the snapshot-restore cold-start path where a
-// few allocations per block dominate the profile. Carved slices have
-// len == cap and chunks are never reallocated, so handing out a new slice
-// never moves one already handed out.
-type blockArena struct {
-	free []int
-}
-
-func (a *blockArena) take(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	if len(a.free) < n {
-		size := 1024
-		if n > size {
-			size = n
+		b.eng = eng
+		if sums != nil {
+			b.sum = sums[bi]
+		} else {
+			b.sum = eng.Sum()
 		}
-		a.free = make([]int, size)
 	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
+	c.blockScratch.New = func() any {
+		s := make([]int, maxW)
+		return &s
+	}
+	return c, nil
 }
 
 // sortedFamilyTerms resolves the family map into deterministic mask order
-// once, so per-block compilation iterates a slice instead of re-sorting
-// the map for every block.
+// once, so compilation and the factored fit iterate a slice instead of
+// re-sorting the map.
 func (m *Model) sortedFamilyTerms() []*familyTerm {
 	out := make([]*familyTerm, 0, len(m.families))
 	for _, vs := range sortedFamilies(m.families) {
 		out = append(out, m.families[vs])
 	}
 	return out
-}
-
-// buildBlock compiles one constraint block's sub-engine from the current
-// coefficients, leaving the cached block sum unset: compileBlocks
-// accumulates it fresh, the snapshot restore path injects the stored value
-// so the restored engine reproduces the saved one bit for bit. fams is the
-// caller's sortedFamilyTerms() — hoisted out because it is shared by every
-// block of one compilation.
-func (m *Model) buildBlock(blk []int, fams []*familyTerm, ar *blockArena) (*compiledBlock, error) {
-	if _, err := m.blockDenseSize(blk); err != nil {
-		return nil, err
-	}
-	// One arena carve serves vars, cards, and local.
-	buf := ar.take(2*len(blk) + len(m.cards))
-	b := &compiledBlock{
-		vars:  buf[:len(blk):len(blk)],
-		cards: buf[len(blk) : 2*len(blk) : 2*len(blk)],
-		local: buf[2*len(blk):],
-	}
-	copy(b.vars, blk)
-	for i := range b.local {
-		b.local[i] = -1
-	}
-	for i, p := range blk {
-		b.cards[i] = m.cards[p]
-		b.local[p] = i
-	}
-	nt, nv := 0, 0
-	for _, ft := range fams {
-		if b.local[ft.vars[0]] >= 0 {
-			nt++
-			nv += len(ft.vars)
-		}
-	}
-	terms := make([]sumprod.Term, 0, nt)
-	lvbuf := ar.take(nv)
-	for _, ft := range fams {
-		if b.local[ft.vars[0]] < 0 {
-			continue
-		}
-		lv := lvbuf[:len(ft.vars):len(ft.vars)]
-		lvbuf = lvbuf[len(ft.vars):]
-		for i, p := range ft.vars {
-			if b.local[p] < 0 {
-				return nil, fmt.Errorf("maxent: family %v straddles blocks",
-					contingency.NewVarSet(ft.vars...))
-			}
-			lv[i] = b.local[p]
-		}
-		terms = append(terms, sumprod.Term{Vars: lv, Coeffs: ft.coeffs})
-	}
-	eng, err := sumprod.Compile(b.cards, terms)
-	if err != nil {
-		return nil, err
-	}
-	b.eng = eng
-	return b, nil
 }
 
 // R returns the number of attributes.
@@ -260,24 +254,63 @@ func (c *Compiled) Prob(vars contingency.VarSet, values []int) (float64, error) 
 	if c.eng != nil {
 		return c.a0 * c.eng.SumPinned(members, values), nil
 	}
+	var tb [8]int
+	touched := c.touchedBlocks(tb[:0], members, nil)
 	res := c.a0
 	lv := make([]int, 0, len(members))
 	lvals := make([]int, 0, len(members))
-	for _, b := range c.blocks {
-		lv, lvals = lv[:0], lvals[:0]
-		for i, p := range members {
-			if li := b.local[p]; li >= 0 {
-				lv = append(lv, li)
-				lvals = append(lvals, values[i])
-			}
-		}
-		if len(lv) == 0 {
+	next := 0
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
+		if next == len(touched) || touched[next] != bi {
 			res *= b.sum
-		} else {
-			res *= b.eng.SumPinned(lv, lvals)
+			continue
 		}
+		next++
+		lv, lvals = c.localPins(lv[:0], lvals[:0], bi, members, values)
+		res *= b.eng.SumPinned(lv, lvals)
 	}
 	return res, nil
+}
+
+// touchedBlocks appends to dst, ascending and without repeats, the blocks
+// that hold a member or a pinned attribute (fixed[v] >= 0) of a factored
+// snapshot. A query touches few blocks, so insertion into the sorted
+// prefix is cheaper than marking all of them.
+func (c *Compiled) touchedBlocks(dst, members, fixed []int) []int {
+	add := func(bi int) {
+		i := len(dst)
+		for i > 0 && dst[i-1] > bi {
+			i--
+		}
+		if i > 0 && dst[i-1] == bi {
+			return
+		}
+		dst = append(dst, 0)
+		copy(dst[i+1:], dst[i:])
+		dst[i] = bi
+	}
+	for _, p := range members {
+		add(c.blockOf[p])
+	}
+	for v := 0; v < len(fixed) && v < len(c.blockOf); v++ {
+		if fixed[v] >= 0 {
+			add(c.blockOf[v])
+		}
+	}
+	return dst
+}
+
+// localPins appends to lv and lvals the block-local positions and values
+// of the members that lie in block bi, in member order.
+func (c *Compiled) localPins(lv, lvals []int, bi int, members, values []int) ([]int, []int) {
+	for i, p := range members {
+		if c.blockOf[p] == bi {
+			lv = append(lv, c.localOf[p])
+			lvals = append(lvals, values[i])
+		}
+	}
+	return lv, lvals
 }
 
 // Marginal returns the model's full marginal distribution over the family:
@@ -339,8 +372,12 @@ func (c *Compiled) MarginalGiven(vars contingency.VarSet, fixed []int) ([]float6
 // factored mode: each block touched by the family computes its own dense
 // sub-marginal in one sweep, blocks touched only by clamps contribute a
 // pinned scalar sum, untouched blocks their cached sums, and the family's
-// row-major result is the outer product of the parts.
+// row-major result is the outer product of the parts. The scalar takes
+// its factors in block order, as a walk over every block would, so the
+// bits match that walk; only the touched blocks run an engine.
 func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, error) {
+	var tb [8]int
+	touched := c.touchedBlocks(tb[:0], members, fixed)
 	scalar := c.a0
 	type part struct {
 		midx []int // indices into members served by this block
@@ -348,11 +385,18 @@ func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, erro
 		arr  []float64
 	}
 	var parts []part
-	for _, b := range c.blocks {
+	next := 0
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
+		if next == len(touched) || touched[next] != bi {
+			scalar *= b.sum
+			continue
+		}
+		next++
 		var lm, midx, dims []int
 		for i, p := range members {
-			if li := b.local[p]; li >= 0 {
-				lm = append(lm, li)
+			if c.blockOf[p] == bi {
+				lm = append(lm, c.localOf[p])
 				midx = append(midx, i)
 				dims = append(dims, c.cards[p])
 			}
@@ -376,10 +420,8 @@ func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, erro
 				return nil, err
 			}
 			parts = append(parts, part{midx: midx, dims: dims, arr: arr})
-		case localFixed != nil:
-			scalar *= b.eng.SumFixed(localFixed)
 		default:
-			scalar *= b.sum
+			scalar *= b.eng.SumFixed(localFixed)
 		}
 	}
 	size := 1
@@ -427,7 +469,8 @@ func (c *Compiled) CellProb(cell []int) (float64, error) {
 	}
 	scratch := c.blockScratch.Get().(*[]int)
 	p := c.a0
-	for _, b := range c.blocks {
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
 		localCell := (*scratch)[:len(b.vars)]
 		for li, gp := range b.vars {
 			localCell[li] = cell[gp]
@@ -499,7 +542,8 @@ func (c *Compiled) MaxCell(fixed []int) ([]int, float64, error) {
 	// keeps the block-lexicographically smallest maximizer — which composes
 	// to the globally lexicographically smallest one, blocks being
 	// independent.
-	for _, b := range c.blocks {
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
 		localFixed := make([]int, len(b.vars))
 		for li, p := range b.vars {
 			localFixed[li] = -1
@@ -568,8 +612,8 @@ func (c *Compiled) Sum() float64 {
 		return c.eng.Sum()
 	}
 	s := 1.0
-	for _, b := range c.blocks {
-		s *= b.sum
+	for bi := range c.blocks {
+		s *= c.blocks[bi].sum
 	}
 	return s
 }
@@ -583,20 +627,14 @@ func (c *Compiled) constraintRatio(cons Constraint, sum float64) float64 {
 	if c.eng != nil {
 		return c.eng.SumPinned(members, cons.Values) / sum
 	}
+	var tb [8]int
 	ratio := 1.0
 	lv := make([]int, 0, len(members))
 	lvals := make([]int, 0, len(members))
-	for _, b := range c.blocks {
-		lv, lvals = lv[:0], lvals[:0]
-		for i, p := range members {
-			if li := b.local[p]; li >= 0 {
-				lv = append(lv, li)
-				lvals = append(lvals, cons.Values[i])
-			}
-		}
-		if len(lv) > 0 {
-			ratio *= b.eng.SumPinned(lv, lvals) / b.sum
-		}
+	for _, bi := range c.touchedBlocks(tb[:0], members, nil) {
+		b := &c.blocks[bi]
+		lv, lvals = c.localPins(lv[:0], lvals[:0], bi, members, cons.Values)
+		ratio *= b.eng.SumPinned(lv, lvals) / b.sum
 	}
 	return ratio
 }

@@ -19,6 +19,15 @@
 // (1-target)/(1-predicted), which in product form is a single odds-ratio
 // coefficient update.
 //
+// Joint spaces wider than the dense threshold run factored (blocks.go): the
+// model is a product over the connected components of its constraint
+// graph, each block is solved and compiled densely over its own attributes,
+// and a compiled snapshot indexes every attribute to its block and its
+// position there. A query pays an engine sweep only on the blocks its
+// attributes or pins touch, plus one multiplication per other block by that
+// block's cached sum, always in block order, so the bits do not depend on
+// which blocks a query touches.
+//
 // With RecordTrace set, the solver records per-sweep coefficient
 // trajectories, which is how the repro binary regenerates the memo's
 // Table 2.

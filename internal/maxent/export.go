@@ -204,11 +204,6 @@ func modelFromState(st *ModelState) (*Model, error) {
 // plus the stored per-block sums, bypassing the per-block Sum()
 // accumulation whose result the snapshot pins bit-for-bit.
 func (m *Model) restoreCompiled(st *ModelState) error {
-	c := &Compiled{
-		names: append([]string(nil), m.names...),
-		cards: append([]int(nil), m.cards...),
-		a0:    m.a0,
-	}
 	if !st.Factored {
 		if m.NumCells() > maxDenseCells {
 			return fmt.Errorf("maxent: restoring model: dense snapshot over %d attributes exceeds the dense ceiling", len(m.cards))
@@ -217,6 +212,7 @@ func (m *Model) restoreCompiled(st *ModelState) error {
 		if err != nil {
 			return fmt.Errorf("maxent: restoring model: %w", err)
 		}
+		c := m.newCompiled()
 		c.eng = eng
 		m.compiled.Store(c)
 		return nil
@@ -226,10 +222,7 @@ func (m *Model) restoreCompiled(st *ModelState) error {
 		return fmt.Errorf("maxent: restoring model: snapshot has %d blocks, constraint graph has %d",
 			len(st.Blocks), len(blocks))
 	}
-	c.blocks = make([]*compiledBlock, len(blocks))
-	fams := m.sortedFamilyTerms()
-	var ar blockArena
-	maxW := 0
+	sums := make([]float64, len(blocks))
 	for i, blk := range blocks {
 		bs := st.Blocks[i]
 		if len(bs.Vars) != len(blk) {
@@ -243,19 +236,11 @@ func (m *Model) restoreCompiled(st *ModelState) error {
 		if !(bs.Sum > 0) || math.IsInf(bs.Sum, 0) {
 			return fmt.Errorf("maxent: restoring model: degenerate sum %g for block %v", bs.Sum, blk)
 		}
-		b, err := m.buildBlock(blk, fams, &ar)
-		if err != nil {
-			return fmt.Errorf("maxent: restoring model: %w", err)
-		}
-		b.sum = bs.Sum
-		c.blocks[i] = b
-		if len(blk) > maxW {
-			maxW = len(blk)
-		}
+		sums[i] = bs.Sum
 	}
-	c.blockScratch.New = func() any {
-		s := make([]int, maxW)
-		return &s
+	c, err := m.compileFactored(blocks, m.sortedFamilyTerms(), sums)
+	if err != nil {
+		return fmt.Errorf("maxent: restoring model: %w", err)
 	}
 	m.compiled.Store(c)
 	return nil

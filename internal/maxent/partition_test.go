@@ -128,7 +128,7 @@ func TestSubModelsMatchPerBlockScan(t *testing.T) {
 	if len(blocks) != 43 {
 		t.Fatalf("%d blocks, want 43 (39 singletons, three pairs and a triple)", len(blocks))
 	}
-	subs, err := m.subModels(blocks)
+	subs, err := m.subModels(blocks, m.sortedFamilyTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSubModelsRejectStraddlingFamily(t *testing.T) {
 	for p := range split {
 		split[p] = []int{p}
 	}
-	_, err := m.subModels(split)
+	_, err := m.subModels(split, m.sortedFamilyTerms())
 	if err == nil || !strings.Contains(err.Error(), "straddles blocks") {
 		t.Fatalf("straddling partition: err = %v, want a straddles-blocks error", err)
 	}

@@ -215,10 +215,11 @@ func BenchmarkChanceRangeWithSiblings(b *testing.B) {
 	if err := tester.MarkSignificant(fam, []int{2, 1}); err != nil {
 		b.Fatal(err)
 	}
+	fs := tester.newFamilyScan(fam)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tester.chanceRange(fam, []int{0, 0}); err != nil {
+		if _, _, err := tester.chanceRange(fs, []int{0, 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

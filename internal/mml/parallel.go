@@ -33,7 +33,11 @@ func (t *Tester) ScanOrderParallel(r int, pred Predictor, workers int) ([]CellTe
 	}); err != nil {
 		return nil, err
 	}
-	var out []CellTest
+	n := 0
+	for _, tests := range results {
+		n += len(tests)
+	}
+	out := make([]CellTest, 0, n)
 	for _, tests := range results {
 		out = append(out, tests...)
 	}

@@ -46,8 +46,8 @@ func (t *Tester) Test(family contingency.VarSet, values []int, predicted float64
 	if r > t.table.R() {
 		return CellTest{}, fmt.Errorf("mml: family %v exceeds table order %d", family, t.table.R())
 	}
-	if predicted < 0 || predicted > 1 || math.IsNaN(predicted) {
-		return CellTest{}, fmt.Errorf("mml: predicted probability %g outside [0,1]", predicted)
+	if err := checkPredicted(predicted); err != nil {
+		return CellTest{}, err
 	}
 	if t.IsSignificant(family, values) {
 		return CellTest{}, fmt.Errorf("mml: cell %v%v already significant", family, values)
@@ -56,6 +56,24 @@ func (t *Tester) Test(family contingency.VarSet, values []int, predicted float64
 	if err != nil {
 		return CellTest{}, err
 	}
+	return t.score(t.newFamilyScan(family), append([]int(nil), values...), observed, predicted)
+}
+
+// checkPredicted rejects a model probability outside [0, 1].
+func checkPredicted(predicted float64) error {
+	if predicted < 0 || predicted > 1 || math.IsNaN(predicted) {
+		return fmt.Errorf("mml: predicted probability %g outside [0,1]", predicted)
+	}
+	return nil
+}
+
+// score is Test past its argument checks: the cell values of the scanned
+// family are valid and not significant, observed is their count and
+// predicted their checked model probability. The returned test keeps
+// values, which the caller hands over.
+func (t *Tester) score(fs *familyScan, values []int, observed int64, predicted float64) (CellTest, error) {
+	family := fs.family
+	r := len(fs.cards)
 	remaining := t.CellsAtOrder(r) - t.SignificantAtOrder(r)
 	if remaining <= 0 {
 		return CellTest{}, fmt.Errorf("mml: no remaining cells at order %d", r)
@@ -63,7 +81,7 @@ func (t *Tester) Test(family contingency.VarSet, values []int, predicted float64
 
 	ct := CellTest{
 		Family:    family,
-		Values:    append([]int(nil), values...),
+		Values:    values,
 		Observed:  observed,
 		Predicted: predicted,
 	}
@@ -78,7 +96,7 @@ func (t *Tester) Test(family contingency.VarSet, values []int, predicted float64
 	ct.M1 = -math.Log(1-t.cfg.PriorH2) - logPMF
 
 	// m2 = -ln p(H2') + ln(cells at order - M) [+ ln(range+1)] (Eq. 45).
-	forced, rangeMax, err := t.chanceRange(family, values)
+	forced, rangeMax, err := t.chanceRange(fs, values)
 	if err != nil {
 		return CellTest{}, err
 	}
@@ -160,7 +178,8 @@ func (p perCell) Marginal(family contingency.VarSet) ([]float64, error) {
 
 // scanFamily prices one family: a single batch marginal from the predictor,
 // then one significance test per not-yet-significant cell, in deterministic
-// odometer order.
+// odometer order. The odometer's index is the cell's row-major offset, so
+// the significance lookup needs no key.
 func (t *Tester) scanFamily(fam contingency.VarSet, pred Predictor) ([]CellTest, error) {
 	members := fam.Members()
 	size := 1
@@ -180,11 +199,25 @@ func (t *Tester) scanFamily(fam contingency.VarSet, pred Predictor) ([]CellTest,
 		return nil, fmt.Errorf("mml: predictor returned %d probabilities for family %v (%d cells)",
 			len(marg), fam, size)
 	}
-	var out []CellTest
+	fs := t.newFamilyScan(fam)
+	open := size - len(t.sig[fam])
+	out := make([]CellTest, 0, open)
+	// Every test's Values, carved in cell order from one buffer.
+	owned := make([]int, open*len(members))
 	values := make([]int, len(members))
 	for idx := 0; ; idx++ {
-		if !t.IsSignificant(fam, values) {
-			ct, err := t.Test(fam, values, marg[idx])
+		if !t.sigKeys[cellID{fam, idx}] {
+			if err := checkPredicted(marg[idx]); err != nil {
+				return nil, err
+			}
+			v := owned[:len(members):len(members)]
+			owned = owned[len(members):]
+			copy(v, values)
+			observed, err := t.marginalCount(fam, v)
+			if err != nil {
+				return nil, err
+			}
+			ct, err := t.score(fs, v, observed, marg[idx])
 			if err != nil {
 				return nil, err
 			}

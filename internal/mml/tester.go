@@ -3,7 +3,7 @@ package mml
 import (
 	"fmt"
 	"math"
-	"strconv"
+	"math/bits"
 	"sync"
 
 	"pka/internal/contingency"
@@ -62,8 +62,11 @@ type Tester struct {
 	cfg   Config
 	// sig holds accepted cells grouped by family.
 	sig map[contingency.VarSet][]SignificantCell
-	// sigKeys dedupes accepted cells across families.
-	sigKeys map[string]bool
+	// sigKeys is the set of accepted cells, keyed by family and row-major
+	// cell offset (cellID), so the per-cell lookups of a scan — whether the
+	// cell itself and each of its known sub-family cells is significant —
+	// neither format nor allocate a key.
+	sigKeys map[cellID]bool
 	// sigPerOrder counts accepted cells per order r (the memo's M).
 	sigPerOrder map[int]int
 	// familyGen enumerates the candidate attribute families of one order;
@@ -100,7 +103,7 @@ func NewTester(table contingency.Counts, cfg Config) (*Tester, error) {
 		table:       table,
 		cfg:         cfg,
 		sig:         make(map[contingency.VarSet][]SignificantCell),
-		sigKeys:     make(map[string]bool),
+		sigKeys:     make(map[cellID]bool),
 		sigPerOrder: make(map[int]int),
 		cellsMemo:   make(map[int]int),
 		margs:       make(map[contingency.VarSet]*contingency.Table),
@@ -134,14 +137,35 @@ func (t *Tester) familiesAtOrder(r int) []contingency.VarSet {
 	return contingency.Combinations(t.table.R(), r)
 }
 
-func cellKey(family contingency.VarSet, values []int) string {
-	b := family.AppendKey(make([]byte, 0, 24+4*len(values)))
-	b = append(b, ':')
-	for _, v := range values {
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, ',')
+// cellID names one cell of one attribute family: its values as a
+// row-major offset over the members ascending (first member slowest), the
+// layout of the family's marginal table.
+type cellID struct {
+	family contingency.VarSet
+	off    int
+}
+
+// cellOffset returns the row-major offset of values within the family,
+// and false when values has the wrong length, names an attribute beyond
+// the table, holds a value out of range, or the offset would overflow —
+// a cell that cannot exist has no offset to alias another cell's.
+func (t *Tester) cellOffset(family contingency.VarSet, values []int) (int, bool) {
+	off, i := 0, 0
+	for wi, nw := 0, family.NumWords(); wi < nw; wi++ {
+		for w := family.Word(wi); w != 0; w &= w - 1 {
+			p := wi*64 + bits.TrailingZeros64(w)
+			if i >= len(values) || p >= t.table.R() {
+				return 0, false
+			}
+			card, v := t.table.Card(p), values[i]
+			if v < 0 || v >= card || off > (math.MaxInt-v)/card {
+				return 0, false
+			}
+			off = off*card + v
+			i++
+		}
 	}
-	return string(b)
+	return off, i == len(values)
 }
 
 // MarkSignificant records a cell as an accepted constraint (the discovery
@@ -152,7 +176,11 @@ func (t *Tester) MarkSignificant(family contingency.VarSet, values []int) error 
 	if err != nil {
 		return fmt.Errorf("mml: marking significant cell: %w", err)
 	}
-	k := cellKey(family, values)
+	off, ok := t.cellOffset(family, values)
+	if !ok {
+		return fmt.Errorf("mml: marking significant cell: no cell %v%v", family, values)
+	}
+	k := cellID{family, off}
 	if t.sigKeys[k] {
 		return fmt.Errorf("mml: cell %v%v already marked significant", family, values)
 	}
@@ -166,9 +194,12 @@ func (t *Tester) MarkSignificant(family contingency.VarSet, values []int) error 
 	return nil
 }
 
-// IsSignificant reports whether the exact family cell has been marked.
+// IsSignificant reports whether the exact family cell has been marked. A
+// cell that cannot exist — values of the wrong length or out of range —
+// is never significant.
 func (t *Tester) IsSignificant(family contingency.VarSet, values []int) bool {
-	return t.sigKeys[cellKey(family, values)]
+	off, ok := t.cellOffset(family, values)
+	return ok && t.sigKeys[cellID{family, off}]
 }
 
 // SignificantAtOrder returns M, the number of accepted order-r cells.
@@ -200,7 +231,51 @@ func (t *Tester) CellsAtOrder(r int) int {
 	return total
 }
 
-// chanceRange implements the generalized Eq. 41. It returns:
+// familyScan is what scoring needs to know about one candidate family,
+// worked out once per family rather than once per cell: its members'
+// cardinalities and its proper sub-families — the constraining marginals
+// of Eq. 41.
+type familyScan struct {
+	family contingency.VarSet
+	cards  []int // cardinality of each member, members ascending
+	subs   []subFamily
+}
+
+// subFamily is one proper sub-family of a scanned family.
+type subFamily struct {
+	vs contingency.VarSet
+	// keep lists the indices into the family's members that the
+	// sub-family keeps, ascending.
+	keep []int
+	// avail is the number of family cells consistent with one cell of
+	// the sub-family.
+	avail int64
+}
+
+// newFamilyScan works out the family's scan state. The family's members
+// must lie within the table.
+func (t *Tester) newFamilyScan(family contingency.VarSet) *familyScan {
+	members := family.Members()
+	fs := &familyScan{family: family, cards: make([]int, len(members))}
+	for i, p := range members {
+		fs.cards[i] = t.table.Card(p)
+	}
+	for _, sub := range family.ProperSubsets() {
+		sf := subFamily{vs: sub, avail: 1}
+		for i, p := range members {
+			if sub.Has(p) {
+				sf.keep = append(sf.keep, i)
+			} else {
+				sf.avail *= int64(fs.cards[i])
+			}
+		}
+		fs.subs = append(fs.subs, sf)
+	}
+	return fs
+}
+
+// chanceRange implements the generalized Eq. 41 for one cell of the
+// scanned family. It returns:
 //
 //	forced — true when some known marginal leaves the cell no freedom
 //	         (≤1 free cell on that margin), so its value is determined and
@@ -208,48 +283,36 @@ func (t *Tester) CellsAtOrder(r int) int {
 //	rangeMax — otherwise, the largest value the cell could take by chance:
 //	         the minimum slack over known marginals after subtracting
 //	         significant sibling cells.
-func (t *Tester) chanceRange(family contingency.VarSet, values []int) (forced bool, rangeMax int64, err error) {
-	members := family.Members()
-	pos := make(map[int]int, len(members)) // attribute -> index into values
-	for i, p := range members {
-		pos[p] = i
-	}
-	siblings := t.sig[family]
+func (t *Tester) chanceRange(fs *familyScan, values []int) (forced bool, rangeMax int64, err error) {
+	siblings := t.sig[fs.family]
 	rangeMax = math.MaxInt64
 	sawKnown := false
-	for _, sub := range family.ProperSubsets() {
-		subMembers := sub.Members()
-		restriction := make([]int, len(subMembers))
-		for i, p := range subMembers {
-			restriction[i] = values[pos[p]]
+	for si := range fs.subs {
+		sub := &fs.subs[si]
+		off := 0
+		for _, i := range sub.keep {
+			off = off*fs.cards[i] + values[i]
 		}
-		known := sub.Len() == 1 || t.IsSignificant(sub, restriction)
+		known := len(sub.keep) == 1 || t.sigKeys[cellID{sub.vs, off}]
 		if !known {
 			continue
 		}
 		sawKnown = true
-		marginVal, merr := t.marginalCount(sub, restriction)
+		marginVal, merr := t.subCount(sub, off, values)
 		if merr != nil {
 			return false, 0, merr
-		}
-		// Cells of this family consistent with the restriction.
-		avail := int64(1)
-		for _, p := range members {
-			if !sub.Has(p) {
-				avail *= int64(t.table.Card(p))
-			}
 		}
 		var sibSum int64
 		var sibCount int64
 		for _, s := range siblings {
-			if agreesOn(s.Values, values, members, sub) {
+			if agreesOn(s.Values, values, sub.keep) {
 				// The candidate itself is never in siblings: callers test
 				// only unmarked cells.
 				sibSum += s.Count
 				sibCount++
 			}
 		}
-		if avail-sibCount <= 1 {
+		if sub.avail-sibCount <= 1 {
 			return true, 0, nil
 		}
 		if slack := marginVal - sibSum; slack < rangeMax {
@@ -262,9 +325,23 @@ func (t *Tester) chanceRange(family contingency.VarSet, values []int) (forced bo
 		return false, t.table.Total(), nil
 	}
 	if rangeMax < 0 {
-		return false, 0, fmt.Errorf("mml: negative chance range for %v%v", family, values)
+		return false, 0, fmt.Errorf("mml: negative chance range for %v%v", fs.family, values)
 	}
 	return false, rangeMax, nil
+}
+
+// subCount is the observed count of the sub-family cell at offset off,
+// which the family cell values restricts to: a lookup in the sub-family's
+// marginal table, or the backend's MarginalCount when it has none.
+func (t *Tester) subCount(sub *subFamily, off int, values []int) (int64, error) {
+	if m := t.marginal(sub.vs); m != nil {
+		return m.Counts()[off], nil
+	}
+	restriction := make([]int, len(sub.keep))
+	for k, i := range sub.keep {
+		restriction[k] = values[i]
+	}
+	return t.table.MarginalCount(sub.vs, restriction)
 }
 
 // marginalCount is Counts.MarginalCount served from the family's marginal
@@ -305,11 +382,11 @@ func (t *Tester) marginal(family contingency.VarSet) *contingency.Table {
 }
 
 // agreesOn reports whether a sibling cell's values match the candidate's on
-// the attributes of sub. members lists the family's attributes ascending;
-// both value slices are in that order.
-func agreesOn(sibling, candidate []int, members []int, sub contingency.VarSet) bool {
-	for i, p := range members {
-		if sub.Has(p) && sibling[i] != candidate[i] {
+// the family member indices keep (a sub-family's); both value slices are
+// in family member order.
+func agreesOn(sibling, candidate []int, keep []int) bool {
+	for _, i := range keep {
+		if sibling[i] != candidate[i] {
 			return false
 		}
 	}

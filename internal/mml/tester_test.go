@@ -106,6 +106,55 @@ func TestMarkSignificantBookkeeping(t *testing.T) {
 	}
 }
 
+// TestIsSignificantRejectsImpossibleCells: cells are keyed by their
+// row-major offset, so values of the wrong length or out of range must
+// never read as significant — in particular not as the marked cell whose
+// offset they would compute — and must not panic.
+func TestIsSignificantRejectsImpossibleCells(t *testing.T) {
+	tt, err := NewTester(memoTable(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := contingency.NewVarSet(0, 1) // 3 x 2 cells
+	if err := tt.MarkSignificant(fam, []int{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !tt.IsSignificant(fam, []int{1, 1}) {
+		t.Fatal("marked cell not reported")
+	}
+	for _, tc := range []struct {
+		name   string
+		fam    contingency.VarSet
+		values []int
+	}{
+		{"value above its cardinality, same offset", fam, []int{0, 3}},
+		{"negative value, same offset", fam, []int{2, -1}},
+		{"first value out of range", fam, []int{3, 0}},
+		{"too few values", fam, []int{3}},
+		{"too many values", fam, []int{1, 1, 0}},
+		{"no values", fam, nil},
+		{"attribute beyond the table", contingency.NewVarSet(0, 5), []int{1, 1}},
+		{"attribute in a later key word", contingency.NewVarSet(1, 200), []int{1, 1}},
+		{"sub-family with the same offset", contingency.NewVarSet(0), []int{3}},
+	} {
+		if tt.IsSignificant(tc.fam, tc.values) {
+			t.Errorf("%s: %v%v reported significant", tc.name, tc.fam, tc.values)
+		}
+		if err := tt.MarkSignificant(tc.fam, tc.values); err == nil {
+			t.Errorf("%s: marking %v%v accepted", tc.name, tc.fam, tc.values)
+		}
+		if _, err := tt.Test(tc.fam, tc.values, 0.1); err == nil {
+			t.Errorf("%s: testing %v%v accepted", tc.name, tc.fam, tc.values)
+		}
+	}
+	if err := tt.MarkSignificant(fam, []int{1, 1}); err == nil {
+		t.Error("double mark accepted")
+	}
+	if tt.SignificantAtOrder(2) != 1 {
+		t.Errorf("M = %d after rejected marks, want 1", tt.SignificantAtOrder(2))
+	}
+}
+
 func TestChanceRangeSecondOrderNoSiblings(t *testing.T) {
 	// Before any significant cells, the range of an AB cell is
 	// min(N_i^A, N_j^B): for AB11 that is min(1290, 433) = 433.
@@ -113,7 +162,7 @@ func TestChanceRangeSecondOrderNoSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, rng, err := tt.chanceRange(contingency.NewVarSet(0, 1), []int{0, 0})
+	forced, rng, err := tt.chanceRange(tt.newFamilyScan(contingency.NewVarSet(0, 1)), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +173,7 @@ func TestChanceRangeSecondOrderNoSiblings(t *testing.T) {
 		t.Errorf("range = %d, want min(1290,433) = 433", rng)
 	}
 	// AB12: min(1290, 2995) = 1290.
-	_, rng, err = tt.chanceRange(contingency.NewVarSet(0, 1), []int{0, 1})
+	_, rng, err = tt.chanceRange(tt.newFamilyScan(contingency.NewVarSet(0, 1)), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +193,7 @@ func TestChanceRangeSubtractsSiblings(t *testing.T) {
 	if err := tt.MarkSignificant(fam, []int{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	forced, rng, err := tt.chanceRange(fam, []int{0, 0})
+	forced, rng, err := tt.chanceRange(tt.newFamilyScan(fam), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +216,7 @@ func TestChanceRangeForcedCell(t *testing.T) {
 	if err := tt.MarkSignificant(fam, []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	forced, _, err := tt.chanceRange(fam, []int{0, 1})
+	forced, _, err := tt.chanceRange(tt.newFamilyScan(fam), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +235,7 @@ func TestChanceRangeThirdOrderUsesSignificantSecondOrder(t *testing.T) {
 	full := contingency.NewVarSet(0, 1, 2)
 	// Without second-order knowledge: range of ABC cell (1,1,1) is
 	// min(N^A_1, N^B_1, N^C_1) = min(1290, 433, 1780) = 433.
-	_, rng, err := tt.chanceRange(full, []int{0, 0, 0})
+	_, rng, err := tt.chanceRange(tt.newFamilyScan(full), []int{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +247,7 @@ func TestChanceRangeThirdOrderUsesSignificantSecondOrder(t *testing.T) {
 	if err := tt.MarkSignificant(contingency.NewVarSet(0, 1), []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	_, rng, err = tt.chanceRange(full, []int{0, 0, 0})
+	_, rng, err = tt.chanceRange(tt.newFamilyScan(full), []int{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,8 +119,3 @@ func Float(v float64, prec int, clamp float64) string {
 	}
 	return fmt.Sprintf("%.*f", prec, v)
 }
-
-// Section writes an underlined heading.
-func Section(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len([]rune(title))))
-}

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -66,14 +65,5 @@ func TestFloatClamp(t *testing.T) {
 	}
 	if got := Float(5.812, 2, 0); got != "5.81" {
 		t.Errorf("no-clamp = %q", got)
-	}
-}
-
-func TestSection(t *testing.T) {
-	var buf bytes.Buffer
-	Section(&buf, "Table 1")
-	out := buf.String()
-	if !strings.Contains(out, "Table 1\n=======") {
-		t.Errorf("section format:\n%s", out)
 	}
 }

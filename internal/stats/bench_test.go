@@ -21,20 +21,6 @@ func BenchmarkBinomialLogPMF(b *testing.B) {
 	}
 }
 
-func BenchmarkBinomialCDFSmallN(b *testing.B) {
-	bin := Binomial{N: 1000, P: 0.1}
-	for i := 0; i < b.N; i++ {
-		_ = bin.CDF(int64(i % 1000))
-	}
-}
-
-func BenchmarkBinomialCDFIncBeta(b *testing.B) {
-	bin := Binomial{N: 100000, P: 0.1}
-	for i := 0; i < b.N; i++ {
-		_ = bin.CDF(int64(i % 100000))
-	}
-}
-
 func BenchmarkEntropy(b *testing.B) {
 	p := make([]float64, 4096)
 	for i := range p {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Binomial is the distribution of Eq. 32 of the memo: the number of
 // occurrences of a cell among N samples when each sample lands in the cell
@@ -11,22 +8,11 @@ import (
 //
 //	P(n | p, N) = C(N, n) p^n (1-p)^(N-n)
 //
-// The zero value is not useful; construct with NewBinomial.
+// Construct it as a literal: N must be non-negative and P must lie in
+// [0, 1].
 type Binomial struct {
 	N int64   // total number of samples
 	P float64 // per-sample cell probability
-}
-
-// NewBinomial validates its arguments and returns the distribution.
-// N must be non-negative and P must lie in [0, 1].
-func NewBinomial(n int64, p float64) (Binomial, error) {
-	if n < 0 {
-		return Binomial{}, fmt.Errorf("stats: binomial N=%d must be >= 0", n)
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return Binomial{}, fmt.Errorf("stats: binomial P=%g must be in [0,1]", p)
-	}
-	return Binomial{N: n, P: p}, nil
 }
 
 // Mean returns N·p, the predicted mean of Eq. 33.
@@ -61,9 +47,6 @@ func (b Binomial) LogPMF(n int64) float64 {
 		float64(b.N-n)*math.Log1p(-b.P)
 }
 
-// PMF returns P(n | p, N).
-func (b Binomial) PMF(n int64) float64 { return math.Exp(b.LogPMF(n)) }
-
 // ZScore returns (n - mean)/sd, the "No. of sd's" column of the memo's
 // Table 1. It returns 0 when the distribution is degenerate (sd == 0 and the
 // observation equals the mean) and ±Inf when sd == 0 and it does not.
@@ -84,126 +67,4 @@ func sign(x float64) int {
 		return -1
 	}
 	return 1
-}
-
-// CDF returns P(X <= n). For modest N it sums the pmf exactly; for large N it
-// switches to a numerically stable complemented regularized incomplete beta
-// identity: P(X <= n) = I_{1-p}(N-n, n+1).
-func (b Binomial) CDF(n int64) float64 {
-	if n < 0 {
-		return 0
-	}
-	if n >= b.N {
-		return 1
-	}
-	if b.P == 0 {
-		return 1
-	}
-	if b.P == 1 {
-		return 0
-	}
-	if b.N <= 1024 {
-		sum := 0.0
-		for k := int64(0); k <= n; k++ {
-			sum += b.PMF(k)
-		}
-		if sum > 1 {
-			sum = 1
-		}
-		return sum
-	}
-	return RegIncBeta(float64(b.N-n), float64(n+1), 1-b.P)
-}
-
-// TailProb returns the two-sided tail mass P(|X - mean| >= |n - mean|),
-// a conventional p-value used by the chi-square-style baselines when
-// comparing against the memo's MML criterion.
-func (b Binomial) TailProb(n int64) float64 {
-	mean := b.Mean()
-	dev := math.Abs(float64(n) - mean)
-	lo := int64(math.Ceil(mean - dev))
-	hi := int64(math.Floor(mean + dev))
-	// Mass strictly inside (mean-dev, mean+dev), then complement.
-	if lo > hi {
-		return 1
-	}
-	inner := b.CDF(hi) - b.CDF(lo-1)
-	// Remove the boundary cells themselves: they belong to the tail.
-	if dev > 0 {
-		if lo >= 0 && float64(lo) == mean-dev {
-			inner -= b.PMF(lo)
-		}
-		if hi <= b.N && float64(hi) == mean+dev {
-			inner -= b.PMF(hi)
-		}
-	}
-	p := 1 - inner
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
-// RegIncBeta computes the regularized incomplete beta function I_x(a, b)
-// using the continued-fraction expansion (Lentz's algorithm), the standard
-// approach when no special-function library is available.
-func RegIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta := LogBeta(a, b)
-	front := math.Exp(a*math.Log(x) + b*math.Log1p(-x) - lbeta)
-	// Use the symmetry relation for faster convergence.
-	if x > (a+1)/(a+b+2) {
-		return 1 - RegIncBeta(b, a, 1-x)
-	}
-	const (
-		maxIter = 500
-		eps     = 1e-14
-		tiny    = 1e-300
-	)
-	c, d := 1.0, 1.0-(a+b)*x/(a+1)
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		// Even step.
-		num := fm * (b - fm) * x / ((a + 2*fm - 1) * (a + 2*fm))
-		d = 1 + num*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + num/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		// Odd step.
-		num = -(a + fm) * (a + b + fm) * x / ((a + 2*fm) * (a + 2*fm + 1))
-		d = 1 + num*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + num/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return front * h / a
 }

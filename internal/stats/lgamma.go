@@ -55,8 +55,3 @@ func LogChoose(n, k int64) float64 {
 	}
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }
-
-// LogBeta returns ln B(a, b) = ln Γ(a) + ln Γ(b) - ln Γ(a+b) for a, b > 0.
-func LogBeta(a, b float64) float64 {
-	return LogGamma(a) + LogGamma(b) - LogGamma(a+b)
-}

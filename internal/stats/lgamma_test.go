@@ -89,13 +89,3 @@ func TestLogChoosePascalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLogBeta(t *testing.T) {
-	// B(a,b) = Γ(a)Γ(b)/Γ(a+b); B(1,1)=1, B(2,3)=1/12.
-	if !relEqual(math.Exp(LogBeta(1, 1)), 1, 1e-12) {
-		t.Errorf("B(1,1) = %g", math.Exp(LogBeta(1, 1)))
-	}
-	if !relEqual(math.Exp(LogBeta(2, 3)), 1.0/12, 1e-12) {
-		t.Errorf("B(2,3) = %g, want 1/12", math.Exp(LogBeta(2, 3)))
-	}
-}
