@@ -237,3 +237,26 @@ func BenchmarkCompileFactored(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitFactored prices one discovery refit at the wide block shape:
+// each op clones the fitted model, accepts one more pair cell, on one of
+// the 98 uncoupled pairs in turn, and runs a non-incremental Fit, which
+// re-solves every constrained block and compiles the snapshot.
+func BenchmarkFitFactored(b *testing.B) {
+	m, fams := wideBlockModel(b)
+	const coupled = 32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := coupled + i%(len(fams)-coupled)
+		pa := 0.30 + 0.04*float64(j%10)
+		pb := 0.35 + 0.03*float64(j%8)
+		cp := m.Clone()
+		if err := cp.AddConstraint(Constraint{Family: fams[j], Values: []int{1, 1}, Target: 1.5 * pa * pb}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cp.Fit(SolveOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

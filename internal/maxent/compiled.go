@@ -64,7 +64,7 @@ func (m *Model) Compile() (*Compiled, error) {
 		return c, nil
 	}
 	if cells := m.NumCells(); cells > denseModelCells {
-		c, err := m.compileFactored(m.blocks(), m.sortedFamilyTerms(), nil)
+		c, err := m.compileFactored(m.decompose(m.blocks()), nil)
 		if err == nil {
 			m.compiled.Store(c)
 			return c, nil
@@ -110,85 +110,30 @@ func (c *Compiled) BlockVars(i int) []int {
 	return append([]int(nil), c.blocks[i].vars...)
 }
 
-// compileFactored builds a factored snapshot over a decomposition of the
-// model: blocks is m.blocks() and fams is m.sortedFamilyTerms(), both for
-// the current families — fitFactored computes them once per fit and
-// shares them with subModels. Each block's cached sum is its engine's
-// Sum(), unless sums is non-nil: the snapshot restore path passes the
-// stored sums, so the restored engine reproduces the saved one bit for
-// bit. Block vars alias blocks, which the caller must not modify.
-//
-// The attribute index, the block cardinalities and the families'
-// block-local member lists are carved from one exactly sized buffer, and
-// the sorted families are bucketed by block in one counting pass, so the
-// work outside the engines is O(R + families) with a fixed handful of
-// allocations. This runs at every factored refit and on the
-// snapshot-restore cold-start path, where a few allocations per block
-// would dominate the profile.
-func (m *Model) compileFactored(blocks [][]int, fams []*familyTerm, sums []float64) (*Compiled, error) {
+// compileFactored builds a factored snapshot over the model's block
+// decomposition d, which fitFactored shares with its block solves. Each
+// block's engine is compiled from the view's terms and its cached sum is
+// the engine's Sum(), unless sums is non-nil: the snapshot restore path
+// passes the stored sums, so the restored engine reproduces the saved one
+// bit for bit. The snapshot takes d's attribute index and block vars and
+// cardinalities, which nothing modifies afterwards.
+func (m *Model) compileFactored(d *decomposition, sums []float64) (*Compiled, error) {
+	c := m.newCompiled()
+	c.blockOf, c.localOf = d.blockOf, d.localOf
+	c.blocks = make([]compiledBlock, len(d.blocks))
 	maxW := 0
-	for _, blk := range blocks {
-		if _, err := m.blockDenseSize(blk); err != nil {
+	for bi := range d.blocks {
+		v := &d.blocks[bi]
+		if err := m.checkBlockSize(v.vars); err != nil {
 			return nil, err
 		}
-		maxW = max(maxW, len(blk))
-	}
-	r, nb := len(m.cards), len(blocks)
-	nv := 0
-	for _, ft := range fams {
-		nv += len(ft.vars)
-	}
-	buf := make([]int, 3*r+nb+1+nv)
-	carve := func(n int) []int {
-		s := buf[:n:n]
-		buf = buf[n:]
-		return s
-	}
-	c := m.newCompiled()
-	c.blockOf, c.localOf = carve(r), carve(r)
-	c.blocks = make([]compiledBlock, nb)
-	for bi, blk := range blocks {
-		b := &c.blocks[bi]
-		b.vars, b.cards = blk, carve(len(blk))
-		for i, p := range blk {
-			c.blockOf[p], c.localOf[p] = bi, i
-			b.cards[i] = m.cards[p]
-		}
-	}
-	// Counting sort of the families by block: start[bi] is where block
-	// bi's terms begin, and each block keeps the sorted family order.
-	start := carve(nb + 1)
-	for _, ft := range fams {
-		start[c.blockOf[ft.vars[0]]+1]++
-	}
-	for bi := 1; bi <= nb; bi++ {
-		start[bi] += start[bi-1]
-	}
-	terms := make([]sumprod.Term, len(fams))
-	for _, ft := range fams {
-		bi := c.blockOf[ft.vars[0]]
-		lv := carve(len(ft.vars))
-		for i, p := range ft.vars {
-			if c.blockOf[p] != bi {
-				return nil, fmt.Errorf("maxent: family %v straddles blocks",
-					contingency.NewVarSet(ft.vars...))
-			}
-			lv[i] = c.localOf[p]
-		}
-		terms[start[bi]] = sumprod.Term{Vars: lv, Coeffs: ft.coeffs}
-		start[bi]++
-	}
-	// Each start[bi] now holds its block's end, which is the next block's
-	// start: shift back.
-	copy(start[1:], start[:nb])
-	start[0] = 0
-	for bi := range c.blocks {
-		b := &c.blocks[bi]
-		eng, err := sumprod.Compile(b.cards, terms[start[bi]:start[bi+1]])
+		maxW = max(maxW, len(v.vars))
+		eng, err := sumprod.Compile(v.cards, v.terms)
 		if err != nil {
 			return nil, err
 		}
-		b.eng = eng
+		b := &c.blocks[bi]
+		b.vars, b.cards, b.eng = v.vars, v.cards, eng
 		if sums != nil {
 			b.sum = sums[bi]
 		} else {
@@ -200,17 +145,6 @@ func (m *Model) compileFactored(blocks [][]int, fams []*familyTerm, sums []float
 		return &s
 	}
 	return c, nil
-}
-
-// sortedFamilyTerms resolves the family map into deterministic mask order
-// once, so compilation and the factored fit iterate a slice instead of
-// re-sorting the map.
-func (m *Model) sortedFamilyTerms() []*familyTerm {
-	out := make([]*familyTerm, 0, len(m.families))
-	for _, vs := range sortedFamilies(m.families) {
-		out = append(out, m.families[vs])
-	}
-	return out
 }
 
 // R returns the number of attributes.

@@ -23,10 +23,15 @@
 // model is a product over the connected components of its constraint
 // graph, each block is solved and compiled densely over its own attributes,
 // and a compiled snapshot indexes every attribute to its block and its
-// position there. A query pays an engine sweep only on the blocks its
-// attributes or pins touch, plus one multiplication per other block by that
-// block's cached sum, always in block order, so the bits do not depend on
-// which blocks a query touches.
+// position there. A fit builds that decomposition once: each block's view
+// holds its families over block-local positions, aliasing the model's
+// coefficient arrays, and its constraints in the model's order, and the
+// block solves, the one-pass sums of clean blocks and the snapshot compile
+// all read it. The dense fit is the same solver over the identity view. A
+// query pays an engine sweep only on the blocks its attributes or pins
+// touch, plus one multiplication per other block by that block's cached
+// sum, always in block order, so the bits do not depend on which blocks a
+// query touches.
 //
 // With RecordTrace set, the solver records per-sweep coefficient
 // trajectories, which is how the repro binary regenerates the memo's

@@ -71,8 +71,7 @@ func (m *Model) Export() (*ModelState, error) {
 			Target: con.Target,
 		}
 	}
-	for _, vs := range sortedFamilies(m.families) {
-		ft := m.families[vs]
+	for _, ft := range m.sortedFamilyTerms() {
 		st.Families = append(st.Families, FamilyState{
 			Vars:   append([]int(nil), ft.vars...),
 			Coeffs: append([]float64(nil), ft.coeffs...),
@@ -238,7 +237,7 @@ func (m *Model) restoreCompiled(st *ModelState) error {
 		}
 		sums[i] = bs.Sum
 	}
-	c, err := m.compileFactored(blocks, m.sortedFamilyTerms(), sums)
+	c, err := m.compileFactored(m.decompose(blocks), sums)
 	if err != nil {
 		return fmt.Errorf("maxent: restoring model: %w", err)
 	}

@@ -208,7 +208,7 @@ func randomFactoredModel(t *testing.T, rng *rand.Rand) *Model {
 		}
 		tooDense := false
 		for _, blk := range probe.blocks() {
-			if _, err := probe.blockDenseSize(blk); err != nil {
+			if err := probe.checkBlockSize(blk); err != nil {
 				tooDense = true
 			}
 		}

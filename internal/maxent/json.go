@@ -46,21 +46,28 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 			Target: c.Target,
 		})
 	}
-	for _, vs := range sortedFamilies(m.families) {
-		ft := m.families[vs]
+	for _, ft := range m.sortedFamilyTerms() {
 		w.Families = append(w.Families, familyJSON{Vars: ft.vars, Coeffs: ft.coeffs})
 	}
 	return json.Marshal(w)
 }
 
-// sortedFamilies returns family keys in deterministic (mask) order.
-func sortedFamilies(fams map[contingency.VarSet]*familyTerm) []contingency.VarSet {
-	keys := make([]contingency.VarSet, 0, len(fams))
-	for k := range fams {
-		keys = append(keys, k)
+// keyedFamily is one family's coefficients beside its attribute set.
+type keyedFamily struct {
+	vs contingency.VarSet
+	*familyTerm
+}
+
+// sortedFamilyTerms returns the model's families in deterministic (mask)
+// order: (key, term) pairs taken in one walk of the map, then sorted, so
+// no key is looked up again.
+func (m *Model) sortedFamilyTerms() []keyedFamily {
+	out := make([]keyedFamily, 0, len(m.families))
+	for vs, ft := range m.families {
+		out = append(out, keyedFamily{vs, ft})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	return keys
+	sort.Slice(out, func(i, j int) bool { return out[i].vs.Less(out[j].vs) })
+	return out
 }
 
 // UnmarshalJSON decodes and validates a model. The receiver is overwritten.

@@ -41,10 +41,11 @@ type Model struct {
 	fitClean bool
 	// blockA0 caches each constraint block's a0 contribution from the last
 	// factored fit, keyed by the block's member set. An Incremental refit
-	// reuses a clean block's cached contribution bit-for-bit instead of
-	// re-summing its cells, so the refit a0 stays exactly consistent with
-	// the previous fit. Dense solves invalidate it (coefficients move
-	// outside block bookkeeping); nil means no cache.
+	// reuses a clean block's cached contribution bit-for-bit, so the refit
+	// a0 stays exactly consistent with the previous fit; a clean block
+	// missing from it is summed in one pass over its cells, the walk that
+	// seeds the solver's weights. Dense solves invalidate it (coefficients
+	// move outside block bookkeeping); nil means no cache.
 	blockA0 map[contingency.VarSet]float64
 }
 
@@ -295,8 +296,7 @@ func (m *Model) A0() float64 { return m.a0 }
 // run to run.
 func (m *Model) terms() []sumprod.Term {
 	out := make([]sumprod.Term, 0, len(m.families))
-	for _, vs := range sortedFamilies(m.families) {
-		ft := m.families[vs]
+	for _, ft := range m.sortedFamilyTerms() {
 		out = append(out, sumprod.Term{Vars: ft.vars, Coeffs: ft.coeffs})
 	}
 	return out

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pka/internal/contingency"
 )
 
-// referenceSubModel is the per-block construction subModels replaced: one
-// scan of every family and every constraint per block. It is kept here as
-// the specification the one-pass partition must reproduce.
+// referenceSubModel builds one block of m as a dense model of its own by
+// scanning every family and every constraint: the specification the
+// factored fit's block decomposition must reproduce. The sub-model's
+// families alias m's coefficient arrays, so solving it writes m's
+// coefficients.
 func referenceSubModel(m *Model, blk []int) (*Model, error) {
 	local := make(map[int]int, len(blk))
 	names := make([]string, len(blk))
@@ -26,8 +29,8 @@ func referenceSubModel(m *Model, blk []int) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, vs := range sortedFamilies(m.families) {
-		ft := m.families[vs]
+	for _, ft := range m.sortedFamilyTerms() {
+		vs := ft.vs
 		members := vs.Members()
 		if _, in := local[members[0]]; !in {
 			continue
@@ -119,122 +122,212 @@ func manyBlocksModel(t *testing.T) *Model {
 	return m
 }
 
-// TestSubModelsMatchPerBlockScan: the one-pass partition builds, block for
-// block, the same sub-models as the per-block scan — same families over
-// the same aliased coefficient arrays, same constraints in the same order.
-func TestSubModelsMatchPerBlockScan(t *testing.T) {
-	m := manyBlocksModel(t)
-	blocks := m.blocks()
-	if len(blocks) != 43 {
-		t.Fatalf("%d blocks, want 43 (39 singletons, three pairs and a triple)", len(blocks))
+// referenceFitFactored is fitFactored rebuilt from the specification: each
+// block is a referenceSubModel solved as a whole model by the per-offset
+// reference solver (refFit), a clean block without a cached a0 is summed
+// over its full joint, and the block a0s multiply in block order. It reads and updates m's fit state as
+// fitFactored does; opts must carry its defaults.
+func referenceFitFactored(m *Model, opts SolveOptions) (*Report, error) {
+	skipClean := opts.Incremental && m.fitClean && m.dirty != nil
+	rep := &Report{Converged: true}
+	a0 := 1.0
+	blockA0 := make(map[contingency.VarSet]float64)
+	for _, blk := range m.blocks() {
+		sub, err := referenceSubModel(m, blk)
+		if err != nil {
+			return nil, err
+		}
+		vs := contingency.NewVarSet(blk...)
+		dirty := false
+		for fam := range m.dirty {
+			for _, p := range blk {
+				dirty = dirty || fam.Has(p)
+			}
+		}
+		var ba0 float64
+		switch {
+		case len(sub.cons) == 0:
+			ba0 = 1 / float64(sub.NumCells())
+			if opts.Incremental {
+				rep.BlocksSkipped++
+			}
+		case skipClean && !dirty:
+			if cached, ok := m.blockA0[vs]; ok {
+				ba0 = cached
+			} else {
+				ev, err := sub.evaluator()
+				if err != nil {
+					return nil, err
+				}
+				sum := 0.0
+				for _, w := range ev.FullJoint() {
+					sum += w
+				}
+				ba0 = 1 / sum
+			}
+			rep.BlocksSkipped++
+		default:
+			brep, err := refFit(sub, opts)
+			if err != nil {
+				return nil, err
+			}
+			ba0 = sub.a0
+			rep.BlocksFit++
+			rep.Sweeps = max(rep.Sweeps, brep.Sweeps)
+			rep.Residual = math.Max(rep.Residual, brep.Residual)
+			rep.Converged = rep.Converged && brep.Converged
+		}
+		a0 *= ba0
+		blockA0[vs] = ba0
 	}
-	subs, err := m.subModels(blocks, m.sortedFamilyTerms())
+	m.a0, m.blockA0 = a0, blockA0
+	m.compiled.Store(nil)
+	return rep, nil
+}
+
+// requireFitMatchesReference fits m with opts and a clone of it with
+// referenceFitFactored, and requires the same error text or, on success,
+// == on every report field, every coefficient, a0, the block a0 cache
+// and the exported state. It returns m's report, nil on error.
+func requireFitMatchesReference(t *testing.T, m *Model, opts SolveOptions, label string) *Report {
+	t.Helper()
+	ref := m.Clone()
+	dopts, err := opts.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, blk := range blocks {
-		want, err := referenceSubModel(m, blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := subs[bi]
-		if fmt.Sprint(got.names, got.cards) != fmt.Sprint(want.names, want.cards) {
-			t.Fatalf("block %v: schema %v %v, want %v %v", blk, got.names, got.cards, want.names, want.cards)
-		}
-		if len(got.families) != len(want.families) {
-			t.Fatalf("block %v: %d families, want %d", blk, len(got.families), len(want.families))
-		}
-		for vs, wf := range want.families {
-			gf, ok := got.families[vs]
-			if !ok || fmt.Sprint(gf.vars) != fmt.Sprint(wf.vars) || &gf.coeffs[0] != &wf.coeffs[0] {
-				t.Fatalf("block %v: family %v differs or does not alias the parent's coefficients", blk, vs)
-			}
-		}
-		if len(got.cons) != len(want.cons) {
-			t.Fatalf("block %v: %d constraints, want %d", blk, len(got.cons), len(want.cons))
-		}
-		for i := range want.cons {
-			g, w := got.cons[i], want.cons[i]
-			if g.key() != w.key() || g.Target != w.Target || got.conIdx[g.key()] != i {
-				t.Fatalf("block %v: constraint %d is %s, want %s", blk, i, g.Label(got.names), w.Label(want.names))
-			}
-		}
+	rep, err := m.Fit(opts)
+	wantRep, wantErr := referenceFitFactored(ref, dopts)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, per-block reference %v", label, err, wantErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("%s: report %+v, per-block reference %+v", label, *rep, *wantRep)
+	}
+	requireBitIdentical(t, ref, m, label)
+	if !reflect.DeepEqual(m.blockA0, ref.blockA0) {
+		t.Fatalf("%s: block a0s %v, per-block reference %v", label, m.blockA0, ref.blockA0)
+	}
+	got, err := m.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: exported state differs from the per-block reference", label)
+	}
+	return rep
+}
+
+// requireBlockCounts fails unless the report re-solved fit blocks and
+// kept skipped ones.
+func requireBlockCounts(t *testing.T, rep *Report, fit, skipped int, label string) {
+	t.Helper()
+	if rep.BlocksFit != fit || rep.BlocksSkipped != skipped {
+		t.Fatalf("%s: %d blocks fit and %d skipped, want %d and %d", label, rep.BlocksFit, rep.BlocksSkipped, fit, skipped)
 	}
 }
 
 // TestFactoredFitMatchesPerBlockReference: the factored fit gives the same
-// coefficients, a0 and report, bit for bit, as solving per-block-scan
-// sub-models one at a time and reducing in block order.
+// coefficients, a0, block a0s, report and exported state, bit for bit, as
+// solving per-block-scan sub-models one at a time and reducing in block
+// order — from scratch and in Incremental refits, over dirty blocks, clean
+// blocks with and without a cached a0, unconstrained blocks and
+// zero-target constraints; and a block without model support for its
+// target fails with the reference's error text.
 func TestFactoredFitMatchesPerBlockReference(t *testing.T) {
-	m := manyBlocksModel(t)
-	ref := m.Clone()
-	opts, err := SolveOptions{}.withDefaults()
+	base := manyBlocksModel(t)
+	// Two more attributes carry no constraint at all: unconstrained
+	// singleton blocks.
+	m, err := NewModel(nil, append(base.Cards(), 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Fit(SolveOptions{})
+	for _, c := range base.Constraints() {
+		if err := m.AddConstraint(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A zero-target cell in a block of its own.
+	if err := m.AddConstraint(Constraint{Family: contingency.NewVarSet(5, 6), Values: []int{1, 1}, Target: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m.blocks()); n != 44 {
+		t.Fatalf("%d blocks, want 44", n)
+	}
+	rep := requireFitMatchesReference(t, m, SolveOptions{}, "from scratch")
+	requireBlockCounts(t, rep, 42, 0, "from scratch")
+
+	// One dirty block; the clean ones reuse their cached a0.
+	if err := m.SetTarget(contingency.NewVarSet(40, 41), []int{1, 1}, 0.9*constraintTarget(t, m, 40, 41)); err != nil {
+		t.Fatal(err)
+	}
+	rep = requireFitMatchesReference(t, m, SolveOptions{Incremental: true}, "incremental, cached a0s")
+	requireBlockCounts(t, rep, 1, 43, "incremental, cached a0s")
+
+	// A new family merges two singleton blocks into a dirty pair block.
+	if err := m.AddConstraint(Constraint{Family: contingency.NewVarSet(12, 13), Values: []int{0, 0}, Target: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	rep = requireFitMatchesReference(t, m, SolveOptions{Incremental: true}, "incremental, merged block")
+	requireBlockCounts(t, rep, 1, 42, "incremental, merged block")
+
+	// Restored without block a0s: the clean blocks are summed in one pass.
+	st, err := m.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range st.Blocks {
+		if i%3 != 0 {
+			st.Blocks[i].HasA0 = false
+		}
+	}
+	restored, err := RestoreModel(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.SetTarget(contingency.NewVarSet(3, 17), []int{1, 1}, 0.9*constraintTarget(t, restored, 3, 17)); err != nil {
+		t.Fatal(err)
+	}
+	rep = requireFitMatchesReference(t, restored, SolveOptions{Incremental: true}, "incremental, restored without a0s")
+	requireBlockCounts(t, rep, 1, 42, "incremental, restored without a0s")
+	requireFitMatchesReference(t, restored.Clone(), SolveOptions{}, "restored, from scratch")
 
-	want := &Report{Converged: true}
-	a0 := 1.0
-	for _, blk := range ref.blocks() {
-		sub, err := referenceSubModel(ref, blk)
-		if err != nil {
+	// Emptying attribute 10's first value leaves a positive pair target on
+	// it without model support.
+	for _, opts := range []SolveOptions{{}, {Incremental: true}} {
+		bad := m.Clone()
+		if err := bad.SetTarget(contingency.NewVarSet(10), []int{0}, 0); err != nil {
 			t.Fatal(err)
 		}
-		if len(sub.cons) == 0 {
-			size, err := ref.blockDenseSize(blk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a0 *= 1 / float64(size)
-			continue
-		}
-		brep, err := sub.fitDenseCore(opts)
-		if err != nil {
+		if err := bad.AddConstraint(Constraint{Family: contingency.NewVarSet(10, 11), Values: []int{0, 1}, Target: 0.05}); err != nil {
 			t.Fatal(err)
 		}
-		a0 *= sub.a0
-		want.BlocksFit++
-		want.Sweeps = max(want.Sweeps, brep.Sweeps)
-		want.Residual = math.Max(want.Residual, brep.Residual)
-		want.Converged = want.Converged && brep.Converged
-	}
-
-	if rep.BlocksFit != want.BlocksFit || rep.Sweeps != want.Sweeps || rep.Converged != want.Converged ||
-		math.Float64bits(rep.Residual) != math.Float64bits(want.Residual) {
-		t.Fatalf("report %+v, per-block reference %+v", *rep, *want)
-	}
-	if math.Float64bits(m.A0()) != math.Float64bits(a0) {
-		t.Fatalf("a0 = %v, per-block reference %v", m.A0(), a0)
-	}
-	for _, c := range m.Constraints() {
-		got, err := m.Coefficient(c.Family, c.Values)
-		if err != nil {
-			t.Fatal(err)
+		ref := bad.Clone()
+		_, err := bad.Fit(opts)
+		if err == nil || !strings.Contains(err.Error(), "has zero model support") {
+			t.Fatalf("zero-support fit: err = %v", err)
 		}
-		wantC, err := ref.Coefficient(c.Family, c.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(wantC) {
-			t.Fatalf("coefficient %s = %v, per-block reference %v", c.Label(m.names), got, wantC)
-		}
+		requireFitMatchesReference(t, ref, opts, "zero model support")
 	}
 }
 
-// TestSubModelsRejectStraddlingFamily: a partition that splits a family
-// across blocks is refused, not silently truncated.
-func TestSubModelsRejectStraddlingFamily(t *testing.T) {
-	m := manyBlocksModel(t)
-	split := make([][]int, m.R())
-	for p := range split {
-		split[p] = []int{p}
+// constraintTarget returns the target of m's constraint on the pair {p, q}
+// at values (1, 1).
+func constraintTarget(t *testing.T, m *Model, p, q int) float64 {
+	t.Helper()
+	fam := contingency.NewVarSet(p, q)
+	for _, c := range m.cons {
+		if c.Family == fam && c.Values[0] == 1 && c.Values[1] == 1 {
+			return c.Target
+		}
 	}
-	_, err := m.subModels(split, m.sortedFamilyTerms())
-	if err == nil || !strings.Contains(err.Error(), "straddles blocks") {
-		t.Fatalf("straddling partition: err = %v, want a straddles-blocks error", err)
-	}
+	t.Fatalf("no constraint on %v at (1, 1)", fam)
+	return 0
 }

@@ -30,7 +30,7 @@ func newRefState(m *Model) *refState {
 		strides[i] = stride
 		stride *= m.cards[i]
 	}
-	famOrder := sortedFamilies(m.families)
+	famOrder := m.sortedFamilyTerms()
 	cell := make([]int, len(m.cards))
 	for off := 0; off < size; off++ {
 		rem := off
@@ -39,8 +39,7 @@ func newRefState(m *Model) *refState {
 			rem /= m.cards[i]
 		}
 		p := 1.0
-		for _, vs := range famOrder {
-			ft := m.families[vs]
+		for _, ft := range famOrder {
 			fo := 0
 			for _, pos := range ft.vars {
 				fo = fo*m.cards[pos] + cell[pos]
@@ -124,7 +123,7 @@ func (s *refState) sweepGaussSeidel() (float64, error) {
 	return maxResid, nil
 }
 
-// refFit is fitDenseCore's sweep loop over the reference state; opts must
+// refFit is solve's sweep loop over the reference state; opts must
 // already carry its defaults.
 func refFit(m *Model, opts SolveOptions) (*Report, error) {
 	var err error
@@ -283,7 +282,7 @@ func TestRunSweepsMatchPerOffsetReference(t *testing.T) {
 // a0. It reports whether the fits succeeded.
 func sameFit(t *testing.T, got, want *Model, opts SolveOptions, label string) bool {
 	t.Helper()
-	rep, err := got.fitDenseCore(opts)
+	rep, err := got.fitDense(opts)
 	wantRep, wantErr := refFit(want, opts)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v, reference %v", label, err, wantErr)
@@ -304,7 +303,7 @@ func TestMatchingRunsCoverFamilyCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 6; trial++ {
 		m := randomDenseModel(t, rng)
-		s := newSolverState(m)
+		s := newSolverState(m.wholeView(), m.cons, m.names)
 		ref := newRefState(m)
 		for i, c := range m.cons {
 			var got []int

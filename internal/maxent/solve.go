@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"pka/internal/contingency"
+	"pka/internal/sumprod"
 )
 
 // SolveOptions tunes Fit, which always runs the memo's Gauss–Seidel
@@ -25,8 +26,10 @@ type SolveOptions struct {
 	// last Fit converged and a constraint block's targets have not moved
 	// since (no AddConstraint or SetTarget touched its families), the
 	// factored solver keeps that block's converged coefficients instead of
-	// re-sweeping it, and a fully clean model skips the solve outright.
-	// Off, every block is re-solved — the historical behaviour.
+	// re-sweeping it, and takes the block's a0 from the last fit, or from
+	// one pass over its cells when none is cached (a restored model); a
+	// fully clean model skips the solve outright. Off, every block is
+	// re-solved — the historical behaviour.
 	Incremental bool
 }
 
@@ -131,12 +134,16 @@ func (m *Model) fitDispatch(opts SolveOptions) (*Report, error) {
 
 // fitDense is the dense-joint solve plus the compiled-snapshot refresh the
 // public Fit contract promises: opts must already be validated and
-// defaulted, and at least one constraint registered.
+// defaulted, and at least one constraint registered. It runs the block
+// solver over the identity view.
 func (m *Model) fitDense(opts SolveOptions) (*Report, error) {
-	rep, err := m.fitDenseCore(opts)
+	m.compiled.Store(nil) // coefficients are about to move; drop the snapshot
+	m.blockA0 = nil       // a dense solve moves coefficients outside the block bookkeeping
+	rep, a0, err := m.solve(m.wholeView(), opts)
 	if err != nil {
 		return nil, err
 	}
+	m.a0 = a0
 	// Refresh the compiled snapshot so the fitted model serves queries —
 	// including the concurrent scan's batch marginals — without a rebuild.
 	if _, err := m.Compile(); err != nil {
@@ -145,13 +152,11 @@ func (m *Model) fitDense(opts SolveOptions) (*Report, error) {
 	return rep, nil
 }
 
-// fitDenseCore runs the dense solve without compiling a snapshot — the
-// factored solver fits throwaway per-block sub-models through it and
-// compiles the parent once at the end instead.
-func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
-	m.compiled.Store(nil) // coefficients are about to move; drop the snapshot
-	m.blockA0 = nil       // a dense solve moves coefficients outside the block bookkeeping
-	s := newSolverState(m)
+// solve runs the Gauss–Seidel sweeps over one view of the model, writing
+// the model's coefficients in place, and returns the report and the
+// view's a0, 1/Σ products. opts must already be validated and defaulted.
+func (m *Model) solve(v *blockView, opts SolveOptions) (*Report, float64, error) {
+	s := newSolverState(v, m.cons, m.names)
 	rep := &Report{}
 	if opts.RecordTrace {
 		rep.Labels = m.ConstraintLabels()
@@ -159,7 +164,7 @@ func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		resid, err := s.sweepGaussSeidel()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		rep.Sweeps = sweep
 		rep.Residual = resid
@@ -173,15 +178,15 @@ func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
 		}
 	}
 	if s.sumW <= 0 || math.IsNaN(s.sumW) || math.IsInf(s.sumW, 0) {
-		return nil, fmt.Errorf("maxent: degenerate weight sum %g after fitting", s.sumW)
+		return nil, 0, fmt.Errorf("maxent: degenerate weight sum %g after fitting", s.sumW)
 	}
-	m.a0 = 1 / s.sumW
-	return rep, nil
+	return rep, 1 / s.sumW, nil
 }
 
-// solverState caches the dense unnormalized joint w = Π coefficients so
-// constraint updates cost O(matching cells) instead of a full recursion.
-// The normalized model probability of a cell is w[cell]/sumW throughout.
+// solverState caches the dense unnormalized joint w = Π coefficients of
+// one view so constraint updates cost O(matching cells) instead of a full
+// recursion. The normalized probability of a cell is w[cell]/sumW
+// throughout.
 //
 // A constraint's matched cells come in contiguous runs: every attribute
 // above the family's highest member is free, and those are the fastest
@@ -191,98 +196,88 @@ func (m *Model) fitDenseCore(opts SolveOptions) (*Report, error) {
 // each start in ascending order — the same cells in the same order as a
 // per-offset list, at a fraction of its memory.
 type solverState struct {
-	m    *Model
 	w    []float64
 	sumW float64
-	// runs[i] holds constraint i's matched runs and coefficient.
+	// cons and names are the model's: the view's constraints index cons,
+	// and error labels name them as the model does.
+	cons  []Constraint
+	names []string
+	// runs[k] holds the matched runs and coefficient of the view's k-th
+	// constraint, cons[idx[k]].
+	idx  []int
 	runs []matchRuns
-	// order visits zero-target constraints first, so degenerate values are
-	// zeroed before their complement constraints (which then read target 1
-	// trivially satisfied) are touched.
+	// order lists the runs to visit, zero-target constraints first, so
+	// degenerate values are zeroed before their complement constraints
+	// (which then read target 1 trivially satisfied) are touched.
 	order []int
 }
 
-func newSolverState(m *Model) *solverState {
-	size := m.NumCells()
+func newSolverState(v *blockView, cons []Constraint, names []string) *solverState {
 	s := &solverState{
-		m:    m,
-		w:    make([]float64, size),
-		runs: make([]matchRuns, len(m.cons)),
+		w:     make([]float64, v.numCells()),
+		cons:  cons,
+		names: names,
+		idx:   v.cons,
+		runs:  make([]matchRuns, len(v.cons)),
 	}
 	// Initialize weights from current coefficients (all 1 on a fresh model;
 	// refits after discovery start from the previous solution, the memo's
-	// "starting with the last previously calculated a values"). The cell
-	// odometer runs row-major, last attribute fastest.
-	fams := m.sortedFamilyTerms()
-	cell := make([]int, len(m.cards))
-	for off := 0; off < size; off++ {
-		p := 1.0
-		for _, ft := range fams {
-			fo := 0
-			for _, pos := range ft.vars {
-				fo = fo*m.cards[pos] + cell[pos]
-			}
-			p *= ft.coeffs[fo]
-		}
-		s.w[off] = p
-		s.sumW += p
-		for i := len(cell) - 1; i >= 0; i-- {
-			cell[i]++
-			if cell[i] < m.cards[i] {
-				break
-			}
-			cell[i] = 0
-		}
-	}
-	strides := make([]int, len(m.cards))
+	// "starting with the last previously calculated a values").
+	s.sumW = v.weights(s.w)
+	strides := make([]int, len(v.cards))
 	stride := 1
-	for i := len(m.cards) - 1; i >= 0; i-- {
+	for i := len(v.cards) - 1; i >= 0; i-- {
 		strides[i] = stride
-		stride *= m.cards[i]
+		stride *= v.cards[i]
 	}
-	for i, c := range m.cons {
-		s.runs[i] = s.matchingRuns(c, strides)
+	for k, ci := range v.cons {
+		c := cons[ci]
+		s.runs[k] = matchingRuns(c.Values, v.term(c.Family), v.cards, strides)
 	}
-	s.order = make([]int, 0, len(m.cons))
-	for i, c := range m.cons {
-		if c.Target == 0 {
-			s.order = append(s.order, i)
+	s.order = make([]int, 0, len(v.cons))
+	for k, ci := range v.cons {
+		if cons[ci].Target == 0 {
+			s.order = append(s.order, k)
 		}
 	}
-	for i, c := range m.cons {
-		if c.Target != 0 {
-			s.order = append(s.order, i)
+	for k, ci := range v.cons {
+		if cons[ci].Target != 0 {
+			s.order = append(s.order, k)
 		}
 	}
 	return s
 }
 
 // matchRuns is one constraint's bookkeeping, resolved once per solver
-// state so sweeps never hash the family.
+// state so sweeps never look the family up.
 type matchRuns struct {
 	starts []int    // first offset of each run, ascending
 	n      int      // common run length
 	coeff  *float64 // the coefficient the constraint adjusts
 }
 
-// matchingRuns enumerates the contiguous runs of flat joint offsets whose
-// coordinates agree with the constraint's family cell: one start per
-// combination of the free attributes below the family's highest member
-// (odometer order, last fastest), each run strides[highest] cells long.
-func (s *solverState) matchingRuns(c Constraint, strides []int) matchRuns {
-	members := c.Family.Members()
-	top := members[len(members)-1]
-	base := 0
-	for i, p := range members {
-		base += c.Values[i] * strides[p]
+// matchingRuns enumerates the contiguous runs of flat offsets, in a view
+// with cards and row-major strides, whose coordinates agree with the
+// family cell values of term t: one start per combination of the free
+// attributes below the family's highest member (odometer order, last
+// fastest), each run strides[highest] cells long. The coefficient is the
+// cell's entry in t.Coeffs.
+func matchingRuns(values []int, t sumprod.Term, cards, strides []int) matchRuns {
+	top := t.Vars[len(t.Vars)-1]
+	base, coeff := 0, 0
+	for i, p := range t.Vars {
+		base += values[i] * strides[p]
+		coeff = coeff*cards[p] + values[i]
 	}
 	var free []int
-	count := 1
+	count, next := 1, 0
 	for axis := 0; axis < top; axis++ {
-		if !c.Family.Has(axis) {
-			free = append(free, axis)
-			count *= s.m.cards[axis]
+		if axis == t.Vars[next] {
+			next++
+			continue
 		}
+		free = append(free, axis)
+		count *= cards[axis]
 	}
 	out := make([]int, 0, count)
 	idx := make([]int, len(free))
@@ -295,7 +290,7 @@ func (s *solverState) matchingRuns(c Constraint, strides []int) matchRuns {
 		i := len(free) - 1
 		for i >= 0 {
 			idx[i]++
-			if idx[i] < s.m.cards[free[i]] {
+			if idx[i] < cards[free[i]] {
 				break
 			}
 			idx[i] = 0
@@ -305,14 +300,13 @@ func (s *solverState) matchingRuns(c Constraint, strides []int) matchRuns {
 			break
 		}
 	}
-	ft := s.m.families[c.Family]
-	return matchRuns{starts: out, n: strides[top], coeff: &ft.coeffs[ft.offset(s.m.cards, c.Values)]}
+	return matchRuns{starts: out, n: strides[top], coeff: &t.Coeffs[coeff]}
 }
 
-// matchSum returns Σ w over constraint ci's matched cells, ascending.
-func (s *solverState) matchSum(ci int) float64 {
+// matchSum returns Σ w over run k's matched cells, ascending.
+func (s *solverState) matchSum(k int) float64 {
 	var sum float64
-	mr := &s.runs[ci]
+	mr := &s.runs[k]
 	for _, st := range mr.starts {
 		for _, v := range s.w[st : st+mr.n] {
 			sum += v
@@ -356,14 +350,14 @@ func updateFactors(q float64, c Constraint, names []string) (f, g float64, err e
 // the max pre-update residual.
 func (s *solverState) sweepGaussSeidel() (float64, error) {
 	maxResid := 0.0
-	for _, ci := range s.order {
-		c := s.m.cons[ci]
-		matchSum := s.matchSum(ci)
+	for _, k := range s.order {
+		c := s.cons[s.idx[k]]
+		matchSum := s.matchSum(k)
 		q := matchSum / s.sumW
 		if d := math.Abs(q - c.Target); d > maxResid {
 			maxResid = d
 		}
-		f, g, err := updateFactors(q, c, s.m.names)
+		f, g, err := updateFactors(q, c, s.names)
 		if err != nil {
 			return 0, err
 		}
@@ -373,7 +367,7 @@ func (s *solverState) sweepGaussSeidel() (float64, error) {
 		// Stored weights are coefficient products: matched cells absorb
 		// f/g; the uniform complement factor g cancels against a0.
 		odds := f / g
-		mr := &s.runs[ci]
+		mr := &s.runs[k]
 		*mr.coeff *= odds
 		newMatch := 0.0
 		for _, st := range mr.starts {
@@ -398,10 +392,10 @@ func (s *solverState) recomputeSum() {
 	s.sumW = total
 }
 
-// coefficientSnapshot returns the current coefficient of every constraint in
-// insertion order.
+// coefficientSnapshot returns the current coefficient of every constraint
+// of the view, in its order.
 func (s *solverState) coefficientSnapshot() []float64 {
-	out := make([]float64, len(s.m.cons))
+	out := make([]float64, len(s.runs))
 	for i := range s.runs {
 		out[i] = *s.runs[i].coeff
 	}

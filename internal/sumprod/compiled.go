@@ -9,9 +9,10 @@ import (
 // Compiled is an immutable, goroutine-safe inference engine over a snapshot
 // of product-formula terms. Where Evaluator is rebuilt (and re-validated)
 // per use, Compile is called once: it deep-copies the coefficient arrays,
-// fixes the elimination order, groups terms by highest variable, and pools
-// the fold scratch buffers so steady-state queries allocate nothing beyond
-// their result.
+// fixes the elimination order and groups terms by highest variable. Fold
+// scratch comes from one pool shared by every engine, so steady-state
+// queries allocate nothing beyond their result and an engine costs nothing
+// to set up for it.
 //
 // The evaluation primitives are bit-identical to Evaluator: the fold visits
 // levels, prefix cells, and term factors in exactly the same order, so every
@@ -35,7 +36,6 @@ type Compiled struct {
 	terms   []Term  // coefficient snapshots, deep-copied at Compile time
 	byLevel [][]int // byLevel[n] = indices of terms whose highest var is n
 	size    int     // full joint size
-	scratch sync.Pool
 	// suffix is the shared eliminated suffix (see buildSuffix), written
 	// once under suffixOnce by the first unpinned batch marginal and
 	// immutable afterwards; every reader calls suffixOnce.Do first.
@@ -44,7 +44,8 @@ type Compiled struct {
 }
 
 // foldScratch holds the per-call working state of one elimination sweep.
-// Instances are pooled per engine so concurrent callers never share one.
+// Instances are pooled so concurrent callers never share one; scratchPool
+// serves every engine, and getScratch sizes an instance to the engine.
 type foldScratch struct {
 	bufA, bufB []float64
 	cell       []int
@@ -97,15 +98,6 @@ func Compile(cards []int, terms []Term) (*Compiled, error) {
 		h := t.Vars[len(t.Vars)-1]
 		c.byLevel[h] = append(c.byLevel[h], ti)
 	}
-	r := len(cards)
-	c.scratch.New = func() any {
-		return &foldScratch{
-			cell:  make([]int, r),
-			edims: make([]int, r),
-			fixed: make([]int, r),
-			keep:  make([]bool, r),
-		}
-	}
 	return c, nil
 }
 
@@ -115,21 +107,28 @@ func (c *Compiled) Cards() []int { return append([]int(nil), c.cards...) }
 // NumCells returns the size of the full joint space.
 func (c *Compiled) NumCells() int { return c.size }
 
-// getScratch pops a scratch from the pool with the pin state reset.
+// scratchPool holds fold scratch for every engine.
+var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+// getScratch pops a scratch from the shared pool, sized to the engine's
+// attribute count, with the pin state reset.
 func (c *Compiled) getScratch() *foldScratch {
-	sc := c.scratch.Get().(*foldScratch)
-	for v := range sc.fixed {
+	sc := scratchPool.Get().(*foldScratch)
+	r := len(c.cards)
+	sc.cell, sc.edims = grow(sc.cell, r), grow(sc.edims, r)
+	sc.fixed, sc.keep = grow(sc.fixed, r), grow(sc.keep, r)
+	for v := range r {
 		sc.fixed[v] = -1
 		sc.keep[v] = false
 	}
-	//pkalint:poolhygiene accessor contract: every caller pairs getScratch with c.scratch.Put once the fold result is consumed
+	//pkalint:poolhygiene accessor contract: every caller pairs getScratch with scratchPool.Put once the fold result is consumed
 	return sc
 }
 
 // grow returns buf resized to n, reallocating only when capacity is short.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -329,7 +328,7 @@ func (c *Compiled) SumFixed(fixed []int) float64 {
 		sc.fixed[v] = fixed[v]
 	}
 	res := c.fold(sc)[0]
-	c.scratch.Put(sc)
+	scratchPool.Put(sc)
 	return res
 }
 
@@ -342,7 +341,7 @@ func (c *Compiled) SumPinned(vars []int, values []int) float64 {
 		sc.fixed[v] = values[i]
 	}
 	res := c.fold(sc)[0]
-	c.scratch.Put(sc)
+	scratchPool.Put(sc)
 	return res
 }
 
@@ -389,7 +388,7 @@ func (c *Compiled) MarginalFixed(vars []int, fixed []int) ([]float64, error) {
 	}
 	out := make([]float64, size)
 	copy(out, c.fold(sc))
-	c.scratch.Put(sc)
+	scratchPool.Put(sc)
 	return out, nil
 }
 
