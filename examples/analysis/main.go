@@ -13,7 +13,7 @@ import (
 	"log"
 
 	"pka"
-	"pka/internal/baseline"
+	"pka/internal/dataset"
 	"pka/internal/stats"
 	"pka/internal/synth"
 )
@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rng := stats.NewRNG(2026)
-	train, holdout, err := baseline.TrainTestSplit(full, 0.25, rng.Float64)
+	train, holdout, err := dataset.TrainTestSplit(full, 0.25, rng.Float64)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package crossval
 
 import (
 	"fmt"
-	"math"
 
 	"pka/internal/contingency"
 	"pka/internal/core"
@@ -18,11 +17,14 @@ import (
 type OrderScore struct {
 	MaxOrder int
 	// MeanLoss is the average held-out log loss (nats/sample) across
-	// folds; +Inf when any fold's model zeroes an occupied held-out cell.
+	// the scored folds; +Inf when any fold's model zeroes an occupied
+	// held-out cell.
 	MeanLoss float64
-	// FoldLosses holds the per-fold losses.
+	// FoldLosses holds the per-fold losses, in fold order. A fold that drew
+	// no samples is not scored and has no entry.
 	FoldLosses []float64
-	// MeanFindings is the average number of accepted constraints.
+	// MeanFindings is the average number of accepted constraints across
+	// the scored folds.
 	MeanFindings float64
 }
 
@@ -56,25 +58,13 @@ func SelectMaxOrder(table *contingency.Table, maxOrder, folds int, rng *stats.RN
 		sc := OrderScore{MaxOrder: order}
 		sumLoss := 0.0
 		sumFind := 0.0
-		for heldIdx := range foldTables {
-			train, err := contingency.New(table.Names(), table.Cards())
+		for heldIdx, held := range foldTables {
+			if held.Total() == 0 {
+				continue
+			}
+			train, err := trainingTable(foldTables, heldIdx)
 			if err != nil {
 				return nil, 0, err
-			}
-			for fi, ft := range foldTables {
-				if fi == heldIdx {
-					continue
-				}
-				var addErr error
-				ft.EachCell(func(cell []int, count int64) {
-					if addErr != nil || count == 0 {
-						return
-					}
-					addErr = train.Add(count, cell...)
-				})
-				if addErr != nil {
-					return nil, 0, addErr
-				}
 			}
 			o := opts
 			o.MaxOrder = order
@@ -82,7 +72,11 @@ func SelectMaxOrder(table *contingency.Table, maxOrder, folds int, rng *stats.RN
 			if err != nil {
 				return nil, 0, fmt.Errorf("crossval: order %d fold %d: %w", order, heldIdx, err)
 			}
-			loss, err := heldOutLoss(res, foldTables[heldIdx])
+			eng, err := res.Model.Compile()
+			if err != nil {
+				return nil, 0, err
+			}
+			loss, err := eng.LogLoss(held)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -90,8 +84,9 @@ func SelectMaxOrder(table *contingency.Table, maxOrder, folds int, rng *stats.RN
 			sumLoss += loss
 			sumFind += float64(len(res.Findings))
 		}
-		sc.MeanLoss = sumLoss / float64(folds)
-		sc.MeanFindings = sumFind / float64(folds)
+		scored := float64(len(sc.FoldLosses))
+		sc.MeanLoss = sumLoss / scored
+		sc.MeanFindings = sumFind / scored
 		scores = append(scores, sc)
 	}
 	best := 0
@@ -101,6 +96,30 @@ func SelectMaxOrder(table *contingency.Table, maxOrder, folds int, rng *stats.RN
 		}
 	}
 	return scores, best, nil
+}
+
+// trainingTable pools every fold but the held-out one.
+func trainingTable(foldTables []*contingency.Table, heldIdx int) (*contingency.Table, error) {
+	train, err := contingency.New(foldTables[0].Names(), foldTables[0].Cards())
+	if err != nil {
+		return nil, err
+	}
+	for fi, ft := range foldTables {
+		if fi == heldIdx {
+			continue
+		}
+		var addErr error
+		ft.EachCell(func(cell []int, count int64) {
+			if addErr != nil || count == 0 {
+				return
+			}
+			addErr = train.Add(count, cell...)
+		})
+		if addErr != nil {
+			return nil, addErr
+		}
+	}
+	return train, nil
 }
 
 // split distributes the table's samples over k fold tables.
@@ -130,27 +149,4 @@ func split(table *contingency.Table, folds int, rng *stats.RNG) ([]*contingency.
 		return nil, outer
 	}
 	return out, nil
-}
-
-// heldOutLoss scores a discovery result on a held-out fold.
-func heldOutLoss(res *core.Result, held *contingency.Table) (float64, error) {
-	if held.Total() == 0 {
-		// A degenerate tiny fold: contributes zero loss rather than NaN.
-		return 0, nil
-	}
-	joint, err := res.Model.Joint()
-	if err != nil {
-		return 0, err
-	}
-	var loss float64
-	for i, c := range held.Counts() {
-		if c == 0 {
-			continue
-		}
-		if joint[i] <= 0 {
-			return math.Inf(1), nil
-		}
-		loss -= float64(c) * math.Log(joint[i])
-	}
-	return loss / float64(held.Total()), nil
 }

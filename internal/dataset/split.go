@@ -1,41 +1,10 @@
-package baseline
+package dataset
 
 import (
 	"fmt"
-	"math"
 
 	"pka/internal/contingency"
 )
-
-// HeldOutLogLoss returns the average negative log-likelihood (nats per
-// sample) of held-out data under a model — the generalization measure for
-// experiment X7. Cells the model assigns zero probability while the test
-// data occupies them yield +Inf; smoothing is the caller's choice.
-func HeldOutLogLoss(m JointModel, test *contingency.Table) (float64, error) {
-	if test.Total() == 0 {
-		return 0, fmt.Errorf("baseline: empty held-out table")
-	}
-	joint, err := m.Joint()
-	if err != nil {
-		return 0, err
-	}
-	if len(joint) != test.NumCells() {
-		return 0, fmt.Errorf("baseline: model has %d cells, held-out table %d",
-			len(joint), test.NumCells())
-	}
-	var loss float64
-	for i, c := range test.Counts() {
-		if c == 0 {
-			continue
-		}
-		p := joint[i]
-		if p <= 0 {
-			return math.Inf(1), nil
-		}
-		loss -= float64(c) * math.Log(p)
-	}
-	return loss / float64(test.Total()), nil
-}
 
 // TrainTestSplit splits a record-count table into train and test tables by
 // assigning each sample independently to test with probability testFrac,
@@ -46,10 +15,10 @@ func HeldOutLogLoss(m JointModel, test *contingency.Table) (float64, error) {
 // records.
 func TrainTestSplit(t *contingency.Table, testFrac float64, uniform func() float64) (train, test *contingency.Table, err error) {
 	if testFrac <= 0 || testFrac >= 1 {
-		return nil, nil, fmt.Errorf("baseline: test fraction %g outside (0,1)", testFrac)
+		return nil, nil, fmt.Errorf("dataset: test fraction %g outside (0,1)", testFrac)
 	}
 	if uniform == nil {
-		return nil, nil, fmt.Errorf("baseline: nil uniform source")
+		return nil, nil, fmt.Errorf("dataset: nil uniform source")
 	}
 	train, err = contingency.New(t.Names(), t.Cards())
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // observation is nonzero, which we surface explicitly).
 //
 // It is the classic 1900-era significance machinery the memo's MML criterion
-// replaces; we keep it as the ablation baseline (experiment X4).
+// replaces; the association screen still uses it.
 func ChiSquareStat(observed []int64, expected []float64) (float64, error) {
 	if len(observed) != len(expected) {
 		return 0, fmt.Errorf("stats: chi-square length mismatch %d vs %d",
@@ -132,33 +132,4 @@ func gammaContinuedFraction(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-LogGamma(a)) * h
-}
-
-// ChiSquareCritical returns the approximate critical value x such that
-// P(X > x) = alpha for k degrees of freedom, found by bisection on the CDF.
-// It is used by the chi-square ablation baseline to convert a significance
-// level into a cell-selection threshold.
-func ChiSquareCritical(alpha float64, k int) (float64, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return 0, fmt.Errorf("stats: alpha %g must be in (0,1)", alpha)
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("stats: degrees of freedom %d must be positive", k)
-	}
-	lo, hi := 0.0, float64(k)+20*math.Sqrt(2*float64(k))+50
-	for ChiSquareSF(hi, k) > alpha {
-		hi *= 2
-		if hi > 1e9 {
-			return 0, fmt.Errorf("stats: chi-square critical value search diverged")
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if ChiSquareSF(mid, k) > alpha {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }

@@ -105,32 +105,6 @@ func TestChiSquareCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestChiSquareCriticalRoundTrip(t *testing.T) {
-	for _, k := range []int{1, 2, 5, 10} {
-		for _, alpha := range []float64{0.1, 0.05, 0.01} {
-			x, err := ChiSquareCritical(alpha, k)
-			if err != nil {
-				t.Fatalf("critical(%g, %d): %v", alpha, k, err)
-			}
-			if sf := ChiSquareSF(x, k); !almostEqual(sf, alpha, 1e-6) {
-				t.Errorf("SF(critical(%g,%d)=%g) = %g", alpha, k, x, sf)
-			}
-		}
-	}
-}
-
-func TestChiSquareCriticalValidation(t *testing.T) {
-	if _, err := ChiSquareCritical(0, 3); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := ChiSquareCritical(1, 3); err == nil {
-		t.Error("alpha=1 accepted")
-	}
-	if _, err := ChiSquareCritical(0.05, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestRegLowerGammaKnownValues(t *testing.T) {
 	// P(1, x) = 1 - e^{-x}.
 	for _, x := range []float64{0.1, 1, 3, 10} {

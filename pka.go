@@ -27,7 +27,7 @@
 //
 // The packages under internal/ carry the full machinery (contingency
 // tables, the maximum-entropy solver, the MML significance test, the
-// discovery engine, baselines, and synthetic workload generators); this
+// discovery engine, and synthetic workload generators); this
 // package is the stable public surface.
 package pka
 
