@@ -414,7 +414,7 @@ func TestDiscoverChiSqFindsMemoStructure(t *testing.T) {
 
 func TestDiscoverBICFindsMemoStructure(t *testing.T) {
 	tab := paperdata.Table()
-	m, picks, err := discoverBIC(tab, 2)
+	_, picks, err := discoverBIC(tab, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +425,17 @@ func TestDiscoverBICFindsMemoStructure(t *testing.T) {
 	if first.Family != contingency.NewVarSet(0, 1) || first.Values[0] != 0 || first.Values[1] != 0 {
 		t.Errorf("first BIC pick = %v%v, want N^AB_11", first.Family, first.Values)
 	}
-	// Picks carry their order and a positive score, and the model view
-	// counts one parameter per constraint over a normalized joint.
+}
+
+// TestMaxentModelAdapter checks the model view the criterion comparisons
+// score: picks carry their order and a positive score, and the view counts
+// one parameter per constraint over a normalized joint.
+func TestMaxentModelAdapter(t *testing.T) {
+	tab := paperdata.Table()
+	m, picks, err := discoverBIC(tab, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range picks {
 		if p.Order != 2 {
 			t.Errorf("pick at order %d", p.Order)
