@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"pka"
+	"pka/internal/contingency"
 )
 
 // cmdAnalyze prints the pairwise association survey of a CSV dataset — the
@@ -63,7 +64,16 @@ func cmdValidate(w io.Writer, args []string) error {
 		return err
 	}
 	defer f.Close()
-	table, err := pka.TabulateCSV(f, model.Schema())
+	// A schema whose joint space no dense table holds (the wide, factored
+	// regime) is tabulated sparse; LogLoss scores only occupied cells either
+	// way, and every other schema keeps the dense table and its summation
+	// order.
+	var table pka.Counts
+	if contingency.DenseFits(model.Schema().Cards()) {
+		table, err = pka.TabulateCSV(f, model.Schema())
+	} else {
+		table, err = pka.TabulateCSVSparse(f, model.Schema())
+	}
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pka"
 )
 
 func TestAnalyzeSubcommand(t *testing.T) {
@@ -165,5 +169,53 @@ func TestValidateSimulatedHoldout(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "2000 samples") {
 		t.Errorf("holdout validate output:\n%s", buf.String())
+	}
+}
+
+// TestValidateWideSchema: a knowledge base over 40 binary attributes has a
+// joint space no dense table holds, so validate tabulates the CSV sparse
+// and prints the loss LogLoss gives on that sparse table.
+func TestValidateWideSchema(t *testing.T) {
+	dir := t.TempDir()
+	trainCSV := filepath.Join(dir, "train.csv")
+	testCSV := filepath.Join(dir, "test.csv")
+	kbPath := filepath.Join(dir, "kb.json")
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"simulate", "-scenario", "wide", "-factors", "20", "-n", "600", "-seed", "1", "-out", trainCSV}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, []string{"simulate", "-scenario", "wide", "-factors", "20", "-n", "300", "-seed", "2", "-out", testCSV}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, []string{"discover", "-in", trainCSV, "-sparse", "-screen", "-max-order", "2", "-max-constraints", "6", "-out", kbPath}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run(&buf, []string{"validate", "-kb", kbPath, "-in", testCSV}); err != nil {
+		t.Fatal(err)
+	}
+	model, err := loadKB(kbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(testCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	table, err := pka.TabulateCSVSparse(f, model.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := model.LogLoss(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(loss, 0) || math.IsNaN(loss) {
+		t.Fatalf("sparse log loss %g", loss)
+	}
+	want := fmt.Sprintf("validation: 300 samples\nlog loss: %.4f nats/sample (%.4f bits/sample)\n", loss, loss/math.Ln2)
+	if buf.String() != want {
+		t.Errorf("validate output:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

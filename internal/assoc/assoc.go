@@ -33,30 +33,28 @@ type PairStats struct {
 	CramersV float64
 }
 
-// pairScratch is a screen's reusable float buffers, so scoring allocates
+// pairScratch is a screen's reusable float buffer, so scoring allocates
 // once per screen, not once per pair.
 type pairScratch struct{ buf []float64 }
 
-// scorePair computes the association statistics of one pair from its
-// row-major ci × cj count table obs; i and j are the attribute positions
-// reported, n the parent table's total.
-func scorePair(obs []int64, ci, cj, i, j int, n float64, sc *pairScratch) (PairStats, error) {
+// floats returns the scratch's first k floats, growing it when needed.
+func (sc *pairScratch) floats(k int) []float64 {
+	if cap(sc.buf) < k {
+		sc.buf = make([]float64, k)
+	}
+	return sc.buf[:k]
+}
+
+// pairG2 returns the G² of one pair's row-major ci × cj count table obs
+// against independence of its margins, n the parent table's total. buf
+// holds at least ci·cj + ci + cj floats; its first ci·cj receive the
+// expected counts, returned as expected. The report (scorePair) and the
+// screen (ScreenPairs) both take G² from here, so their bits cannot drift.
+func pairG2(obs []int64, ci, cj int, n float64, buf []float64) (g2 float64, expected []float64, err error) {
 	cells := ci * cj
-	if need := 2*cells + ci + cj; cap(sc.buf) < need {
-		sc.buf = make([]float64, need)
-	}
-	joint := sc.buf[:cells]
-	expected := sc.buf[cells : 2*cells]
-	rowSums := sc.buf[2*cells : 2*cells+ci]
-	colSums := sc.buf[2*cells+ci : 2*cells+ci+cj]
-	for k, v := range obs {
-		joint[k] = float64(v) / n
-	}
-	mi, err := stats.MutualInformation(joint, ci, cj)
-	if err != nil {
-		return PairStats{}, err
-	}
-	// Expected counts under independence of the pair marginal.
+	expected = buf[:cells]
+	rowSums := buf[cells : cells+ci]
+	colSums := buf[cells+ci : cells+ci+cj]
 	clear(rowSums)
 	clear(colSums)
 	for a := 0; a < ci; a++ {
@@ -70,7 +68,25 @@ func scorePair(obs []int64, ci, cj, i, j int, n float64, sc *pairScratch) (PairS
 			expected[a*cj+b] = rowSums[a] * colSums[b] / n
 		}
 	}
-	g2, err := stats.GStat(obs, expected)
+	g2, err = stats.GStat(obs, expected)
+	return g2, expected, err
+}
+
+// scorePair computes the association statistics of one pair from its
+// row-major ci × cj count table obs; i and j are the attribute positions
+// reported, n the parent table's total.
+func scorePair(obs []int64, ci, cj, i, j int, n float64, sc *pairScratch) (PairStats, error) {
+	cells := ci * cj
+	buf := sc.floats(2*cells + ci + cj)
+	joint := buf[cells+ci+cj:]
+	for k, v := range obs {
+		joint[k] = float64(v) / n
+	}
+	mi, err := stats.MutualInformation(joint, ci, cj)
+	if err != nil {
+		return PairStats{}, err
+	}
+	g2, expected, err := pairG2(obs, ci, cj, n, buf)
 	if err != nil {
 		return PairStats{}, err
 	}
@@ -121,40 +137,52 @@ func scoreRows(cards []int, total int64, table func(i, j int) ([]int64, error)) 
 	return out, nil
 }
 
-// ScorePairs computes PairStats for every attribute pair of a dense or
-// sparse table, in lexicographic (I, J) order — the association screen's
-// view, which needs no ranking. Pairs are scored serially.
-//
-// Each pair is read with Counts.Marginalize — a fresh marginal on a dense
-// table, the projection cache on a sparse one — except on sparse tables of
-// bulkPairwiseMinR or more attributes, which read the pair-count ledger
-// (Sparse.PairCounts). Both caches are maintained in place by every table
-// mutation, so re-screening a sparse table under streaming ingest costs
-// O(pairs), not O(pairs × occupied).
-//
-// Concurrency: both caches publish under the table's internal lock, so
-// any number of concurrent screens of one table is safe; table mutation
-// must still not overlap screening (the sparse mutation contract).
-func ScorePairs(c contingency.Counts) ([]PairStats, error) {
+// pairTables validates a table for pairwise scoring and returns the
+// reader of pair (i, j)'s row-major count table: Counts.Marginalize — a
+// fresh marginal on a dense table, the projection cache on a sparse one —
+// except on sparse tables of bulkPairwiseMinR or more attributes, which
+// read the pair-count ledger (Sparse.PairCounts). Both caches are
+// maintained in place by every table mutation, so re-reading the pairs of
+// a sparse table under streaming ingest costs O(pairs), not
+// O(pairs × occupied).
+func pairTables(c contingency.Counts) (func(i, j int) ([]int64, error), error) {
 	if c.Total() == 0 {
 		return nil, fmt.Errorf("assoc: empty table")
 	}
 	if c.R() < 2 {
 		return nil, fmt.Errorf("assoc: need at least 2 attributes")
 	}
-	table := func(i, j int) ([]int64, error) {
-		pair, err := c.Marginalize(contingency.NewVarSet(i, j))
-		if err != nil {
-			return nil, err
-		}
-		return pair.Counts(), nil
-	}
 	if s, ok := c.(*contingency.Sparse); ok && s.R() >= bulkPairwiseMinR {
 		pc, err := s.PairCounts()
 		if err != nil {
 			return nil, err
 		}
-		table = func(i, j int) ([]int64, error) { return pc.Counts(i, j), nil }
+		return func(i, j int) ([]int64, error) { return pc.Counts(i, j), nil }, nil
+	}
+	return func(i, j int) ([]int64, error) {
+		pair, err := c.Marginalize(contingency.NewVarSet(i, j))
+		if err != nil {
+			return nil, err
+		}
+		return pair.Counts(), nil
+	}, nil
+}
+
+// ScorePairs computes PairStats for every attribute pair of a dense or
+// sparse table, in lexicographic (I, J) order: the unranked form of the
+// Pairwise and PairwiseSparse reports. Pairs are read as pairTables
+// describes and scored serially. The association screen needs only each
+// pair's decision, which ScreenPairs computes without the rest of the
+// statistics.
+//
+// Concurrency: the projection cache and the ledger publish under the
+// table's internal lock, so any number of concurrent screens of one table
+// is safe; table mutation must still not overlap screening (the sparse
+// mutation contract).
+func ScorePairs(c contingency.Counts) ([]PairStats, error) {
+	table, err := pairTables(c)
+	if err != nil {
+		return nil, err
 	}
 	return scoreRows(contingency.CardsOf(c), c.Total(), table)
 }

@@ -23,28 +23,47 @@ type Table struct {
 // fast instead of exhausting memory.
 const maxDenseCells = 1 << 28
 
-// New creates an all-zero table. names supplies one label per axis (it may
-// be nil, in which case axes are named v0, v1, ...); cards supplies the
-// number of values per axis, each at least 1.
-func New(names []string, cards []int) (*Table, error) {
+// DenseFits reports whether New accepts a table of these cardinalities:
+// at least one and at most MaxVars attributes, each of cardinality 1 or
+// more, and at most maxDenseCells cells. A caller that can count either
+// way tabulates sparse when it reports false.
+func DenseFits(cards []int) bool {
+	_, err := denseSize(cards)
+	return err == nil
+}
+
+// denseSize returns the cell count of a dense table over cards, or why
+// New refuses that shape.
+func denseSize(cards []int) (int, error) {
 	if len(cards) == 0 {
-		return nil, fmt.Errorf("contingency: table needs at least one attribute")
+		return 0, fmt.Errorf("contingency: table needs at least one attribute")
 	}
 	if len(cards) > MaxVars {
-		return nil, fmt.Errorf("contingency: %d attributes exceeds limit %d", len(cards), MaxVars)
-	}
-	if names != nil && len(names) != len(cards) {
-		return nil, fmt.Errorf("contingency: %d names for %d attributes", len(names), len(cards))
+		return 0, fmt.Errorf("contingency: %d attributes exceeds limit %d", len(cards), MaxVars)
 	}
 	size := 1
 	for i, c := range cards {
 		if c < 1 {
-			return nil, fmt.Errorf("contingency: attribute %d has cardinality %d (must be >= 1)", i, c)
+			return 0, fmt.Errorf("contingency: attribute %d has cardinality %d (must be >= 1)", i, c)
 		}
 		if size > maxDenseCells/c {
-			return nil, fmt.Errorf("contingency: table would exceed %d cells", maxDenseCells)
+			return 0, fmt.Errorf("contingency: table would exceed %d cells", maxDenseCells)
 		}
 		size *= c
+	}
+	return size, nil
+}
+
+// New creates an all-zero table. names supplies one label per axis (it may
+// be nil, in which case axes are named v0, v1, ...); cards supplies the
+// number of values per axis, each at least 1.
+func New(names []string, cards []int) (*Table, error) {
+	size, err := denseSize(cards)
+	if err != nil {
+		return nil, err
+	}
+	if names != nil && len(names) != len(cards) {
+		return nil, fmt.Errorf("contingency: %d names for %d attributes", len(names), len(cards))
 	}
 	t := &Table{
 		cards:   append([]int(nil), cards...),

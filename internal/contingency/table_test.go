@@ -253,3 +253,44 @@ func TestTotalInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDenseFits: DenseFits is true exactly for the shapes New accepts.
+// New is not called on the accepted shapes at the cell ceiling (big), so
+// the test never allocates a table that large.
+func TestDenseFits(t *testing.T) {
+	binary := func(n int) []int {
+		cards := make([]int, n)
+		for i := range cards {
+			cards[i] = 2
+		}
+		return cards
+	}
+	cases := []struct {
+		cards     []int
+		fits, big bool
+	}{
+		{nil, false, false},
+		{[]int{3, 2, 2}, true, false},
+		{[]int{1}, true, false},
+		{[]int{2, 0, 2}, false, false},
+		{[]int{2, -1}, false, false},
+		{binary(20), true, false},
+		{binary(28), true, true},
+		{binary(29), false, false},
+		{[]int{maxDenseCells}, true, true},
+		{[]int{maxDenseCells, 2}, false, false},
+		{[]int{2, maxDenseCells}, false, false},
+		{binary(MaxVars + 1), false, false},
+	}
+	for _, tc := range cases {
+		if got := DenseFits(tc.cards); got != tc.fits {
+			t.Errorf("DenseFits over %d attributes = %v, want %v", len(tc.cards), got, tc.fits)
+		}
+		if tc.big {
+			continue
+		}
+		if _, err := New(nil, tc.cards); (err == nil) != tc.fits {
+			t.Errorf("New over %d attributes: error %v, DenseFits says %v", len(tc.cards), err, tc.fits)
+		}
+	}
+}

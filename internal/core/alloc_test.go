@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"pka/internal/contingency"
 	"pka/internal/mml"
 	"pka/internal/stats"
 	"pka/internal/synth"
@@ -54,10 +56,12 @@ func TestWideDiscoverAllocCeiling(t *testing.T) {
 
 // TestWarmScreenAllocCeiling pins the allocation cost of re-screening an
 // 80-attribute table whose pair-count ledger is already built — the pair
-// screen every streaming Update runs. Scoring the 3,160 pairs from the
-// ledger allocates per row of pairs (scratch, adjacency), never per pair
-// or per occupied cell (measured 166); rescanning the cells or building a
-// table per pair costs thousands.
+// screen every streaming Update runs. Deciding the 3,160 pairs from the
+// ledger by G² alone allocates a fixed handful of buffers (the adjacency
+// slab and its row headers, one scratch buffer, one critical value per
+// degrees of freedom; measured 7), never one per pair, per row of pairs or
+// per occupied cell; rescanning the cells or building a table per pair
+// costs thousands.
 func TestWarmScreenAllocCeiling(t *testing.T) {
 	truth, err := synth.WidePairs(40, 3)
 	if err != nil {
@@ -82,9 +86,65 @@ func TestWarmScreenAllocCeiling(t *testing.T) {
 	if b := table.PairCountBuilds(); b != 1 {
 		t.Fatalf("warm re-screens rebuilt the ledger: %d builds", b)
 	}
-	const ceiling = 300
+	const ceiling = 20
 	t.Logf("warm 80-attribute screen: %.0f allocations per op (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("warm 80-attribute screen made %.0f allocations per op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestWarmUpdateAllocCeiling pins the allocation cost of one warm Update:
+// a 50-row batch, already applied to TestWarmScreenAllocCeiling's
+// 80-attribute bank, folded into a screened order-2 discovery whose
+// projections and pair-count ledger are built. An observe batch only adds
+// rows, so no family's move is checked cell by cell, the pair screen
+// computes G² alone, and the all-pairs family list is never built when
+// the screen's adjacency replaces it (measured 3,947; checking each
+// family's move cell by cell and scoring every pair's full statistics
+// made 17,572).
+func TestWarmUpdateAllocCeiling(t *testing.T) {
+	truth, err := synth.WidePairs(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := truth.SampleSparse(stats.NewRNG(7), 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxOrder: 2, MML: mml.DefaultConfig(), ScreenPairs: true, Workers: 1}
+	res, err := DiscoverCounts(table, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := truth.SampleDataset(stats.NewRNG(8), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := make([]contingency.CellDelta, batch.Len())
+	for i := range deltas {
+		deltas[i] = contingency.CellDelta{Cell: batch.Record(i), Delta: 1}
+	}
+	if err := table.ApplyBatch(deltas); err != nil {
+		t.Fatal(err)
+	}
+	// Update leaves res and the table as they were, so every run folds the
+	// same batch into the same result.
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		out, err := Update(res, table, deltas, opts)
+		if err == nil && (out.Rediscovered || !out.Refit) {
+			err = fmt.Errorf("warm update took the wrong path: %+v", *out)
+		}
+		if err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	const ceiling = 6_000
+	t.Logf("warm 80-attribute update: %.0f allocations per op (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("warm 80-attribute update made %.0f allocations per op, ceiling %d", allocs, ceiling)
 	}
 }

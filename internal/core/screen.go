@@ -30,31 +30,34 @@ type ScreenReport struct {
 // buildScreen surveys every attribute pair of the counts backend and
 // returns the pass/fail adjacency plus the report. SPIRIT-style network
 // learners bound structure search the same way: cheap pairwise statistics
-// gate the expensive family scan. Pairs are consumed in enumeration order
-// (no ranking), and sparse tables serve them from caches that mutation
-// keeps current — the pair-count ledger on schemas of 65 or more
-// attributes — so a streaming re-screen never rescans the occupied cells.
-// The screen runs serially.
+// gate the expensive family scan. A pair passes when its G² p-value is at
+// most alpha; assoc.ScreenPairs decides that from G² alone, against a
+// critical value found once per screen, so the screen computes none of the
+// report statistics (assoc.ScorePairs) and its decisions are exactly those
+// of their p-values. Pairs are consumed in enumeration order (no ranking),
+// and sparse tables serve them from caches that mutation keeps current —
+// the pair-count ledger on schemas of 65 or more attributes — so a
+// streaming re-screen never rescans the occupied cells. The screen runs
+// serially.
 func buildScreen(table contingency.Counts, alpha float64) ([][]bool, *ScreenReport, error) {
-	pairs, err := assoc.ScorePairs(table)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: pair screen: %w", err)
-	}
-	if alpha == 0 {
-		alpha = 0.05 / float64(len(pairs))
-	}
 	r := table.R()
+	pairs := r * (r - 1) / 2
+	if alpha == 0 {
+		alpha = 0.05 / float64(pairs)
+	}
+	cells := make([]bool, r*r)
 	adj := make([][]bool, r)
 	for i := range adj {
-		adj[i] = make([]bool, r)
+		adj[i] = cells[i*r : (i+1)*r : (i+1)*r]
 	}
-	rep := &ScreenReport{Alpha: alpha, PairsTotal: len(pairs)}
-	for _, p := range pairs {
-		if p.PValue <= alpha {
-			adj[p.I][p.J] = true
-			adj[p.J][p.I] = true
-			rep.PairsKept++
-		}
+	rep := &ScreenReport{Alpha: alpha, PairsTotal: pairs}
+	err := assoc.ScreenPairs(table, alpha, func(i, j int) {
+		adj[i][j] = true
+		adj[j][i] = true
+		rep.PairsKept++
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: pair screen: %w", err)
 	}
 	return adj, rep, nil
 }

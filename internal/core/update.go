@@ -47,7 +47,15 @@ type UpdateOutcome struct {
 // previous coefficient vector (per-block on factored engines — unmoved
 // blocks keep their converged solution), and the level-wise significance
 // scan re-tests only families whose marginals moved, promoting any newly
-// significant cells exactly as scratch discovery would.
+// significant cells exactly as scratch discovery would. With ScreenPairs
+// on, the scan's candidates are the re-run pair screen's cliques (no
+// all-pairs family list is built); the screen decides each pair from its
+// G² alone (buildScreen).
+//
+// A delta whose net cell changes all have one sign — every observe batch,
+// which only adds rows — moves every family's marginal, so the moved
+// check costs nothing; only a delta that mixes additions and removals is
+// projected onto each family (movedIndex).
 //
 // Update never demotes a constraint: previously significant structure is
 // retargeted, not re-judged. Structural invalidations it cannot absorb —
@@ -174,9 +182,11 @@ func Update(prev *Result, table contingency.Counts, deltas []contingency.CellDel
 	}
 	r := table.R()
 	tester.RestrictFamilies(func(order int) []contingency.VarSet {
-		base := contingency.Combinations(r, order)
+		var base []contingency.VarSet
 		if adj != nil {
 			base = screenedFamilies(r, order, adj, kept)
+		} else {
+			base = contingency.Combinations(r, order)
 		}
 		out := base[:0:0]
 		for _, vs := range base {
@@ -261,16 +271,29 @@ func aggregateDeltas(deltas []contingency.CellDelta, cards []int) ([]netCell, er
 // movedIndex answers "did this family's marginal move under the delta?"
 // by projecting the aggregated cell deltas onto the family, memoized per
 // family. A family moves iff some projected cell's net delta is nonzero.
+// When every net delta has one sign — every observe batch, which only adds
+// rows — no projected cell can cancel, so every family moves and no
+// projection is built.
 type movedIndex struct {
-	net  []netCell
-	memo map[contingency.VarSet]bool
+	net     []netCell
+	oneSign bool
+	memo    map[contingency.VarSet]bool
 }
 
+// newMovedIndex indexes a non-empty set of nonzero net cell deltas.
 func newMovedIndex(net []netCell) *movedIndex {
-	return &movedIndex{net: net, memo: make(map[contingency.VarSet]bool)}
+	pos, neg := false, false
+	for _, nc := range net {
+		pos = pos || nc.delta > 0
+		neg = neg || nc.delta < 0
+	}
+	return &movedIndex{net: net, oneSign: !(pos && neg), memo: make(map[contingency.VarSet]bool)}
 }
 
 func (mi *movedIndex) moved(vs contingency.VarSet) bool {
+	if mi.oneSign {
+		return true
+	}
 	if m, ok := mi.memo[vs]; ok {
 		return m
 	}

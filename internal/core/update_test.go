@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,8 @@ import (
 
 	"pka/internal/contingency"
 	"pka/internal/maxent"
+	"pka/internal/stats"
+	"pka/internal/synth"
 )
 
 // corrRow draws one row over [3,2,2,3] with the block-structured
@@ -256,5 +259,148 @@ func TestUpdateRejectsBadDeltas(t *testing.T) {
 	}
 	if _, err := Update(nil, table, nil, Options{}); err == nil {
 		t.Error("nil previous result accepted")
+	}
+}
+
+// swapDeltas removes the first n rows and adds each back with every
+// attribute from 2 on redrawn, so the delta has both signs and its net
+// effect on the marginal of family {0, 1} (and of its subsets) is zero.
+func swapDeltas(rng *rand.Rand, rows [][]int, cards []int, n int) []contingency.CellDelta {
+	var out []contingency.CellDelta
+	for _, row := range rows[:n] {
+		moved := append([]int(nil), row...)
+		for p := 2; p < len(moved); p++ {
+			moved[p] = rng.Intn(cards[p])
+		}
+		out = append(out,
+			contingency.CellDelta{Cell: row, Delta: -1},
+			contingency.CellDelta{Cell: moved, Delta: 1})
+	}
+	return out
+}
+
+// TestMovedIndexMixedSigns: a delta whose additions and removals cancel
+// on a family's marginal leaves that family unmoved and moves the others;
+// a delta of one sign moves every family, and the per-family walk agrees
+// with the shortcut that skips it.
+func TestMovedIndexMixedSigns(t *testing.T) {
+	cards := []int{3, 2, 2, 3}
+	fams := contingency.NewVarSet(0, 1, 2, 3).Subsets()
+	mixed, err := aggregateDeltas([]contingency.CellDelta{
+		{Cell: []int{0, 1, 0, 0}, Delta: 1},
+		{Cell: []int{0, 1, 1, 2}, Delta: -1},
+	}, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi := newMovedIndex(mixed)
+	if mi.oneSign {
+		t.Fatal("a +1/-1 delta was indexed as one-signed")
+	}
+	for _, vs := range fams {
+		if vs.Len() == 0 {
+			continue
+		}
+		want := vs.Has(2) || vs.Has(3)
+		if got := mi.moved(vs); got != want {
+			t.Errorf("family %v: moved = %v, want %v", vs.Members(), got, want)
+		}
+	}
+
+	for _, sign := range []int64{1, -1} {
+		rng := rand.New(rand.NewSource(9))
+		var deltas []contingency.CellDelta
+		for _, row := range corrRows(rng, 30) {
+			deltas = append(deltas, contingency.CellDelta{Cell: row, Delta: sign * int64(1+rng.Intn(3))})
+		}
+		net, err := aggregateDeltas(deltas, cards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mi := newMovedIndex(net)
+		if !mi.oneSign {
+			t.Fatalf("sign %d: a one-signed delta was indexed as mixed", sign)
+		}
+		walk := &movedIndex{net: net, memo: make(map[contingency.VarSet]bool)}
+		for _, vs := range fams {
+			if vs.Len() == 0 {
+				continue
+			}
+			if !mi.moved(vs) {
+				t.Errorf("sign %d: family %v unmoved", sign, vs.Members())
+			}
+			if !walk.moved(vs) {
+				t.Errorf("sign %d: the walk finds family %v unmoved", sign, vs.Members())
+			}
+		}
+	}
+}
+
+// TestUpdateMixedSignDelta: an Update over a delta of both signs, which
+// leaves the marginal of family {0, 1} where it was, walks the moved
+// index per family. Its outcome and the SHA-256 of its model JSON are
+// pinned to the values that walk gave before one-signed deltas skipped it:
+// a dense four-attribute model, and an 80-attribute factored model behind
+// the pair screen.
+func TestUpdateMixedSignDelta(t *testing.T) {
+	wide, err := synth.WidePairs(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, err := wide.SampleDataset(stats.NewRNG(77), 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideRows := make([][]int, bank.Len())
+	for i := range wideRows {
+		wideRows[i] = bank.Record(i)
+	}
+	cases := []struct {
+		name     string
+		rows     [][]int
+		cards    []int
+		opts     Options
+		want     UpdateOutcome
+		findings int
+		sha      string
+	}{
+		{"dense4", corrRows(rand.New(rand.NewSource(21)), 3000), []int{3, 2, 2, 3}, Options{MaxOrder: 2},
+			UpdateOutcome{Retargeted: 7, Refit: true, FitSweeps: 50}, 3,
+			"798129e9024d677f452e12767c8f07856ff4f6f6b81b6fb41536329f593f5dd5"},
+		{"wide80", wideRows, wide.Schema().Cards(), Options{MaxOrder: 2, ScreenPairs: true},
+			UpdateOutcome{Retargeted: 187, Refit: true, FitSweeps: 41, BlocksFit: 39, BlocksSkipped: 1}, 40,
+			"21c82990985066b4d29cf0b8efdaa741960dda2c7617664962acbbfbd2f55322"},
+	}
+	for _, tc := range cases {
+		table, err := contingency.NewSparse(nil, tc.cards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := table.ObserveBatch(tc.rows); err != nil {
+			t.Fatal(err)
+		}
+		res, err := DiscoverCounts(table, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := swapDeltas(rand.New(rand.NewSource(22)), tc.rows, tc.cards, 60)
+		if err := table.ApplyBatch(deltas); err != nil {
+			t.Fatal(err)
+		}
+		out, err := Update(res, table, deltas, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(out.Result.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := *out
+		got.Result = nil
+		sum := fmt.Sprintf("%x", sha256.Sum256(js))
+		if got != tc.want || len(out.Result.Findings) != tc.findings || sum != tc.sha {
+			t.Errorf("%s: outcome %+v, %d findings, model sha256 %s; want %+v, %d, %s",
+				tc.name, got, len(out.Result.Findings), sum, tc.want, tc.findings, tc.sha)
+		}
 	}
 }
