@@ -324,7 +324,7 @@ func (s *Sparse) Marginalize(keep VarSet) (*Table, error) {
 	if members[len(members)-1] >= s.R() {
 		return nil, fmt.Errorf("contingency: attribute set %v exceeds table's %d axes", keep, s.R())
 	}
-	if t := s.projection(keep, members); t != nil {
+	if t := s.projection(keep); t != nil {
 		return t, nil
 	}
 	return s.Project(keep)
@@ -392,25 +392,32 @@ func FromDense(t *Table) (*Sparse, error) {
 // lookups affordable on wide tables. Families whose dense projection would
 // exceed maxCachedProjCells fall back to scanning the occupied cells.
 func (s *Sparse) MarginalCount(vars VarSet, values []int) (int64, error) {
-	members := vars.Members()
-	if len(members) != len(values) {
+	if vars.Len() != len(values) {
 		return 0, fmt.Errorf("contingency: %d values for attribute set %v", len(values), vars)
 	}
-	if len(members) == 0 {
+	if len(values) == 0 {
 		return s.total, nil
 	}
-	if members[len(members)-1] >= s.R() {
+	// The members are read off the mask in place: the streaming refit asks
+	// this for every constraint cell of every batch.
+	last := vars.NumWords() - 1
+	if top := last*64 + 63 - bits.LeadingZeros64(vars.Word(last)); top >= s.R() {
 		return 0, fmt.Errorf("contingency: attribute set %v exceeds table's %d axes", vars, s.R())
 	}
-	for i, p := range members {
-		if values[i] < 0 || values[i] >= s.cards[p] {
-			return 0, fmt.Errorf("contingency: value %d for axis %d out of range", values[i], p)
+	i := 0
+	for wi := 0; wi <= last; wi++ {
+		for w := vars.Word(wi); w != 0; w &= w - 1 {
+			p := wi*64 + bits.TrailingZeros64(w)
+			if values[i] < 0 || values[i] >= s.cards[p] {
+				return 0, fmt.Errorf("contingency: value %d for axis %d out of range", values[i], p)
+			}
+			i++
 		}
 	}
-	if proj := s.projection(vars, members); proj != nil {
+	if proj := s.projection(vars); proj != nil {
 		return proj.At(values...)
 	}
-	return s.marginalCountScan(members, values), nil
+	return s.marginalCountScan(vars.Members(), values), nil
 }
 
 // marginalCountScan is the uncached marginal: one pass over the occupied
@@ -434,12 +441,14 @@ func (s *Sparse) marginalCountScan(members, values []int) int64 {
 // memoizing it on first use; nil when the family is too wide to cache.
 // Safe for concurrent use among readers; racing builders each compute the
 // same table and the first publication wins.
-func (s *Sparse) projection(vars VarSet, members []int) *Table {
+func (s *Sparse) projection(vars VarSet) *Table {
 	size := 1
-	for _, p := range members {
-		size *= s.cards[p]
-		if size > maxCachedProjCells {
-			return nil
+	for wi, nw := 0, vars.NumWords(); wi < nw; wi++ {
+		for w := vars.Word(wi); w != 0; w &= w - 1 {
+			size *= s.cards[wi*64+bits.TrailingZeros64(w)]
+			if size > maxCachedProjCells {
+				return nil
+			}
 		}
 	}
 	s.projMu.RLock()

@@ -117,7 +117,7 @@ type scanState struct {
 // pass, pinning implied zeros, and refitting (warm, from the previous
 // a-values) after each acceptance, until no candidate is significant.
 func (st *scanState) run() error {
-	// Scans price each candidate family with one batch marginal from the
+	// Each scan pass prices its candidate families in one batch call to the
 	// model's compiled engine. Every refit rebuilds the compiled snapshot
 	// (maxent.Model.Fit does so on success), so the predictor always serves
 	// the coefficients of the latest accepted constraint set.

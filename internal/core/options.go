@@ -59,10 +59,11 @@ type Options struct {
 	ScreenCIAlpha float64
 
 	// predictor builds the scan predictor for a model. It defaults to the
-	// model itself — Model.Marginal satisfies mml.Predictor, serving one
-	// batch elimination sweep per family from the compiled engine — and is
-	// unexported so only the equivalence test can swap in the legacy
-	// per-cell path and assert bit-identical discovery results.
+	// model itself — Model.Marginals satisfies mml.Predictor, pricing a
+	// scan pass's families in one call to the compiled engine (one shared
+	// elimination walk on a dense model) — and is unexported so only the
+	// equivalence test can swap in the legacy per-cell path and assert
+	// bit-identical discovery results.
 	predictor func(m *maxent.Model) mml.Predictor
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"pka/internal/contingency"
+	"pka/internal/par"
 	"pka/internal/sumprod"
 )
 
@@ -252,12 +253,9 @@ func (c *Compiled) localPins(lv, lvals []int, bi int, members, values []int) ([]
 // (first member slowest), computed in a single batch elimination sweep.
 // Each entry is bit-identical to the Prob call for that cell.
 func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
-	members := vars.Members()
-	if len(members) == 0 {
-		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
-	}
-	if members[len(members)-1] >= len(c.cards) {
-		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
+	members, err := c.marginalMembers(vars)
+	if err != nil {
+		return nil, err
 	}
 	if c.eng == nil {
 		return c.factoredMarginal(members, nil)
@@ -266,10 +264,64 @@ func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		out[i] = c.a0 * out[i]
+	c.normalize(out)
+	return out, nil
+}
+
+// Marginals returns Marginal(families[i]) for every family, bit for bit,
+// fanned out over at most workers goroutines (as par.Workers reads it; 1
+// runs on the calling goroutine). A dense snapshot prices the whole batch
+// in one shared elimination walk (sumprod.Compiled.Marginals), which folds
+// every level buffer the families share once and fans out over the walk's
+// subtrees; a factored snapshot assembles each family on its own, the
+// families fanned out over par.Do. The first invalid family in list order
+// fails the call.
+func (c *Compiled) Marginals(families []contingency.VarSet, workers int) ([][]float64, error) {
+	members := make([][]int, len(families))
+	for i, vars := range families {
+		var err error
+		if members[i], err = c.marginalMembers(vars); err != nil {
+			return nil, err
+		}
+	}
+	if c.eng == nil {
+		out := make([][]float64, len(families))
+		if err := par.Do(len(families), workers, func(i int) (err error) {
+			out[i], err = c.factoredMarginal(members[i], nil)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	out, err := c.eng.Marginals(members, workers)
+	if err != nil {
+		return nil, err
+	}
+	for _, marg := range out {
+		c.normalize(marg)
 	}
 	return out, nil
+}
+
+// marginalMembers returns the members of a batch marginal's family,
+// rejecting an empty family and one beyond the snapshot's attributes.
+func (c *Compiled) marginalMembers(vars contingency.VarSet) ([]int, error) {
+	members := vars.Members()
+	if len(members) == 0 {
+		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
+	}
+	if members[len(members)-1] >= len(c.cards) {
+		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
+	}
+	return members, nil
+}
+
+// normalize scales a dense engine's unnormalized sums by a0 in place.
+func (c *Compiled) normalize(sums []float64) {
+	for i := range sums {
+		sums[i] = c.a0 * sums[i]
+	}
 }
 
 // MarginalGiven returns the joint probability of every cell of vars together
@@ -277,12 +329,9 @@ func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
 // be a member of vars), -1 leaves it summed over. One batch sweep computes
 // the whole conditional slice's numerators.
 func (c *Compiled) MarginalGiven(vars contingency.VarSet, fixed []int) ([]float64, error) {
-	members := vars.Members()
-	if len(members) == 0 {
-		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
-	}
-	if members[len(members)-1] >= len(c.cards) {
-		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
+	members, err := c.marginalMembers(vars)
+	if err != nil {
+		return nil, err
 	}
 	for v := 0; v < len(fixed) && v < len(c.cards); v++ {
 		if fixed[v] >= c.cards[v] {
@@ -296,9 +345,7 @@ func (c *Compiled) MarginalGiven(vars contingency.VarSet, fixed []int) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		out[i] = c.a0 * out[i]
-	}
+	c.normalize(out)
 	return out, nil
 }
 

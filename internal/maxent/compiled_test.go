@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -364,5 +365,63 @@ func TestCompiledValidationErrors(t *testing.T) {
 	}
 	if _, err := c.CellProb([]int{9, 0, 0}); err == nil {
 		t.Error("out-of-range cell accepted")
+	}
+}
+
+// TestMarginalsMatchMarginal: one Marginals batch over every family of
+// orders 1-3, plus a repeated family, equals Marginal of each family bit
+// for bit on random dense models (the engine's shared elimination walk)
+// and random factored ones (per-family assembly), at any worker count.
+// An invalid family fails the batch with Marginal's error.
+func TestMarginalsMatchMarginal(t *testing.T) {
+	forceFactored(t, 64)
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 8; trial++ {
+		for _, factored := range []bool{false, true} {
+			var m *Model
+			if factored {
+				m = randomFactoredModel(t, rng)
+			} else {
+				m = randomDenseModel(t, rng)
+			}
+			c, err := m.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Factored() != factored {
+				t.Fatalf("model over %v: factored %v, want %v", m.cards, c.Factored(), factored)
+			}
+			var fams []contingency.VarSet
+			for order := 1; order <= 3; order++ {
+				fams = append(fams, contingency.Combinations(m.R(), order)...)
+			}
+			fams = append(fams, fams[len(fams)/2])
+			for _, workers := range []int{1, 2, 8} {
+				got, err := m.Marginals(fams, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(fams) {
+					t.Fatalf("%d marginals for %d families", len(got), len(fams))
+				}
+				for i, fam := range fams {
+					want, err := c.Marginal(fam)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got[i], want) {
+						t.Fatalf("factored=%v workers=%d: Marginals %v = %v, Marginal %v",
+							factored, workers, fam, got[i], want)
+					}
+				}
+			}
+			for _, bad := range []contingency.VarSet{{}, contingency.NewVarSet(0, m.R())} {
+				_, want := c.Marginal(bad)
+				_, err := c.Marginals([]contingency.VarSet{contingency.NewVarSet(0), bad}, 2)
+				if want == nil || err == nil || err.Error() != want.Error() {
+					t.Errorf("factored=%v: Marginals with %v gave %v, Marginal %v", factored, bad, err, want)
+				}
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package maxent
 import (
 	"fmt"
 	"math/bits"
-	"strconv"
 	"strings"
 
 	"pka/internal/contingency"
@@ -60,18 +59,25 @@ func (c Constraint) validate(cards []int) error {
 // Order returns the number of attributes the constraint spans.
 func (c Constraint) Order() int { return c.Family.Len() }
 
-// key is the dedupe identity: family plus cell values. Built with
-// strconv, not fmt — it runs once per constraint on every model load, and
-// reflection-based formatting dominated restore profiles.
-func (c Constraint) key() string {
-	b := make([]byte, 0, 24+4*len(c.Values))
-	b = c.Family.AppendKey(b)
-	b = append(b, ':')
-	for _, v := range c.Values {
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, ',')
+// conKey is a constraint's identity in the model's lookup index: its
+// family and the row-major offset of its cell within the family (first
+// member slowest), so a lookup builds no key.
+type conKey struct {
+	family contingency.VarSet
+	cell   int
+}
+
+// indexKey returns the index key of a constraint that validates against
+// cards.
+func (c Constraint) indexKey(cards []int) conKey {
+	i, off := 0, 0
+	for wi, nw := 0, c.Family.NumWords(); wi < nw; wi++ {
+		for w := c.Family.Word(wi); w != 0; w &= w - 1 {
+			off = off*cards[wi*64+bits.TrailingZeros64(w)] + c.Values[i]
+			i++
+		}
 	}
-	return string(b)
+	return conKey{c.Family, off}
 }
 
 // Label renders the constraint in the memo's a-notation using the supplied

@@ -159,9 +159,9 @@ func modelFromState(st *ModelState) (*Model, error) {
 		totalCells += len(fs.Coeffs)
 	}
 	nm.cons = make([]Constraint, 0, len(st.Constraints))
-	// Dedupe via per-family cell bitmaps instead of the string-keyed conIdx:
-	// building the index here costs a key() allocation per constraint on the
-	// cold-start path, and a decoded model may never mutate. conIdx stays
+	// Dedupe via per-family cell bitmaps instead of conIdx: building the
+	// index here costs a map insert per constraint on the cold-start path,
+	// and a decoded model may never mutate. conIdx stays
 	// nil; ensureConIdx builds it lazily if a mutation ever needs it. The
 	// bitmap doubles as the family-coverage check.
 	seen := make(map[contingency.VarSet][]bool, len(nm.families))

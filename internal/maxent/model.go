@@ -26,7 +26,7 @@ type Model struct {
 	a0       float64
 	families map[contingency.VarSet]*familyTerm
 	cons     []Constraint
-	conIdx   map[string]int
+	conIdx   map[conKey]int
 	// compiled caches the immutable inference engine for the current
 	// coefficients; nil means no snapshot (invalidated by mutation). The
 	// holder is a pointer so UnmarshalJSON's struct copy stays legal; Clone
@@ -79,7 +79,7 @@ func NewModel(names []string, cards []int) (*Model, error) {
 		cards:    append([]int(nil), cards...),
 		a0:       1,
 		families: make(map[contingency.VarSet]*familyTerm),
-		conIdx:   make(map[string]int),
+		conIdx:   make(map[conKey]int),
 		compiled: &atomic.Pointer[Compiled]{},
 		dirty:    make(map[contingency.VarSet]bool),
 	}
@@ -130,23 +130,27 @@ func (m *Model) NumConstraints() int { return len(m.cons) }
 // HasConstraint reports whether a constraint on exactly this family cell is
 // registered.
 func (m *Model) HasConstraint(family contingency.VarSet, values []int) bool {
+	c := Constraint{Family: family, Values: values}
+	if c.validate(m.cards) != nil {
+		return false
+	}
 	m.ensureConIdx()
-	_, ok := m.conIdx[Constraint{Family: family, Values: values}.key()]
+	_, ok := m.conIdx[c.indexKey(m.cards)]
 	return ok
 }
 
 // ensureConIdx builds the constraint lookup index on first use. A restored
 // model leaves conIdx nil — snapshot loads never mutate, so paying for the
-// index (and its string keys) up front would tax every cold start for a map
+// index up front would tax every cold start for a map
 // most servers never touch. Mutation entry points call this before reading
 // the map; like all Model mutation it assumes the single-writer contract.
 func (m *Model) ensureConIdx() {
 	if m.conIdx != nil {
 		return
 	}
-	m.conIdx = make(map[string]int, len(m.cons))
+	m.conIdx = make(map[conKey]int, len(m.cons))
 	for i, c := range m.cons {
-		m.conIdx[c.key()] = i
+		m.conIdx[c.indexKey(m.cards)] = i
 	}
 }
 
@@ -158,7 +162,7 @@ func (m *Model) AddConstraint(c Constraint) error {
 		return err
 	}
 	m.ensureConIdx()
-	k := c.key()
+	k := c.indexKey(m.cards)
 	if _, dup := m.conIdx[k]; dup {
 		return fmt.Errorf("maxent: duplicate constraint on %s", c.Label(m.names))
 	}
@@ -208,7 +212,7 @@ func (m *Model) SetTarget(family contingency.VarSet, values []int, target float6
 		return err
 	}
 	m.ensureConIdx()
-	i, ok := m.conIdx[c.key()]
+	i, ok := m.conIdx[c.indexKey(m.cards)]
 	if !ok {
 		return fmt.Errorf("maxent: no constraint on %s to retarget", c.Label(m.names))
 	}
@@ -331,14 +335,24 @@ func (m *Model) Prob(vars contingency.VarSet, values []int) (float64, error) {
 }
 
 // Marginal returns the model's marginal distribution over every cell of the
-// family in one batch elimination sweep — see Compiled.Marginal. The scan
-// loop of the discovery engine consumes this instead of per-cell Prob calls.
+// family in one batch elimination sweep — see Compiled.Marginal.
 func (m *Model) Marginal(vars contingency.VarSet) ([]float64, error) {
 	c, err := m.Compile()
 	if err != nil {
 		return nil, err
 	}
 	return c.Marginal(vars)
+}
+
+// Marginals returns the model's marginal distribution over every family
+// of the batch — see Compiled.Marginals. Each discovery scan pass makes
+// one such call for its candidate families.
+func (m *Model) Marginals(families []contingency.VarSet, workers int) ([][]float64, error) {
+	c, err := m.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return c.Marginals(families, workers)
 }
 
 // Joint materializes the full normalized joint distribution in row-major
@@ -408,7 +422,7 @@ func (m *Model) Clone() *Model {
 	// A nil conIdx (restored-from-snapshot model, index not yet demanded)
 	// stays nil in the clone; ensureConIdx rebuilds it on first mutation.
 	if m.conIdx != nil {
-		cp.conIdx = make(map[string]int, len(m.conIdx))
+		cp.conIdx = make(map[conKey]int, len(m.conIdx))
 		for k, v := range m.conIdx {
 			cp.conIdx[k] = v
 		}

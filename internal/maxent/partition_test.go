@@ -55,7 +55,7 @@ func referenceSubModel(m *Model, blk []int) (*Model, error) {
 			lv[i] = local[p]
 		}
 		lc := Constraint{Family: contingency.NewVarSet(lv...), Values: append([]int(nil), c.Values...), Target: c.Target}
-		sub.conIdx[lc.key()] = len(sub.cons)
+		sub.conIdx[lc.indexKey(sub.cards)] = len(sub.cons)
 		sub.cons = append(sub.cons, lc)
 	}
 	return sub, nil

@@ -149,8 +149,8 @@ func BenchmarkScanParallel(b *testing.B) {
 // BenchmarkScanOrderCompiled prices a full second-order scan against a
 // fitted maximum-entropy model — the discovery engine's actual inner loop —
 // comparing the legacy per-cell prediction path (one elimination recursion
-// per cell via PerCell + Model.Prob) with the compiled batch-marginal
-// predictor (one sweep per family via Model.Marginal). The 8-attribute
+// per cell via PerCell + Model.Prob) with the compiled batch predictor
+// (one shared elimination walk per scan via Model.Marginals). The 8-attribute
 // ternary space (28 families × 9 cells = 252 candidates over 6561 joint
 // cells) is the regime real scans live in.
 func BenchmarkScanOrderCompiled(b *testing.B) {
@@ -198,7 +198,7 @@ func BenchmarkScanOrderCompiled(b *testing.B) {
 		run(b, PerCell(tab.Cards(), model.Prob))
 	})
 	b.Run("batch", func(b *testing.B) {
-		run(b, model) // *maxent.Model satisfies Predictor via Marginal
+		run(b, model) // *maxent.Model satisfies Predictor via Marginals
 	})
 }
 

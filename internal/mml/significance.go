@@ -3,6 +3,7 @@ package mml
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pka/internal/contingency"
 	"pka/internal/stats"
@@ -114,16 +115,18 @@ func (t *Tester) score(fs *familyScan, values []int, observed int64, predicted f
 }
 
 // Predictor supplies model-predicted marginals for scan scoring. The
-// discovery engine backs it with a compiled inference engine so one batch
-// elimination sweep prices a whole family; PerCell adapts legacy per-cell
-// callbacks. Implementations must be safe for concurrent use — the parallel
-// scan prices families from many goroutines.
+// discovery engine backs it with the model's compiled inference engine,
+// which prices one scan pass's whole batch at once (maxent.Model.Marginals:
+// one shared elimination walk on a dense engine); PerCell adapts per-cell
+// callbacks. Implementations must be safe for concurrent use.
 type Predictor interface {
-	// Marginal returns the predicted probability of every cell of the
-	// family, dense row-major over the members ascending (first member
-	// slowest) — the same order an odometer over the family's value space
-	// visits cells.
-	Marginal(family contingency.VarSet) ([]float64, error)
+	// Marginals returns the predicted probability of every cell of each
+	// family, in family order; each marginal is dense row-major over the
+	// family's members ascending (first member slowest) — the order an
+	// odometer over the family's value space visits cells. workers bounds
+	// the goroutines an implementation may fan the batch out over, as
+	// par.Do reads it; results must not depend on it.
+	Marginals(families []contingency.VarSet, workers int) ([][]float64, error)
 }
 
 // perCell adapts a per-cell probability callback to the batch Predictor
@@ -136,14 +139,27 @@ type perCell struct {
 }
 
 // PerCell wraps a per-cell prediction callback as a Predictor over the
-// given attribute cardinalities. Note the batch contract: predict is called
-// for every cell of a scanned family, including cells already marked
-// significant (whose predictions the scan then ignores).
+// given attribute cardinalities. It prices the families one after the
+// other on the calling goroutine. Note the batch contract: predict is
+// called for every cell of a requested family, including cells already
+// marked significant (whose predictions the scan then ignores).
 func PerCell(cards []int, predict func(family contingency.VarSet, values []int) (float64, error)) Predictor {
 	return perCell{cards: append([]int(nil), cards...), predict: predict}
 }
 
-func (p perCell) Marginal(family contingency.VarSet) ([]float64, error) {
+func (p perCell) Marginals(families []contingency.VarSet, _ int) ([][]float64, error) {
+	out := make([][]float64, len(families))
+	for i, fam := range families {
+		var err error
+		if out[i], err = p.marginal(fam); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// marginal evaluates every cell of one family in odometer order.
+func (p perCell) marginal(family contingency.VarSet) ([]float64, error) {
 	members := family.Members()
 	size := 1
 	for _, pos := range members {
@@ -176,25 +192,24 @@ func (p perCell) Marginal(family contingency.VarSet) ([]float64, error) {
 	return out, nil
 }
 
-// scanFamily prices one family: a single batch marginal from the predictor,
-// then one significance test per not-yet-significant cell, in deterministic
+// familySize returns the number of cells of a family within the table.
+func (t *Tester) familySize(fam contingency.VarSet) int {
+	size := 1
+	for wi, nw := 0, fam.NumWords(); wi < nw; wi++ {
+		for w := fam.Word(wi); w != 0; w &= w - 1 {
+			size *= t.table.Card(wi*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return size
+}
+
+// scanFamily scores one family from its predicted marginal: one
+// significance test per not-yet-significant cell, in deterministic
 // odometer order. The odometer's index is the cell's row-major offset, so
 // the significance lookup needs no key.
-func (t *Tester) scanFamily(fam contingency.VarSet, pred Predictor) ([]CellTest, error) {
+func (t *Tester) scanFamily(fam contingency.VarSet, marg []float64) ([]CellTest, error) {
 	members := fam.Members()
-	size := 1
-	for _, pos := range members {
-		size *= t.table.Card(pos)
-	}
-	// A fully-promoted family has nothing left to test: skip it before
-	// paying for a marginal sweep (repeat passes at one order hit this).
-	if len(t.sig[fam]) == size {
-		return nil, nil
-	}
-	marg, err := pred.Marginal(fam)
-	if err != nil {
-		return nil, err
-	}
+	size := t.familySize(fam)
 	if len(marg) != size {
 		return nil, fmt.Errorf("mml: predictor returned %d probabilities for family %v (%d cells)",
 			len(marg), fam, size)

@@ -137,3 +137,47 @@ func BenchmarkCompiledMarginal(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMarginalsOrder3 prices every order-3 family of a 13-attribute
+// engine (12 binary attributes, then one ternary: the dense discovery
+// benchmark's shape) with one Marginals walk, serial and fanned out over
+// GOMAXPROCS workers, against a loop of Marginal calls, one full
+// elimination per family.
+func BenchmarkMarginalsOrder3(b *testing.B) {
+	cards, terms := benchTerms(13, 2)
+	cards[12] = 3
+	for i := range terms {
+		if vars := terms[i].Vars; vars[len(vars)-1] == 12 {
+			size := 1
+			for _, v := range vars {
+				size *= cards[v]
+			}
+			terms[i].Coeffs = append(terms[i].Coeffs, terms[i].Coeffs...)[:size]
+		}
+	}
+	ce, err := Compile(cards, terms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	families := combinations(len(cards), 3)
+	b.Run("perfamily", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range families {
+				if _, err := ce.Marginal(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ce.Marginals(families, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"pka/internal/par"
 )
 
 // Compiled is an immutable, goroutine-safe inference engine over a snapshot
@@ -31,6 +33,15 @@ import (
 // float64s in all) and every later one starts below it. Pinned queries and
 // Sum neither build nor read it, so a cold engine's first conditional query
 // costs what it always did.
+//
+// Marginals prices a whole batch of unpinned marginals — one scan pass's
+// candidate families — in one walk over the trie of their kept sets: each
+// level buffer the families share is folded once, from the suffix down,
+// and every family still gets Marginal's bits. The walk holds one buffer
+// per level on its current path (with every cardinality at least 2, under
+// 2·K·size/cards[r-1] float64s, K the largest family's cell count), one
+// path per worker when it fans out over subtrees, and frees them all when
+// the call returns.
 type Compiled struct {
 	cards   []int
 	terms   []Term  // coefficient snapshots, deep-copied at Compile time
@@ -360,24 +371,9 @@ func (c *Compiled) Marginal(vars []int) ([]float64, error) {
 // leaves it summed over. This computes a whole conditional slice — e.g.
 // every value of a target attribute under fixed evidence — in one sweep.
 func (c *Compiled) MarginalFixed(vars []int, fixed []int) ([]float64, error) {
-	if len(vars) == 0 {
-		return nil, fmt.Errorf("sumprod: batch marginal needs at least one kept variable")
-	}
-	if !sort.IntsAreSorted(vars) {
-		return nil, fmt.Errorf("sumprod: marginal variables %v not ascending", vars)
-	}
-	size := 1
-	for i, v := range vars {
-		if v < 0 || v >= len(c.cards) {
-			return nil, fmt.Errorf("sumprod: marginal variable %d out of range [0,%d)", v, len(c.cards))
-		}
-		if i > 0 && vars[i-1] == v {
-			return nil, fmt.Errorf("sumprod: marginal repeats variable %d", v)
-		}
-		if v < len(fixed) && fixed[v] >= 0 {
-			return nil, fmt.Errorf("sumprod: marginal variable %d is also clamped", v)
-		}
-		size *= c.cards[v]
+	size, err := c.marginalSize(vars, fixed)
+	if err != nil {
+		return nil, err
 	}
 	sc := c.getScratch()
 	for v := 0; v < len(fixed) && v < len(sc.fixed); v++ {
@@ -390,6 +386,202 @@ func (c *Compiled) MarginalFixed(vars []int, fixed []int) ([]float64, error) {
 	copy(out, c.fold(sc))
 	scratchPool.Put(sc)
 	return out, nil
+}
+
+// marginalSize validates a batch marginal's kept variables against the
+// engine and the clamps, and returns the marginal's cell count.
+func (c *Compiled) marginalSize(vars []int, fixed []int) (int, error) {
+	if len(vars) == 0 {
+		return 0, fmt.Errorf("sumprod: batch marginal needs at least one kept variable")
+	}
+	if !sort.IntsAreSorted(vars) {
+		return 0, fmt.Errorf("sumprod: marginal variables %v not ascending", vars)
+	}
+	size := 1
+	for i, v := range vars {
+		if v < 0 || v >= len(c.cards) {
+			return 0, fmt.Errorf("sumprod: marginal variable %d out of range [0,%d)", v, len(c.cards))
+		}
+		if i > 0 && vars[i-1] == v {
+			return 0, fmt.Errorf("sumprod: marginal repeats variable %d", v)
+		}
+		if v < len(fixed) && fixed[v] >= 0 {
+			return 0, fmt.Errorf("sumprod: marginal variable %d is also clamped", v)
+		}
+		size *= c.cards[v]
+	}
+	return size, nil
+}
+
+// Marginals returns Marginal(families[i]) for every family, each entry
+// equal to it bit for bit, computed in one walk that folds every level
+// buffer the families share only once.
+//
+// The buffer entering level n of an unpinned batch marginal depends only on
+// which variables above n the family keeps, so the families form a trie of
+// kept sets read from the top level down. The walk visits it depth first
+// and holds one buffer per level on the current path: the families whose
+// highest kept variable is t start at level t from the shared eliminated
+// suffix (see buildSuffix), each child of a node folds one level from its
+// parent's buffer, and a leaf's buffer after level 0 is its families'
+// marginal. Every family thus sees exactly the foldLevel calls its own
+// Marginal makes, with the same arguments in the same order.
+//
+// The walk fans out over subtrees (workers as par.Workers reads it; 1
+// walks on the calling goroutine): a subtree whose first fold is large
+// enough runs on its own goroutine, with its own odometer and path, when
+// a worker is free. Each buffer is still written by one goroutine, after
+// its parent's buffer and before its children read it, so the worker count
+// never changes a bit.
+//
+// Bound: the buffer a level writes holds Π_{v<n} cards[v] times at most K
+// values, K the largest family's cell count, so with every cardinality at
+// least 2 one path totals under 2·K·size/cards[r-1] float64s, and the walk
+// holds at most one path per worker. The buffers live for the call only.
+// Invalid families give Marginal's errors; the first in list order is
+// returned.
+func (c *Compiled) Marginals(families [][]int, workers int) ([][]float64, error) {
+	out := make([][]float64, len(families))
+	sizes := make([]int, len(families))
+	total := 0
+	for i, vars := range families {
+		size, err := c.marginalSize(vars, nil)
+		if err != nil {
+			return nil, err
+		}
+		sizes[i] = size
+		total += size
+	}
+	if len(families) == 0 {
+		return out, nil
+	}
+	r := len(c.cards)
+	w := batchWalk{
+		c:        c,
+		families: families,
+		out:      out,
+		next:     make([]int, len(families)),
+		cell:     make([]int, r),
+		levels:   make([][]float64, r),
+	}
+	if nw := par.Workers(workers, len(families)); nw > 1 {
+		w.spare = make(chan struct{}, nw-1)
+	}
+	buf := make([]float64, total)
+	byTop := make([][]int, r)
+	for i, vars := range families {
+		out[i], buf = buf[:sizes[i]:sizes[i]], buf[sizes[i]:]
+		w.next[i] = len(vars) - 1
+		top := vars[len(vars)-1]
+		byTop[top] = append(byTop[top], i)
+	}
+	var wg sync.WaitGroup
+	for top := r - 1; top >= 0; top-- {
+		if len(byTop[top]) == 0 {
+			continue
+		}
+		var in []float64 // nil stands for the all-ones input of the top level
+		if top < r-1 {
+			c.suffixOnce.Do(c.buildSuffix)
+			in = c.suffix[top]
+		}
+		w.forkOrFold(&wg, top, in, 1, true, byTop[top])
+	}
+	wg.Wait()
+	return out, nil
+}
+
+// minForkSteps is the smallest first fold, in foldLevel inner-loop steps,
+// for which a subtree is worth a goroutine of its own.
+const minForkSteps = 256
+
+// batchWalk is the state of one Marginals call: the families, their
+// results, and one walker's cursor.
+type batchWalk struct {
+	c        *Compiled
+	families [][]int
+	out      [][]float64
+	// next[i] indexes the highest variable of families[i] the walk has not
+	// yet folded as kept; -1 once all are.
+	next []int
+	// cell is the fold odometer; levels[n] is the buffer level n last
+	// wrote, the input of level n-1 on the current path. Both belong to
+	// one walker; the other fields are shared, and each family's slots
+	// are touched only by the walker of its subtree.
+	cell   []int
+	levels [][]float64
+	// spare holds a token per goroutine a forked subtree occupies beyond
+	// the caller's; nil walks serially.
+	spare chan struct{}
+}
+
+// forkOrFold folds the subtree at level n on a new walker, with its own
+// odometer and path, when a worker is free and the subtree is large
+// enough; otherwise on this walker. A forked subtree is added to wg.
+func (w *batchWalk) forkOrFold(wg *sync.WaitGroup, n int, in []float64, tail int, keepN bool, idx []int) {
+	if w.spare != nil && prefixSize(w.c.cards, n+1)*tail >= minForkSteps {
+		select {
+		case w.spare <- struct{}{}:
+			sub := *w
+			sub.cell = make([]int, len(w.cell))
+			sub.levels = make([][]float64, n+1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sub.fold(n, in, tail, keepN, idx)
+				<-w.spare
+			}()
+			return
+		default:
+		}
+	}
+	w.fold(n, in, tail, keepN, idx)
+}
+
+// fold runs level n for the families idx, which keep the same variables
+// above n and all keep n or all sum it out (keepN), from in — the buffer
+// entering level n, tail the joint size of the kept variables above n —
+// and then walks the subtree below. idx is reordered in place.
+func (w *batchWalk) fold(n int, in []float64, tail int, keepN bool, idx []int) {
+	c := w.c
+	// foldLevel leaves each level's own digit at its last value and
+	// expects the free digits below n at zero: an earlier sibling's
+	// subtree moved them.
+	clear(w.cell[:n])
+	w.levels[n] = c.foldLevel(n, in, w.levels[n], c.cards, w.cell, keepN, -1, tail)
+	in = w.levels[n]
+	if keepN {
+		tail *= c.cards[n]
+		for _, i := range idx {
+			w.next[i]--
+		}
+	}
+	if n == 0 {
+		for _, i := range idx {
+			copy(w.out[i], in)
+		}
+		return
+	}
+	// Partition by whether the family keeps n-1: summed-out first.
+	k := 0
+	for j, i := range idx {
+		if p := w.next[i]; p < 0 || w.families[i][p] != n-1 {
+			idx[k], idx[j] = idx[j], idx[k]
+			k++
+		}
+	}
+	switch {
+	case k == len(idx):
+		w.fold(n-1, in, tail, false, idx)
+	case k == 0:
+		w.fold(n-1, in, tail, true, idx)
+	default:
+		// Both children read in, which stays put until both are done.
+		var wg sync.WaitGroup
+		w.forkOrFold(&wg, n-1, in, tail, false, idx[:k])
+		w.fold(n-1, in, tail, true, idx[k:])
+		wg.Wait()
+	}
 }
 
 // CellValue returns init × Π_terms coeff(cell), multiplying the factors onto

@@ -21,7 +21,14 @@
 //     top of the per-query primitives (Sum, SumFixed, SumPinned) it adds
 //     batch marginals: Marginal/MarginalFixed keep a family's variables
 //     un-eliminated through one sweep and return every cell of the marginal
-//     at once, instead of one full recursion per cell.
+//     at once, instead of one full recursion per cell. Marginals prices many
+//     families in one walk over the trie of their kept sets, folding each
+//     level buffer they share once — the discovery scan's whole pass
+//     costs about what its distinct buffers do, not one full sweep per
+//     family. The walk holds one buffer per level on its path, under
+//     2·K·size/cards[r-1] float64s with K the largest family's cell count
+//     and every cardinality at least 2, one path per worker when it fans
+//     out.
 //
 // Compiled is bit-identical to Evaluator by construction — the fold visits
 // levels, cells, and factors in the same order — so switching between the
