@@ -400,19 +400,15 @@ func (s *Sparse) MarginalCount(vars VarSet, values []int) (int64, error) {
 	}
 	// The members are read off the mask in place: the streaming refit asks
 	// this for every constraint cell of every batch.
-	last := vars.NumWords() - 1
-	if top := last*64 + 63 - bits.LeadingZeros64(vars.Word(last)); top >= s.R() {
+	if vars.Max() >= s.R() {
 		return 0, fmt.Errorf("contingency: attribute set %v exceeds table's %d axes", vars, s.R())
 	}
 	i := 0
-	for wi := 0; wi <= last; wi++ {
-		for w := vars.Word(wi); w != 0; w &= w - 1 {
-			p := wi*64 + bits.TrailingZeros64(w)
-			if values[i] < 0 || values[i] >= s.cards[p] {
-				return 0, fmt.Errorf("contingency: value %d for axis %d out of range", values[i], p)
-			}
-			i++
+	for p := range vars.All() {
+		if values[i] < 0 || values[i] >= s.cards[p] {
+			return 0, fmt.Errorf("contingency: value %d for axis %d out of range", values[i], p)
 		}
+		i++
 	}
 	if proj := s.projection(vars); proj != nil {
 		return proj.At(values...)
@@ -443,12 +439,10 @@ func (s *Sparse) marginalCountScan(members, values []int) int64 {
 // same table and the first publication wins.
 func (s *Sparse) projection(vars VarSet) *Table {
 	size := 1
-	for wi, nw := 0, vars.NumWords(); wi < nw; wi++ {
-		for w := vars.Word(wi); w != 0; w &= w - 1 {
-			size *= s.cards[wi*64+bits.TrailingZeros64(w)]
-			if size > maxCachedProjCells {
-				return nil
-			}
+	for p := range vars.All() {
+		size *= s.cards[p]
+		if size > maxCachedProjCells {
+			return nil
 		}
 	}
 	s.projMu.RLock()

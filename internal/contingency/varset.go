@@ -3,6 +3,7 @@ package contingency
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -30,14 +31,6 @@ const MaxVars = 1 << 16
 func (s VarSet) spillWords() int { return len(s.spill) >> 3 }
 
 // NumWords returns how many 64-bit words the set spans (always >= 1).
-// With Word it supports allocation-free member iteration:
-//
-//	for wi := 0; wi < s.NumWords(); wi++ {
-//		for w := s.Word(wi); w != 0; w &= w - 1 {
-//			p := wi*64 + bits.TrailingZeros64(w)
-//			...
-//		}
-//	}
 func (s VarSet) NumWords() int { return 1 + s.spillWords() }
 
 // Word returns the i-th 64-bit word of the mask (word 0 holds positions
@@ -220,6 +213,30 @@ func (s VarSet) Less(t VarSet) bool {
 		}
 	}
 	return s.lo < t.lo
+}
+
+// All iterates over the positions in ascending order, reading them off
+// the mask without allocating:
+//
+//	for p := range s.All() {
+//		...
+//	}
+func (s VarSet) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for wi, nw := 0, s.NumWords(); wi < nw; wi++ {
+			for w := s.Word(wi); w != 0; w &= w - 1 {
+				if !yield(wi*64 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Max returns the highest position in the set, or -1 when it is empty.
+func (s VarSet) Max() int {
+	last := s.NumWords() - 1
+	return last*64 + 63 - bits.LeadingZeros64(s.Word(last))
 }
 
 // Members returns the positions in ascending order.

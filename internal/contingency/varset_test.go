@@ -170,3 +170,47 @@ func TestCombinationsCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVarSetAllAndMax: All yields Members in order on the empty set, a
+// narrow set and one spilling past two words, stops when the loop breaks,
+// and allocates nothing; Max is the last member, -1 when empty.
+func TestVarSetAllAndMax(t *testing.T) {
+	for _, s := range []VarSet{{}, NewVarSet(0, 2, 63), NewVarSet(1, 64, 65, 190)} {
+		var got []int
+		for p := range s.All() {
+			got = append(got, p)
+		}
+		want := s.Members()
+		if len(got) != len(want) {
+			t.Fatalf("%v: All yields %v, Members %v", s, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: All yields %v, Members %v", s, got, want)
+			}
+		}
+		wantMax := -1
+		if len(want) > 0 {
+			wantMax = want[len(want)-1]
+		}
+		if s.Max() != wantMax {
+			t.Errorf("%v: Max = %d, want %d", s, s.Max(), wantMax)
+		}
+		n := 0
+		for range s.All() {
+			n++
+			break
+		}
+		if n != min(1, len(want)) {
+			t.Errorf("%v: loop ran %d times after break", s, n)
+		}
+		sum := 0
+		if allocs := testing.AllocsPerRun(10, func() {
+			for p := range s.All() {
+				sum += p
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: All allocates %v per loop", s, allocs)
+		}
+	}
+}

@@ -268,14 +268,13 @@ func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
 	return out, nil
 }
 
-// Marginals returns Marginal(families[i]) for every family, bit for bit,
-// fanned out over at most workers goroutines (as par.Workers reads it; 1
-// runs on the calling goroutine). A dense snapshot prices the whole batch
-// in one shared elimination walk (sumprod.Compiled.Marginals), which folds
-// every level buffer the families share once and fans out over the walk's
-// subtrees; a factored snapshot assembles each family on its own, the
-// families fanned out over par.Do. The first invalid family in list order
-// fails the call.
+// Marginals returns Marginal(families[i]) for every family, bit for bit.
+// A dense snapshot prices the whole batch in one shared elimination walk
+// (sumprod.Compiled.Marginals) on the calling goroutine, folding every
+// level buffer the families share once, and ignores workers. A factored
+// snapshot assembles each family on its own, the families fanned out over
+// at most workers goroutines (par.Do; 1 runs on the calling goroutine).
+// The first invalid family in list order fails the call.
 func (c *Compiled) Marginals(families []contingency.VarSet, workers int) ([][]float64, error) {
 	members := make([][]int, len(families))
 	for i, vars := range families {
@@ -294,7 +293,7 @@ func (c *Compiled) Marginals(families []contingency.VarSet, workers int) ([][]fl
 		}
 		return out, nil
 	}
-	out, err := c.eng.Marginals(members, workers)
+	out, err := c.eng.Marginals(members)
 	if err != nil {
 		return nil, err
 	}

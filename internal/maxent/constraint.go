@@ -71,11 +71,9 @@ type conKey struct {
 // cards.
 func (c Constraint) indexKey(cards []int) conKey {
 	i, off := 0, 0
-	for wi, nw := 0, c.Family.NumWords(); wi < nw; wi++ {
-		for w := c.Family.Word(wi); w != 0; w &= w - 1 {
-			off = off*cards[wi*64+bits.TrailingZeros64(w)] + c.Values[i]
-			i++
-		}
+	for p := range c.Family.All() {
+		off = off*cards[p] + c.Values[i]
+		i++
 	}
 	return conKey{c.Family, off}
 }

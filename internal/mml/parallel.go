@@ -18,13 +18,12 @@ import (
 // any worker count (same order, same values); only wall time changes.
 // workers <= 0 uses GOMAXPROCS; 1 runs on the calling goroutine.
 //
-// Both fan-outs were re-measured once the shared walk had made the folds
-// a small part of the scan: on a 2-CPU host, in-process discovery
+// The scoring fan-out was re-measured once the shared walk had made the
+// folds a small part of the scan: on a 2-CPU host, in-process discovery
 // alternating workers 1 and 2 in 10 paired groups, scoring on two workers
 // won 10 of 10 at acquire_wide's shape (median 83.0 to 76.6 ms) and 6 of
-// 10 at acquire_dense's, and the dense walk's subtree fan-out won 27 of 30
-// groups over three such runs at acquire_dense's (medians 2-6% faster;
-// CHANGES.md).
+// 10 at acquire_dense's (CHANGES.md). The dense walk itself runs on the
+// calling goroutine.
 //
 // Scoring is read-only on the tester, and the predictor must be safe for
 // concurrent use — compiled model engines are.

@@ -3,7 +3,6 @@ package mml
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"pka/internal/contingency"
 	"pka/internal/stats"
@@ -195,10 +194,8 @@ func (p perCell) marginal(family contingency.VarSet) ([]float64, error) {
 // familySize returns the number of cells of a family within the table.
 func (t *Tester) familySize(fam contingency.VarSet) int {
 	size := 1
-	for wi, nw := 0, fam.NumWords(); wi < nw; wi++ {
-		for w := fam.Word(wi); w != 0; w &= w - 1 {
-			size *= t.table.Card(wi*64 + bits.TrailingZeros64(w))
-		}
+	for p := range fam.All() {
+		size *= t.table.Card(p)
 	}
 	return size
 }

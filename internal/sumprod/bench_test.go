@@ -140,9 +140,8 @@ func BenchmarkCompiledMarginal(b *testing.B) {
 
 // BenchmarkMarginalsOrder3 prices every order-3 family of a 13-attribute
 // engine (12 binary attributes, then one ternary: the dense discovery
-// benchmark's shape) with one Marginals walk, serial and fanned out over
-// GOMAXPROCS workers, against a loop of Marginal calls, one full
-// elimination per family.
+// benchmark's shape) with one Marginals walk, against a loop of Marginal
+// calls, one full elimination per family.
 func BenchmarkMarginalsOrder3(b *testing.B) {
 	cards, terms := benchTerms(13, 2)
 	cards[12] = 3
@@ -170,14 +169,12 @@ func BenchmarkMarginalsOrder3(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ce.Marginals(families, workers); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ce.Marginals(families); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"pka/internal/par"
 )
 
 // Compiled is an immutable, goroutine-safe inference engine over a snapshot
@@ -39,9 +37,8 @@ import (
 // level buffer the families share is folded once, from the suffix down,
 // and every family still gets Marginal's bits. The walk holds one buffer
 // per level on its current path (with every cardinality at least 2, under
-// 2·K·size/cards[r-1] float64s, K the largest family's cell count), one
-// path per worker when it fans out over subtrees, and frees them all when
-// the call returns.
+// 2·K·size/cards[r-1] float64s, K the largest family's cell count) and
+// frees them when the call returns.
 type Compiled struct {
 	cards   []int
 	terms   []Term  // coefficient snapshots, deep-copied at Compile time
@@ -427,20 +424,12 @@ func (c *Compiled) marginalSize(vars []int, fixed []int) (int, error) {
 // marginal. Every family thus sees exactly the foldLevel calls its own
 // Marginal makes, with the same arguments in the same order.
 //
-// The walk fans out over subtrees (workers as par.Workers reads it; 1
-// walks on the calling goroutine): a subtree whose first fold is large
-// enough runs on its own goroutine, with its own odometer and path, when
-// a worker is free. Each buffer is still written by one goroutine, after
-// its parent's buffer and before its children read it, so the worker count
-// never changes a bit.
-//
 // Bound: the buffer a level writes holds Π_{v<n} cards[v] times at most K
 // values, K the largest family's cell count, so with every cardinality at
-// least 2 one path totals under 2·K·size/cards[r-1] float64s, and the walk
-// holds at most one path per worker. The buffers live for the call only.
-// Invalid families give Marginal's errors; the first in list order is
+// least 2 the path totals under 2·K·size/cards[r-1] float64s. The buffers
+// live for the call only. Invalid families give Marginal's errors; the first in list order is
 // returned.
-func (c *Compiled) Marginals(families [][]int, workers int) ([][]float64, error) {
+func (c *Compiled) Marginals(families [][]int) ([][]float64, error) {
 	out := make([][]float64, len(families))
 	sizes := make([]int, len(families))
 	total := 0
@@ -464,9 +453,6 @@ func (c *Compiled) Marginals(families [][]int, workers int) ([][]float64, error)
 		cell:     make([]int, r),
 		levels:   make([][]float64, r),
 	}
-	if nw := par.Workers(workers, len(families)); nw > 1 {
-		w.spare = make(chan struct{}, nw-1)
-	}
 	buf := make([]float64, total)
 	byTop := make([][]int, r)
 	for i, vars := range families {
@@ -475,7 +461,6 @@ func (c *Compiled) Marginals(families [][]int, workers int) ([][]float64, error)
 		top := vars[len(vars)-1]
 		byTop[top] = append(byTop[top], i)
 	}
-	var wg sync.WaitGroup
 	for top := r - 1; top >= 0; top-- {
 		if len(byTop[top]) == 0 {
 			continue
@@ -485,18 +470,13 @@ func (c *Compiled) Marginals(families [][]int, workers int) ([][]float64, error)
 			c.suffixOnce.Do(c.buildSuffix)
 			in = c.suffix[top]
 		}
-		w.forkOrFold(&wg, top, in, 1, true, byTop[top])
+		w.fold(top, in, 1, true, byTop[top])
 	}
-	wg.Wait()
 	return out, nil
 }
 
-// minForkSteps is the smallest first fold, in foldLevel inner-loop steps,
-// for which a subtree is worth a goroutine of its own.
-const minForkSteps = 256
-
 // batchWalk is the state of one Marginals call: the families, their
-// results, and one walker's cursor.
+// results, and the walk's cursor.
 type batchWalk struct {
 	c        *Compiled
 	families [][]int
@@ -505,37 +485,9 @@ type batchWalk struct {
 	// yet folded as kept; -1 once all are.
 	next []int
 	// cell is the fold odometer; levels[n] is the buffer level n last
-	// wrote, the input of level n-1 on the current path. Both belong to
-	// one walker; the other fields are shared, and each family's slots
-	// are touched only by the walker of its subtree.
+	// wrote, the input of level n-1 on the current path.
 	cell   []int
 	levels [][]float64
-	// spare holds a token per goroutine a forked subtree occupies beyond
-	// the caller's; nil walks serially.
-	spare chan struct{}
-}
-
-// forkOrFold folds the subtree at level n on a new walker, with its own
-// odometer and path, when a worker is free and the subtree is large
-// enough; otherwise on this walker. A forked subtree is added to wg.
-func (w *batchWalk) forkOrFold(wg *sync.WaitGroup, n int, in []float64, tail int, keepN bool, idx []int) {
-	if w.spare != nil && prefixSize(w.c.cards, n+1)*tail >= minForkSteps {
-		select {
-		case w.spare <- struct{}{}:
-			sub := *w
-			sub.cell = make([]int, len(w.cell))
-			sub.levels = make([][]float64, n+1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sub.fold(n, in, tail, keepN, idx)
-				<-w.spare
-			}()
-			return
-		default:
-		}
-	}
-	w.fold(n, in, tail, keepN, idx)
 }
 
 // fold runs level n for the families idx, which keep the same variables
@@ -570,17 +522,12 @@ func (w *batchWalk) fold(n int, in []float64, tail int, keepN bool, idx []int) {
 			k++
 		}
 	}
-	switch {
-	case k == len(idx):
-		w.fold(n-1, in, tail, false, idx)
-	case k == 0:
-		w.fold(n-1, in, tail, true, idx)
-	default:
-		// Both children read in, which stays put until both are done.
-		var wg sync.WaitGroup
-		w.forkOrFold(&wg, n-1, in, tail, false, idx[:k])
+	// Both children read in, which stays put until both are done.
+	if k > 0 {
+		w.fold(n-1, in, tail, false, idx[:k])
+	}
+	if k < len(idx) {
 		w.fold(n-1, in, tail, true, idx[k:])
-		wg.Wait()
 	}
 }
 

@@ -27,8 +27,7 @@
 //     costs about what its distinct buffers do, not one full sweep per
 //     family. The walk holds one buffer per level on its path, under
 //     2·K·size/cards[r-1] float64s with K the largest family's cell count
-//     and every cardinality at least 2, one path per worker when it fans
-//     out.
+//     and every cardinality at least 2.
 //
 // Compiled is bit-identical to Evaluator by construction — the fold visits
 // levels, cells, and factors in the same order — so switching between the

@@ -59,37 +59,29 @@ func randomFamilies(rng *rand.Rand, r, n int) [][]int {
 	return fams
 }
 
-// checkMarginals asserts that Marginals(fams, w) equals Marginal of every
-// family with == for each worker count in turn. The first call runs
-// before any Marginal, so on a cold engine it builds the shared suffix.
-func checkMarginals(t *testing.T, ce *Compiled, fams [][]int, workers []int, label string) {
+// checkMarginals asserts that Marginals(fams) equals Marginal of every
+// family with ==. The batch runs before any Marginal, so on a cold engine
+// it builds the shared suffix.
+func checkMarginals(t *testing.T, ce *Compiled, fams [][]int, label string) {
 	t.Helper()
-	var want [][]float64
-	for _, w := range workers {
-		got, err := ce.Marginals(fams, w)
+	got, err := ce.Marginals(fams)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(got) != len(fams) {
+		t.Fatalf("%s: %d results for %d families", label, len(got), len(fams))
+	}
+	for i, fam := range fams {
+		want, err := ce.Marginal(fam)
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(fams) {
-			t.Fatalf("%s: %d results for %d families", label, len(got), len(fams))
+		if len(got[i]) != len(want) {
+			t.Fatalf("%s family %v: %d cells, Marginal %d", label, fam, len(got[i]), len(want))
 		}
-		if want == nil {
-			want = make([][]float64, len(fams))
-			for i, fam := range fams {
-				if want[i], err = ce.Marginal(fam); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for i, fam := range fams {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("%s family %v: %d cells, Marginal %d", label, fam, len(got[i]), len(want[i]))
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("%s workers=%d family %v cell %d: batch %x, Marginal %x",
-						label, w, fam, j, got[i][j], want[i][j])
-				}
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("%s family %v cell %d: batch %x, Marginal %x", label, fam, j, got[i][j], want[j])
 			}
 		}
 	}
@@ -99,8 +91,7 @@ func checkMarginals(t *testing.T, ce *Compiled, fams [][]int, workers []int, lab
 // cardinalities 1-4, every entry of one Marginals call over families of
 // orders 1-4 — with and without the last attribute, with duplicates —
 // equals Marginal with ==, on a cold engine (the walk builds the shared
-// suffix) and a warm one, walked serially and fanned out over 2 and 8
-// workers. Every family of orders 1-3 runs too, since the deepest tries
+// suffix) and a warm one. Every family of orders 1-3 runs too, since the deepest tries
 // show sibling subtrees of each shape. A batch that keeps the last
 // attribute in every family leaves the suffix unbuilt.
 func TestMarginalsMatchMarginal(t *testing.T) {
@@ -110,13 +101,13 @@ func TestMarginalsMatchMarginal(t *testing.T) {
 		r := len(cards)
 		_, ce := randomEngine(t, rng, cards)
 		fams := randomFamilies(rng, r, 1+rng.Intn(40))
-		checkMarginals(t, ce, fams, []int{1 + trial%2*7}, "cold")
-		checkMarginals(t, ce, fams, []int{1, 2, 8}, "warm")
+		checkMarginals(t, ce, fams, "cold")
+		checkMarginals(t, ce, fams, "warm")
 		var all [][]int
 		for _, order := range []int{1, 2, 3} {
 			all = append(all, combinations(r, order)...)
 		}
-		checkMarginals(t, ce, all, []int{1, 2, 8}, "every order 1-3")
+		checkMarginals(t, ce, all, "every order 1-3")
 
 		_, fresh := randomEngine(t, rng, cards)
 		var withLast [][]int
@@ -128,13 +119,13 @@ func TestMarginalsMatchMarginal(t *testing.T) {
 		if len(withLast) == 0 {
 			continue
 		}
-		checkMarginals(t, fresh, withLast, []int{8}, "last attribute kept")
+		checkMarginals(t, fresh, withLast, "last attribute kept")
 		if r > 1 && suffixBuilt(fresh) {
 			t.Fatalf("cards %v: a batch keeping the last attribute built the suffix", cards)
 		}
 	}
 	_, ce := randomEngine(t, rng, []int{2, 3, 2})
-	got, err := ce.Marginals(nil, 2)
+	got, err := ce.Marginals(nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch = %v, %v", got, err)
 	}
@@ -151,7 +142,7 @@ func TestMarginalsInvalidFamilies(t *testing.T) {
 		if want == nil {
 			t.Fatalf("Marginal(%v) accepted an invalid family", bad)
 		}
-		_, err := ce.Marginals([][]int{{0, 1}, bad, {3}}, 2)
+		_, err := ce.Marginals([][]int{{0, 1}, bad, {3}})
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("Marginals with %v: error %v, Marginal's %v", bad, err, want)
 		}
