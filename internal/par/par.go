@@ -3,7 +3,8 @@
 // deterministic result collection and first-error cancellation.
 //
 // Two loops use it: the per-family MML significance scan
-// (mml.ScanOrderParallel), which on two CPUs measurably slows discovery
+// (mml.ScanOrderParallel, whose factored-model marginals fan out through
+// maxent.Compiled.Marginals), which on two CPUs measurably slows discovery
 // when run serially, and the queries of a batch (query.AnswerBatch), which
 // on two CPUs answers a batch that misses the engine memo faster fanned
 // out than in order (the measurement is cited at its doc comment).
